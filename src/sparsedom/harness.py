@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import maximal, operators, sparse, weights as weights_mod
-from .errors import ConfigError
+from .errors import ConfigError, ZeroInputError
 from .lattice import GridFunction, GridSpec, holder_aggregate
 
 EXPERIMENT_KINDS = ("maximal", "build-sparse", "equivalence", "weights",
@@ -140,6 +141,46 @@ def _sided_inverse_pair(spec: GridSpec, rng: np.random.Generator,
 _DEFAULT_PANEL = (-0.9, -0.5, 0.0, 0.5, 0.9, 1.5)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_positive_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) \
+        and x >= 1
+
+
+# numeric experiment params: (is a list, element check, expected shape);
+# every other param (centers, center) is left to its runner
+_PARAM_TYPES = {
+    "ps": (True, _is_real, "a nonempty list of numbers"),
+    "rs": (True, _is_real, "a nonempty list of numbers"),
+    "qs": (True, _is_real, "a nonempty list of numbers"),
+    "panel": (True, _is_real, "a nonempty list of numbers"),
+    "levels": (True, _is_positive_int, "a nonempty list of positive integers"),
+    "family_sizes": (True, _is_positive_int,
+                     "a nonempty list of positive integers"),
+    "eps": (False, _is_real, "a number"),
+    "child_budget": (False, _is_real, "a number"),
+    "bad_exponent": (False, _is_real, "a number"),
+    "components": (False, _is_positive_int, "a positive integer"),
+}
+
+
+def _check_params(params: dict):
+    """Raise ConfigError naming the first numeric param of the wrong type."""
+    for key, (is_list, ok, shape) in _PARAM_TYPES.items():
+        if key not in params:
+            continue
+        val = params[key]
+        if is_list:
+            good = isinstance(val, list) and bool(val) and all(map(ok, val))
+        else:
+            good = ok(val)
+        if not good:
+            raise ConfigError(f"must be {shape}", field=f"params.{key}")
+
+
 @dataclass
 class ExperimentConfig:
     """One fully specified experiment run."""
@@ -169,8 +210,11 @@ class ExperimentConfig:
                                   field=f"grid.{key}")
         if grid_doc["d"] not in (1, 2):
             raise ConfigError("dimension must be 1 or 2", field="grid.d")
-        grid = GridSpec(grid_doc["d"], grid_doc["levels"],
-                        bool(grid_doc.get("periodic", True)))
+        try:
+            grid = GridSpec(grid_doc["d"], grid_doc["levels"],
+                            bool(grid_doc.get("periodic", True)))
+        except ValueError as err:
+            raise ConfigError(str(err), field="grid.levels") from None
         corpus = doc.get("corpus", {})
         corpus_kind = corpus.get("kind", "mixed")
         if corpus_kind not in CORPUS_KINDS:
@@ -186,6 +230,7 @@ class ExperimentConfig:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("must be a mapping", field="params")
+        _check_params(params)
         return cls(kind, grid, corpus_kind, size, seed, params)
 
     @classmethod
@@ -309,7 +354,7 @@ def run_maximal(cfg: ExperimentConfig) -> ReportBuilder:
         worst = max(worst, gap / scale)
         try:
             quotient = maximal.weak_type_quotient(inputs, ps, rs)
-        except Exception:
+        except ZeroInputError:
             quotient = None
         rows.append([i, float(left.max()), float(right.max()), quotient])
     rep.asserted("holder-sandwich", worst <= 1e-9, worst_violation=worst,

@@ -40,8 +40,8 @@ class FormOperator:
     """An (n+1)-slot form on scalar grid functions.
 
     evaluator maps n+1 scalar GridFunctions to the real number
-    <T(g^1..g^n), g^{n+1}>.  apply, when present, materializes the operator
-    output T(g^1..g^n) as a cell array (used by weighted norm quotients).
+    <T(g^1..g^n), g^{n+1}>.  apply materializes the operator output
+    T(g^1..g^n) as a cell array (used by weighted norm quotients).
     certificate_kind is "exact" when the sparse norm bound stored in
     certificate is structural, "empirical" when it is a recorded estimate,
     "none" otherwise.  linear records whether the form is genuinely linear
@@ -51,10 +51,10 @@ class FormOperator:
     spec: GridSpec
     arity: int
     evaluator: Callable
+    apply: Callable
     name: str = "operator"
     certificate: float | None = None
     certificate_kind: str = "none"
-    apply: Callable | None = None
     linear: bool = True
 
     def evaluate(self, gs: Sequence[GridFunction]) -> float:
@@ -69,16 +69,11 @@ class FormOperator:
         return float(self.evaluator(list(gs)))
 
     def output(self, gs: Sequence[GridFunction]) -> np.ndarray:
-        """Materialized T(g^1..g^n), via apply or by pairing with cell spikes."""
+        """Materialized T(g^1..g^n) as a cell array."""
         if len(gs) != self.arity:
             raise SizeMismatchError(
                 f"{self.name} applies to {self.arity} inputs, got {len(gs)}")
-        if self.apply is not None:
-            return np.asarray(self.apply(list(gs)), dtype=np.float64)
-        out = np.empty(self.spec.ncells)
-        for x in range(self.spec.ncells):
-            out[x] = self.evaluate(list(gs) + [GridFunction.spike(self.spec, x)])
-        return out
+        return np.asarray(self.apply(list(gs)), dtype=np.float64)
 
 
 @dataclass
@@ -207,6 +202,13 @@ def discrete_bht(spec: GridSpec, truncation: int,
     Lambda(f, g, h) = sum_x sum_{0 < |t| <= T} c(t) f(x+t) g(x-t) h(x) with
     c(t) = 1/t (sign variant) or psi(t)/t for an even smooth compactly
     supported cutoff psi (smooth variant).
+
+    apply pads f and g periodically by T cells on each side, once per call,
+    and reads f(x +- t) and g(x -+ t) as contiguous slices of the padded
+    arrays.  The terms are summed in fixed order t = 1..T with the
+    per-cell expression c(t) (f(x+t) g(x-t) - f(x-t) g(x+t)), so the output
+    is bit-identical to the same sum taken over np.roll shifts; it is
+    checked against the triple-loop oracle discrete_bht_reference.
     """
     if spec.d != 1 or not spec.periodic:
         raise RequiresPeriodicError("the model needs a periodic 1D grid")
@@ -214,15 +216,19 @@ def discrete_bht(spec: GridSpec, truncation: int,
         raise TruncationTooLargeError(
             f"truncation must satisfy 1 <= T < {spec.side // 2}, got {truncation}")
     coef = _bht_coefficients(truncation, variant)
+    n = spec.ncells
 
     def apply(gs):
         f = gs[0].values[:, 0]
         g = gs[1].values[:, 0]
-        out = np.zeros(spec.ncells)
+        # fp[truncation + x + s] = f((x + s) mod n) for |s| <= truncation
+        fp = np.concatenate((f[-truncation:], f, f[:truncation]))
+        gp = np.concatenate((g[-truncation:], g, g[:truncation]))
+        out = np.zeros(n)
         for t in range(1, truncation + 1):
-            c = coef[t - 1]
-            out += c * (np.roll(f, -t) * np.roll(g, t)
-                        - np.roll(f, t) * np.roll(g, -t))
+            lo, hi = truncation - t, truncation + t
+            out += coef[t - 1] * (fp[hi:hi + n] * gp[lo:lo + n]
+                                  - fp[lo:lo + n] * gp[hi:hi + n])
         return out
 
     def evaluator(gs):

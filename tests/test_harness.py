@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from sparsedom import ExperimentConfig, GridSpec, generate_corpus, run_experiment
+from sparsedom import (
+    ExperimentConfig,
+    GridFunction,
+    GridSpec,
+    generate_corpus,
+    harness,
+    maximal,
+    run_experiment,
+)
 from sparsedom.cli import build_parser, main
 from sparsedom.errors import ConfigError
 from sparsedom.harness import EXPERIMENT_KINDS
@@ -221,3 +229,57 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["maximal", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert "grid.d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: d["grid"].update(levels=0), "grid.levels"),
+    (lambda d: d["grid"].update(levels=30), "grid.levels"),
+    (lambda d: d["params"].update(ps=[1, "x"]), "params.ps"),
+    (lambda d: d["params"].update(rs=2.0), "params.rs"),
+    (lambda d: d["params"].update(qs=[]), "params.qs"),
+    (lambda d: d["params"].update(panel=[0.0, None]), "params.panel"),
+    (lambda d: d["params"].update(levels=[4, 0]), "params.levels"),
+    (lambda d: d["params"].update(levels=[4.0, 6.0]), "params.levels"),
+    (lambda d: d["params"].update(family_sizes=[1, True]),
+     "params.family_sizes"),
+    (lambda d: d["params"].update(eps="0.5"), "params.eps"),
+    (lambda d: d["params"].update(child_budget=[0.25]), "params.child_budget"),
+    (lambda d: d["params"].update(bad_exponent=None), "params.bad_exponent"),
+    (lambda d: d["params"].update(components=2.5), "params.components"),
+])
+def test_cli_config_value_errors_exit_2(mutate, field, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    doc = base_doc()
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["maximal", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_leaves_centers_unchecked():
+    doc = base_doc("weights", centers=["center", "edge"], panel=[0, 1.5])
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.params["centers"] == ["center", "edge"]
+
+
+def test_maximal_propagates_unexpected_quotient_errors(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a vanishing factor norm")
+
+    monkeypatch.setattr(maximal, "weak_type_quotient", broken)
+    with pytest.raises(RuntimeError):
+        run_experiment(small_config("maximal"), tmp_path)
+
+
+def test_maximal_skips_vanishing_factor_norm(monkeypatch, tmp_path):
+    def zero_corpus(kind, seed, size, spec, n_slots=1, n_components=1):
+        zero = GridFunction(spec, np.zeros((spec.ncells, n_components)))
+        return [(zero,) * n_slots]
+
+    monkeypatch.setattr(harness, "generate_corpus", zero_corpus)
+    assert run_experiment(small_config("maximal"), tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    quotients = [r for r in report["rows"] if r["id"] == "weak-type-quotients"]
+    assert quotients[0]["values"] == []

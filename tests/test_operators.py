@@ -28,6 +28,7 @@ from sparsedom.errors import (
 )
 from sparsedom.lattice import enumerate_cubes
 from sparsedom.operators import (
+    _bht_coefficients,
     bht_corner_hypotheses,
     check_slot_sublinearity,
     theorem31_hypotheses,
@@ -69,6 +70,29 @@ def test_bht_matches_reference(variant, levels):
         got = op.evaluate(gs)
         want = discrete_bht_reference(gs, spec.side // 4, variant=variant)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def roll_bht_apply(f, g, truncation, variant):
+    """The singular sum over np.roll shifts, in the kernel's t order."""
+    coef = _bht_coefficients(truncation, variant)
+    out = np.zeros(len(f))
+    for t in range(1, truncation + 1):
+        c = coef[t - 1]
+        out += c * (np.roll(f, -t) * np.roll(g, t)
+                    - np.roll(f, t) * np.roll(g, -t))
+    return out
+
+
+@pytest.mark.parametrize("variant", ["sign", "smooth"])
+@pytest.mark.parametrize("levels", range(3, 11))
+def test_bht_apply_bit_identical_to_roll_sum(variant, levels):
+    spec = GridSpec(1, levels, periodic=True)
+    rng = np.random.default_rng(40 + levels)
+    for trunc in sorted({1, spec.side // 4, spec.side // 2 - 1}):
+        op = discrete_bht(spec, trunc, variant=variant)
+        f, g = random_scalars(spec, 2, rng)
+        want = roll_bht_apply(f.values[:, 0], g.values[:, 0], trunc, variant)
+        assert np.array_equal(op.output([f, g]), want)
 
 
 def test_bht_antisymmetry():

@@ -39,19 +39,14 @@ from .lattice import (
     is_banach_holder_tuple,
     load_gridfunction,
     lr_norm,
-    p_average,
     power_mean,
     save_gridfunction,
 )
 from .maximal import (
-    MaximalRequest,
-    hardy_littlewood,
     holder_dominator,
     localized_maximal,
     mixed_norm,
     partitioned_maximal,
-    scalar_multilinear_maximal,
-    truncated_maximal,
     vector_maximal,
     weak_type_quotient,
 )

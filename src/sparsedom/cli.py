@@ -23,8 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory for report.json and CSV tables")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured corpus seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count (results are identical for any value)")
     return parser
 
 
@@ -37,8 +35,7 @@ def main(argv=None) -> int:
                   f"but the {args.command!r} subcommand was invoked",
                   file=sys.stderr)
             return 2
-        return run_experiment(cfg, args.out, seed=args.seed,
-                              threads=args.threads)
+        return run_experiment(cfg, args.out, seed=args.seed)
     except SparsedomError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

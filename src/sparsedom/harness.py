@@ -5,8 +5,7 @@ reproducible from (kind, seed, size, grid) alone.  Reports separate ASSERTED
 rows (structural inequalities that must hold exactly or to a stated
 tolerance) from RECORDED rows (empirical constants with no reference value);
 the process exit status is nonzero exactly when an ASSERTED row fails.
-Execution is serial and deterministic; a thread-count argument is accepted
-for interface stability and does not affect results.
+Execution is serial and deterministic.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -168,7 +166,8 @@ _PARAM_TYPES = {
 
 
 def _check_params(params: dict):
-    """Raise ConfigError naming the first numeric param of the wrong type."""
+    """Raise ConfigError naming the first numeric param of the wrong type or
+    out of range (exponents and eps positive, child_budget in (0, 1/2))."""
     for key, (is_list, ok, shape) in _PARAM_TYPES.items():
         if key not in params:
             continue
@@ -179,6 +178,14 @@ def _check_params(params: dict):
             good = ok(val)
         if not good:
             raise ConfigError(f"must be {shape}", field=f"params.{key}")
+    for key in ("ps", "rs", "qs"):
+        if key in params and not all(x > 0 for x in params[key]):
+            raise ConfigError("entries must be positive",
+                              field=f"params.{key}")
+    if "eps" in params and not params["eps"] > 0:
+        raise ConfigError("must be positive", field="params.eps")
+    if "child_budget" in params and not 0 < params["child_budget"] < 0.5:
+        raise ConfigError("must lie in (0, 1/2)", field="params.child_budget")
 
 
 @dataclass
@@ -255,7 +262,6 @@ class ReportBuilder:
         self.config = config
         self.rows = []
         self.tables = {}
-        self.started = time.time()
 
     def asserted(self, row_id: str, passed: bool, **values):
         self.rows.append({"id": row_id, "status": "ASSERTED",
@@ -391,10 +397,8 @@ def run_build_sparse(cfg: ExperimentConfig) -> ReportBuilder:
                 list(tup), ps, rs, eps=eps if variant == 1 else None,
                 variant=variant, child_budget=budget)
             sparsity_ok &= built.collection.is_valid()
-            budget_ok &= all(n.child_measure * 2 ** 16 <= n.size
-                             for n in built.nodes) if budget == 2.0 ** -16 \
-                else all(n.child_measure <= budget * n.size
-                         for n in built.nodes)
+            budget_ok &= all(n.child_measure <= budget * n.size
+                             for n in built.nodes)
             for node in built.nodes:
                 prop_worst[1] = max(prop_worst[1], node.off_exceptional_ratio)
                 if variant == 1:
@@ -760,16 +764,13 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, seed: int | None = None,
-                   threads: int = 1) -> int:
+def run_experiment(cfg: ExperimentConfig, out_dir,
+                   seed: int | None = None) -> int:
     """Execute one experiment and write report.json plus CSV tables.
 
-    seed overrides the configured one; threads is accepted for interface
-    stability (execution is serial, so results never depend on it).
-    Returns the process exit code: nonzero iff an ASSERTED row failed.
+    seed overrides the configured one.  Returns the process exit code:
+    nonzero iff an ASSERTED row failed.
     """
-    if threads < 1:
-        raise ConfigError("thread count must be positive", field="threads")
     if seed is not None:
         cfg = ExperimentConfig(cfg.kind, cfg.grid, cfg.corpus_kind,
                                cfg.corpus_size, int(seed), cfg.params)

@@ -351,14 +351,6 @@ def power_mean(vals: np.ndarray, p: float) -> float:
     return scale * float(np.mean((vals / scale) ** p)) ** (1.0 / p)
 
 
-def p_average(f: GridFunction, k: int, p: float, cube: DyadicCube) -> float:
-    """<f_k>_{p,Q}: power mean of |f_k| over the cube's cells."""
-    cells = cube_cells(f.spec, cube)
-    if len(cells) == 0:
-        raise EmptyCubeError("cube does not meet the domain")
-    return power_mean(f.values[cells, k], p)
-
-
 def lr_norm(a: Sequence[float], r: float) -> float:
     """l^r (quasi-)norm of a vector; r = inf is the sup norm."""
     a = np.abs(np.asarray(a, dtype=np.float64))

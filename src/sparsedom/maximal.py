@@ -12,12 +12,10 @@ s < 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from . import lattice
 from .errors import (
     EmptyCubeFamilyError,
     ExponentDomainError,
@@ -123,25 +121,6 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
     return best
 
 
-@dataclass
-class MaximalRequest:
-    """Bundle of inputs and parameters for one maximal-function evaluation."""
-
-    inputs: list
-    ps: tuple
-    r: float = 1.0
-    shifts: str = "all"
-    window: tuple | None = None
-    cube: DyadicCube | None = None  # localization
-
-    def evaluate(self) -> GridFunction:
-        if self.cube is not None:
-            return localized_maximal(self.inputs, self.ps, self.r, self.cube,
-                                     shifts=self.shifts)
-        return vector_maximal(self.inputs, self.ps, self.r,
-                              shifts=self.shifts, window=self.window)
-
-
 def vector_maximal(inputs: Sequence[GridFunction], ps: Sequence[float],
                    r: float = 1.0, shifts: str = "all",
                    window=None) -> GridFunction:
@@ -149,16 +128,12 @@ def vector_maximal(inputs: Sequence[GridFunction], ps: Sequence[float],
 
     At each cell x this is || sup_Q prod_j <f^j_k>_{p_j,Q} ||_{l^r(k)} with the
     supremum over cubes containing x that are admissible for the window and
-    shift policy.
+    shift policy.  A window (s, t] gives the truncated operator; None gives
+    the full one.
     """
     sup = component_sup(inputs, ps, shifts=shifts, window=window)
     spec = inputs[0].spec
     return GridFunction(spec, lr_norm_rows(sup, r))
-
-
-def truncated_maximal(inputs, ps, r, window, shifts: str = "all") -> GridFunction:
-    """vector_maximal restricted to cubes with side in the window (s, t]."""
-    return vector_maximal(inputs, ps, r, shifts=shifts, window=window)
 
 
 def localized_maximal(inputs, ps, r, cube: DyadicCube,
@@ -175,22 +150,6 @@ def localized_maximal(inputs, ps, r, cube: DyadicCube,
     mask = np.zeros(spec.ncells)
     mask[cube_cells(spec, cube)] = 1.0
     return GridFunction(spec, out.values[:, 0] * mask)
-
-
-def hardy_littlewood(f: GridFunction, k: int = 0,
-                     shifts: str = "all") -> GridFunction:
-    """Plain maximal function of |f_k|: m = 1, p = 1."""
-    g = GridFunction(f.spec, f.values[:, k].copy())
-    return vector_maximal([g], (1.0,), r=1.0, shifts=shifts)
-
-
-def scalar_multilinear_maximal(gs: Sequence[GridFunction], ts: Sequence[float],
-                               shifts: str = "all", window=None) -> GridFunction:
-    """Scalar (N = 1) version of the multilinear maximal function."""
-    for g in gs:
-        if g.n_components != 1:
-            raise SpecMismatchError("scalar maximal function needs N = 1 inputs")
-    return vector_maximal(list(gs), ts, r=1.0, shifts=shifts, window=window)
 
 
 def holder_dominator(inputs, ps, rs, shifts: str = "all") -> GridFunction:

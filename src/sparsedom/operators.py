@@ -166,15 +166,13 @@ def model_sparse_operator(collection: sparse.SparseCollection,
         return sparse.sparse_form(spec, collection.cubes, gs, ps)
 
     def apply(gs):
+        profiles = [g.values[:, 0] for g in gs]
         out = np.zeros(spec.ncells)
         for cube in collection.cubes:
             cells = sparse.cube_cells(spec, cube)
             if len(cells) == 0:
                 continue
-            term = 1.0
-            for g, p in zip(gs, ps[:-1]):
-                term *= sparse.power_mean(np.abs(g.values[cells, 0]), p)
-            out[cells] += term
+            out[cells] += sparse._cube_term(1.0, profiles, cells, ps[:-1])
         return out
 
     linear = all(p == 1.0 for p in ps)

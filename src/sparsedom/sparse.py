@@ -202,6 +202,18 @@ def verify_sparsity(spec: GridSpec, cubes: Sequence[DyadicCube],
     return SparsityVerdict(False, None, violating)
 
 
+def _cube_term(term: float, profiles, cells: np.ndarray, ps) -> float:
+    """term * prod_j <g_j>_{p_j} over one cube's cells.
+
+    The slots multiply in from the left, starting at term (|Q| in the sparse
+    forms, 1 in the model operator's cube value); that order fixes the
+    rounding, so every caller gets the same bits for the same cube.
+    """
+    for g, p in zip(profiles, ps):
+        term *= power_mean(g[cells], p)
+    return term
+
+
 def sparse_form(spec: GridSpec, cubes: Sequence[DyadicCube],
                 inputs: Sequence[GridFunction], ps: Sequence[float],
                 rs=None) -> float:
@@ -212,10 +224,7 @@ def sparse_form(spec: GridSpec, cubes: Sequence[DyadicCube],
         cells = cube_cells(spec, cube)
         if len(cells) == 0:
             continue
-        term = float(len(cells))
-        for g, p in zip(profiles, ps):
-            term *= power_mean(g[cells], p)
-        total += term
+        total += _cube_term(float(len(cells)), profiles, cells, ps)
     return total
 
 
@@ -356,6 +365,12 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
     form_exps = [p + eps for p in ps] if variant == 1 else list(ps)
     r_agg = holder_aggregate(rs)
     profiles = _scalar_profiles(inputs, rs)
+    # slot groups (inputs, exponents, l^r exponent): one localized maximal
+    # function and one threshold each
+    if variant == 1:
+        groups = [([f], (p,), r) for f, p, r in zip(inputs, ps, rs)]
+    else:
+        groups = [(list(inputs), ps, r_agg)]
 
     cubes, majors, nodes = [], [], []
 
@@ -365,24 +380,19 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
         cells_3q = dilate(spec, q, 3)
         scales = [power_mean(g[cells_3q], e) if np.any(g[cells_3q]) else 0.0
                   for g, e in zip(profiles, form_exps)]
-
+        a_loc = [maximal.localized_maximal(fs, es, r, q, shifts=shifts)
+                 .values[:, 0] for fs, es, r in groups]
         if variant == 1:
-            a_loc = [maximal.localized_maximal([f], (p,), r, q, shifts=shifts)
-                     for f, p, r in zip(inputs, ps, rs)]
-            thresholds_for = lambda c: [c * s for s in scales]
-            exceed_arrays = [maximal.hardy_littlewood(a, shifts=shifts)
-                             .values[:, 0] for a in a_loc]
-            local_vals = np.prod([a.values[:, 0] for a in a_loc], axis=0)
+            group_scales = scales
+            exceed_arrays = [maximal.vector_maximal(
+                [GridFunction(spec, a)], (1.0,), shifts=shifts).values[:, 0]
+                for a in a_loc]
         else:
-            a_vec = maximal.localized_maximal(list(inputs), ps, r_agg, q,
-                                              shifts=shifts)
-            scale_prod = float(np.prod(scales))
-            thresholds_for = lambda c: [c * scale_prod]
-            exceed_arrays = [a_vec.values[:, 0]]
-            local_vals = a_vec.values[:, 0]
+            group_scales = [float(np.prod(scales))]
+            exceed_arrays = a_loc
 
         node_bound = size_q * float(np.prod(scales))
-        local_form = float(np.sum(local_vals[cells_q]))
+        local_form = float(np.sum(np.prod(a_loc, axis=0)[cells_q]))
 
         if any(s == 0.0 for s in scales):
             # some input vanishes on 3Q, so the localized operators vanish on Q
@@ -394,9 +404,9 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
 
         c = c0
         for doublings in range(max_doublings + 1):
-            ths = thresholds_for(c)
+            thresholds = [c * s for s in group_scales]
             mask = np.zeros(spec.ncells, dtype=bool)
-            for arr, th in zip(exceed_arrays, ths):
+            for arr, th in zip(exceed_arrays, thresholds):
                 mask |= arr >= th
             exc_count = int(np.count_nonzero(mask[cells_q]))
             kids = _stopping_children(spec, q, mask)
@@ -409,12 +419,10 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
             raise CalibrationFailureError(
                 f"no threshold below c0 * 2^{max_doublings} met the budget")
 
-        ratios = _node_property_ratios(spec, q, kids, mask, cells_q, inputs,
-                                       ps, rs, variant, thresholds_for(c),
-                                       exceed_arrays if variant == 1 else None,
-                                       shifts)
-
         kid_cells = [cube_cells(spec, L) for L in kids]
+        ratios = _node_property_ratios(spec, q, cells_q, cells_3q, mask, kids,
+                                       kid_cells, groups, a_loc, thresholds,
+                                       variant, shifts)
         major = cells_q if not kids else np.setdiff1d(
             cells_q, np.concatenate(kid_cells), assume_unique=False)
         cubes.append(q)
@@ -440,54 +448,46 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
     return ConstructionReport(collection, variant, eps, nodes, lhs, rhs)
 
 
-def _node_property_ratios(spec, q, kids, mask, cells_q, inputs, ps, rs,
-                          variant, thresholds, part1_ma, shifts):
+def _node_property_ratios(spec, q, cells_q, cells_3q, mask, kids, kid_cells,
+                          groups, a_loc, thresholds, variant, shifts):
     """Scale-free ratios behind the three stopping-node properties.
 
     (i) localized operator off the exceedance set / threshold;
     (ii) averages of the localized operators over 3L (variant 1);
     (iii) coarse-truncated operator on L, inputs restricted to 3Q.
-    All are 0 when vacuous (no off-set cells, no children).
+    All are 0 when vacuous (no off-set cells, no children).  a_loc and
+    thresholds hold each slot group's localized maximal function on Q and
+    its threshold.  Children of one side share the window (side(L), side(Q)]
+    of (iii), so it is evaluated once per side and maximized over the union
+    of their cells; max and division by a positive threshold commute, so the
+    ratio equals the per-child one.
     """
-    r_agg = holder_aggregate(rs)
-    if variant == 1:
-        a_loc = [maximal.localized_maximal([f], (p,), r, q, shifts=shifts)
-                 .values[:, 0] for f, p, r in zip(inputs, ps, rs)]
-        per_slot = list(zip(a_loc, thresholds))
-    else:
-        a_vec = maximal.localized_maximal(list(inputs), ps, r_agg, q,
-                                          shifts=shifts).values[:, 0]
-        per_slot = [(a_vec, thresholds[0])]
-
+    per_group = list(zip(a_loc, thresholds))
     off = cells_q[~mask[cells_q]]
     prop1 = 0.0
     if len(off) > 0:
-        prop1 = max(float(a[off].max()) / th for a, th in per_slot)
+        prop1 = max(float(a[off].max()) / th for a, th in per_group)
+    if not kids:
+        return prop1, 0.0, 0.0
 
     prop2 = 0.0
-    prop3 = 0.0
-    if kids:
-        cells_3q = dilate(spec, q, 3)
-        restricted = [f.restrict(cells_3q) for f in inputs]
+    if variant == 1:
         for kid in kids:
-            kid_cells = cube_cells(spec, kid)
-            if variant == 1:
-                three = dilate(spec, kid, 3)
-                for a, th in per_slot:
-                    prop2 = max(prop2, float(np.mean(a[three])) / th)
-            if kid.side < q.side:
-                window = (kid.side, q.side)
-                if variant == 1:
-                    for (f, p, r), (_, th) in zip(
-                            zip(restricted, ps, rs), per_slot):
-                        trunc = maximal.truncated_maximal(
-                            [f], (p,), r, window, shifts=shifts).values[:, 0]
-                        prop3 = max(prop3, float(trunc[kid_cells].max()) / th)
-                else:
-                    trunc = maximal.truncated_maximal(
-                        restricted, ps, r_agg, window, shifts=shifts).values[:, 0]
-                    prop3 = max(prop3,
-                                float(trunc[kid_cells].max()) / per_slot[0][1])
+            three = dilate(spec, kid, 3)
+            for a, th in per_group:
+                prop2 = max(prop2, float(np.mean(a[three])) / th)
+
+    restricted = [[f.restrict(cells_3q) for f in fs] for fs, _, _ in groups]
+    by_side = {}
+    for kid, cells in zip(kids, kid_cells):
+        by_side.setdefault(kid.side, []).append(cells)
+    prop3 = 0.0
+    for side, cell_sets in by_side.items():
+        cells = np.concatenate(cell_sets)
+        for fs, (_, es, r), th in zip(restricted, groups, thresholds):
+            trunc = maximal.vector_maximal(
+                fs, es, r, shifts=shifts, window=(side, q.side)).values[:, 0]
+            prop3 = max(prop3, float(trunc[cells].max()) / th)
     return prop1, prop2, prop3
 
 
@@ -514,10 +514,7 @@ def sup_sparse_form(inputs: Sequence[GridFunction], ps: Sequence[float],
 
     def weight(cube):
         cells = cube_cells(spec, cube)
-        w = float(len(cells))
-        for g, p in zip(profiles, ps):
-            w *= power_mean(g[cells], p)
-        return w
+        return _cube_term(float(len(cells)), profiles, cells, ps)
 
     if mode == "bruteforce":
         if spec.ncells > 16:

@@ -226,9 +226,11 @@ def p_form(gs: Sequence[GridFunction], ps: Sequence[float],
     """sum over F of M_{(p_1..p_n)}(g^1..g^n) times M_{p_{n+1}} g^{n+1}."""
     if len(gs) != len(ps) or len(gs) < 2:
         raise SpecMismatchError("need n+1 >= 2 inputs with matching exponents")
-    front = maximal.scalar_multilinear_maximal(
+    if any(g.n_components != 1 for g in gs):
+        raise SpecMismatchError("the scalar form needs N = 1 inputs")
+    front = maximal.vector_maximal(
         list(gs[:-1]), list(ps[:-1]), shifts=shifts).values[:, 0]
-    last = maximal.scalar_multilinear_maximal(
+    last = maximal.vector_maximal(
         [gs[-1]], [ps[-1]], shifts=shifts).values[:, 0]
     prod = front * last
     if region is None:

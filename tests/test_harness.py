@@ -167,10 +167,10 @@ def test_small_experiments_pass(kind, tmp_path):
     assert asserted and all(r["pass"] for r in asserted)
 
 
-def test_reports_deterministic_across_threads(tmp_path):
+def test_reports_deterministic_across_runs(tmp_path):
     cfg = small_config("maximal")
-    run_experiment(cfg, tmp_path / "a", threads=1)
-    run_experiment(cfg, tmp_path / "b", threads=4)
+    run_experiment(cfg, tmp_path / "a")
+    run_experiment(cfg, tmp_path / "b")
     match, mismatch, errors = filecmp.cmpfiles(
         tmp_path / "a", tmp_path / "b",
         [p.name for p in (tmp_path / "a").iterdir()], shallow=False)
@@ -187,12 +187,6 @@ def test_seed_override_changes_corpus(tmp_path):
     assert b["config"]["corpus"]["seed"] == 99
 
 
-def test_run_experiment_validates_threads(tmp_path):
-    cfg = small_config("maximal")
-    with pytest.raises(ConfigError):
-        run_experiment(cfg, tmp_path, threads=0)
-
-
 # ---------------------------------------------------------------------------
 # command line
 
@@ -202,7 +196,6 @@ def test_parser_covers_every_kind():
     for kind in EXPERIMENT_KINDS:
         args = parser.parse_args([kind, "--config", "c.json", "--out", "o"])
         assert args.command == kind
-        assert args.threads == 1
 
 
 def test_cli_runs_small_experiment(tmp_path, capsys):
@@ -246,6 +239,12 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     (lambda d: d["params"].update(child_budget=[0.25]), "params.child_budget"),
     (lambda d: d["params"].update(bad_exponent=None), "params.bad_exponent"),
     (lambda d: d["params"].update(components=2.5), "params.components"),
+    pytest.param(lambda d: d["params"].update(ps=[0, 1.0]), "params.ps",
+                 id="nonpositive-ps"),
+    pytest.param(lambda d: d["params"].update(eps=-1), "params.eps",
+                 id="nonpositive-eps"),
+    pytest.param(lambda d: d["params"].update(child_budget=0.75),
+                 "params.child_budget", id="child-budget-above-half"),
 ])
 def test_cli_config_value_errors_exit_2(mutate, field, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -6,13 +6,11 @@ import pytest
 from sparsedom import (
     GridFunction,
     GridSpec,
-    hardy_littlewood,
     holder_dominator,
     localized_maximal,
     mixed_norm,
+    p_form,
     partitioned_maximal,
-    scalar_multilinear_maximal,
-    truncated_maximal,
     vector_maximal,
     weak_type_quotient,
 )
@@ -29,7 +27,6 @@ from sparsedom.lattice import (
     lr_norm_rows,
     power_mean,
 )
-from sparsedom.maximal import MaximalRequest
 
 
 def brute_maximal(inputs, ps, r, shifts="all", window=None):
@@ -96,7 +93,7 @@ def test_truncated_matches_bruteforce_on_window():
     spec = GridSpec(1, 4, periodic=True)
     rng = np.random.default_rng(33)
     fs = random_inputs(spec, 2, 1, rng)
-    got = truncated_maximal(fs, (1.0, 1.0), 1.0, window=(2, 8))
+    got = vector_maximal(fs, (1.0, 1.0), 1.0, window=(2, 8))
     want = brute_maximal(fs, (1.0, 1.0), 1.0, window=(2, 8))
     assert np.allclose(got.values[:, 0], want, rtol=1e-12)
 
@@ -105,7 +102,7 @@ def test_empty_window_rejected():
     spec = GridSpec(1, 3)
     f = GridFunction.constant(spec, 1.0)
     with pytest.raises(EmptyCubeFamilyError):
-        truncated_maximal([f], (1.0,), 1.0, window=(8, 16))
+        vector_maximal([f], (1.0,), 1.0, window=(8, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +132,9 @@ def test_window_splitting_is_exact():
     spec = GridSpec(1, 5, periodic=True)
     rng = np.random.default_rng(55)
     fs = random_inputs(spec, 2, 1, rng)
-    full = truncated_maximal(fs, (1.0, 2.0), 1.0, window=(1, 16)).values[:, 0]
-    lo = truncated_maximal(fs, (1.0, 2.0), 1.0, window=(1, 4)).values[:, 0]
-    hi = truncated_maximal(fs, (1.0, 2.0), 1.0, window=(4, 16)).values[:, 0]
+    full = vector_maximal(fs, (1.0, 2.0), 1.0, window=(1, 16)).values[:, 0]
+    lo = vector_maximal(fs, (1.0, 2.0), 1.0, window=(1, 4)).values[:, 0]
+    hi = vector_maximal(fs, (1.0, 2.0), 1.0, window=(4, 16)).values[:, 0]
     assert np.allclose(full, np.maximum(lo, hi), rtol=1e-13)
 
 
@@ -217,8 +214,8 @@ def test_lower_semicontinuity_across_nearby_points():
     const = 8.0 ** (spec.d * sum(1.0 / p for p in ps))
     for _ in range(3):
         fs = random_inputs(spec, 2, 1, rng)
-        narrow = truncated_maximal(fs, ps, 1.0, window=(s, t)).values[:, 0]
-        wide = truncated_maximal(fs, ps, 1.0, window=(s, 8 * t)).values[:, 0]
+        narrow = vector_maximal(fs, ps, 1.0, window=(s, t)).values[:, 0]
+        wide = vector_maximal(fs, ps, 1.0, window=(s, 8 * t)).values[:, 0]
         for base in range(0, spec.ncells, s):
             block = np.arange(base, base + s)
             assert narrow[block].max() <= const * wide[block].min() * (1 + 1e-9)
@@ -232,26 +229,19 @@ def test_hardy_littlewood_dominates_function():
     spec = GridSpec(1, 4)
     rng = np.random.default_rng(10)
     f = GridFunction(spec, rng.uniform(0, 2, size=(16, 1)))
-    m = hardy_littlewood(f).values[:, 0]
+    m = vector_maximal([f], (1.0,)).values[:, 0]
     assert np.all(m >= f.values[:, 0] - 1e-12)
     assert np.all(m >= f.values[:, 0].mean() - 1e-12)
 
 
 def test_scalar_multilinear_rejects_vector_inputs():
+    """The scalar form p_form takes N = 1 inputs only, in every slot."""
     spec = GridSpec(1, 3)
     f = GridFunction.constant(spec, 1.0, n_components=2)
-    with pytest.raises(SpecMismatchError):
-        scalar_multilinear_maximal([f, f], (1.0, 1.0))
-
-
-def test_maximal_request_dispatch():
-    spec = GridSpec(1, 4, periodic=True)
-    rng = np.random.default_rng(12)
-    fs = random_inputs(spec, 2, 1, rng)
-    cube = next(iter(enumerate_cubes(spec, shifts="canonical", levels=[2])))
-    direct = localized_maximal(fs, (1.0, 1.0), 1.0, cube)
-    via = MaximalRequest(inputs=fs, ps=(1.0, 1.0), r=1.0, cube=cube).evaluate()
-    assert np.array_equal(direct.values, via.values)
+    g = GridFunction.constant(spec, 1.0)
+    for gs in ([f, f], [g, f], [f, g]):
+        with pytest.raises(SpecMismatchError):
+            p_form(gs, (1.0, 1.0))
 
 
 def test_mixed_norm():

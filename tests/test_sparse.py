@@ -10,17 +10,29 @@ from sparsedom import (
     GridSpec,
     SparseCollection,
     build_sparse_collection,
+    generate_corpus,
     integral_of_form,
+    localized_maximal,
     lower_direction_check,
     sparse_form,
     sup_sparse_form,
+    vector_maximal,
     verify_sparsity,
 )
 from sparsedom.errors import (
     InfeasibleCollectionError,
     InstanceTooLargeError,
 )
-from sparsedom.lattice import DyadicCube, cube_cells, enumerate_cubes
+from sparsedom.lattice import (
+    DyadicCube,
+    cube_cells,
+    dilate,
+    enumerate_cubes,
+    holder_aggregate,
+    lr_norm_rows,
+    power_mean,
+)
+from sparsedom.sparse import _stopping_children
 
 
 def canonical_cube(level, corner):
@@ -263,6 +275,82 @@ def test_relaxed_budget_recursion_and_properties():
                 assert node.child_truncated_ratio <= prop3_bound * (1 + 1e-9)
                 saw_children |= node.n_children > 0
     assert saw_children
+
+
+def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node):
+    """The three node ratios recomputed from the node's cube and constant:
+    localized maximal functions evaluated afresh, and one windowed maximal
+    function per stopping child and slot."""
+    if node.threshold is None:  # an input vanishes on 3Q: nothing to compare
+        return (0.0, 0.0, 0.0), set()
+    q = node.cube
+    cells_q = cube_cells(spec, q)
+    cells_3q = dilate(spec, q, 3)
+    exps = [p + eps for p in ps] if variant == 1 else list(ps)
+    scales = [power_mean(lr_norm_rows(f.values, r)[cells_3q], e)
+              for f, r, e in zip(fs, rs, exps)]
+    r_agg = holder_aggregate(rs)
+    restricted = [f.restrict(cells_3q) for f in fs]
+    if variant == 1:
+        a_loc = [localized_maximal([f], (p,), r, q).values[:, 0]
+                 for f, p, r in zip(fs, ps, rs)]
+        ths = [node.threshold * s for s in scales]
+        exceed = [vector_maximal([GridFunction(spec, a)], (1.0,)).values[:, 0]
+                  for a in a_loc]
+        truncs = [([f], (p,), r) for f, p, r in zip(restricted, ps, rs)]
+    else:
+        a_loc = [localized_maximal(fs, ps, r_agg, q).values[:, 0]]
+        ths = [node.threshold * float(np.prod(scales))]
+        exceed = a_loc
+        truncs = [(restricted, ps, r_agg)]
+    mask = np.zeros(spec.ncells, dtype=bool)
+    for arr, th in zip(exceed, ths):
+        mask |= arr >= th
+    kids = _stopping_children(spec, q, mask)
+    assert len(kids) == node.n_children
+    off = cells_q[~mask[cells_q]]
+    prop1 = prop2 = prop3 = 0.0
+    if len(off) > 0:
+        prop1 = max(float(a[off].max()) / th for a, th in zip(a_loc, ths))
+    for kid in kids:
+        if variant == 1:
+            three = dilate(spec, kid, 3)
+            for a, th in zip(a_loc, ths):
+                prop2 = max(prop2, float(np.mean(a[three])) / th)
+        kid_cells = cube_cells(spec, kid)
+        for (gs, es, r), th in zip(truncs, ths):
+            trunc = vector_maximal(gs, es, r,
+                                   window=(kid.side, q.side)).values[:, 0]
+            prop3 = max(prop3, float(trunc[kid_cells].max()) / th)
+    return (prop1, prop2, prop3), {kid.side for kid in kids}
+
+
+def test_node_ratios_match_per_child_oracle():
+    """Each node's property ratios equal, bit for bit, their per-child
+    evaluation, which the constructor does in one pass per child side.
+    At these sizes only the root has children (on the 2-d K = 4 grid only
+    unit cubes can stop), so each grid runs four corpus items."""
+    ps, rs = (1.0, 1.0), (2.0, 2.0)
+    parents = 0
+    mixed_sides = False
+    for d, levels, seed in ((1, 8, 1), (2, 4, 2)):
+        spec = GridSpec(d, levels, periodic=True)
+        for fs in generate_corpus("mixed", seed, 4, spec, n_slots=2,
+                                  n_components=2):
+            for variant, eps in ((1, 0.5), (2, None)):
+                rep = build_sparse_collection(list(fs), ps, rs, eps=eps,
+                                              variant=variant,
+                                              child_budget=0.25, c0=1.0)
+                for node in rep.nodes:
+                    want, sides = node_ratios_oracle(spec, fs, ps, rs, eps,
+                                                     variant, node)
+                    got = (node.off_exceptional_ratio,
+                           node.child_average_ratio,
+                           node.child_truncated_ratio)
+                    assert got == want
+                    parents += node.n_children > 0
+                    mixed_sides |= len(sides) >= 2
+    assert parents >= 4 and mixed_sides
 
 
 def test_constructor_validation():

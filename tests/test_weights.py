@@ -24,7 +24,7 @@ from sparsedom.errors import (
     NonpositiveValueError,
     SpecMismatchError,
 )
-from sparsedom.maximal import scalar_multilinear_maximal
+from sparsedom.maximal import vector_maximal
 from sparsedom.weights import (
     FINITE,
     INCONCLUSIVE,
@@ -168,8 +168,8 @@ def test_p_form_matches_direct_product():
     gs = [GridFunction(spec, rng.uniform(0, 2, size=(8, 1)))
           for _ in range(3)]
     ps = (1.0, 2.0, 1.0)
-    direct = scalar_multilinear_maximal(gs[:2], ps[:2]).values[:, 0] * \
-        scalar_multilinear_maximal([gs[2]], [ps[2]]).values[:, 0]
+    direct = vector_maximal(gs[:2], ps[:2]).values[:, 0] * \
+        vector_maximal([gs[2]], [ps[2]]).values[:, 0]
     assert p_form(gs, ps) == pytest.approx(float(direct.sum()))
     left = p_form(gs, ps, region=np.arange(4))
     right = p_form(gs, ps, region=np.arange(4, 8))

@@ -2,10 +2,15 @@
 
 A collection of cubes is sparse when each cube owns a major subset (more than
 half of its cells, exact integer comparison) and the major subsets are
-pairwise disjoint.  Feasibility of a candidate cube family is decided by a
-bipartite max-flow (cube -> demanded number of cells -> distinct cells); for
-laminar families the flow condition collapses to per-subtree Hall counting,
-which is what the brute-force sparse-form maximizer exploits.
+pairwise disjoint.  Feasibility of a candidate cube family is decided by
+growing one assignment of cells to cubes, a cube at a time: a new cube takes
+free cells of its own, then the rest of its demand |Q|//2 + 1 one cell per
+augmenting path (cube -> one of its cells -> that cell's owner -> ...  ->
+a free cell).  When a search fails, the cubes it reached own every cell of
+their union and the new cube is short, so they form a subfamily whose union
+is smaller than its total demand: the Hall-violation certificate.  For
+laminar families the condition collapses to per-subtree Hall counting, which
+is what the brute-force sparse-form maximizer exploits.
 
 The constructors mirror the recursive stopping-time scheme: on a node Q the
 localized maximal operators are thresholded at an adaptively doubled constant
@@ -23,7 +28,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from . import maximal
@@ -146,13 +150,80 @@ def _demand(size: int) -> int:
     return size // 2 + 1
 
 
+class _Assignment:
+    """Disjoint major sets grown one cube at a time by augmenting paths.
+
+    owner[x] is the index of the added cube whose major set holds cell x, or
+    -1 when x is free.  Every added cube owns exactly its demand of its own
+    cells; augmenting paths move cells between cubes but never free one.
+    """
+
+    def __init__(self, ncells: int):
+        self.owner = np.full(ncells, -1, dtype=np.int64)
+        self.cells = []           # cell array of each added cube
+
+    def add(self, cells: np.ndarray) -> list | None:
+        """Add a cube with these cells; None on success.
+
+        On failure the cube is not added and the sorted indices of a
+        Hall-violating subfamily (the new cube has index len(self.cells))
+        are returned.
+        """
+        owner = self.owner
+        me = len(self.cells)
+        self.cells.append(cells)
+        need = _demand(len(cells))
+        free = cells[owner[cells] < 0][:need]
+        owner[free] = me
+        for _ in range(need - len(free)):
+            reached = self._augment(me)
+            if reached is not None:
+                owner[owner == me] = -1
+                self.cells.pop()
+                return reached
+        return None
+
+    def _augment(self, start: int) -> list | None:
+        """Give start one more cell along an alternating path; None on
+        success, else the sorted cubes the search reached."""
+        owner = self.owner
+        came_from = {start: None}  # cube -> (cube it was reached from, cell)
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            cells = self.cells[u]
+            held = owner[cells]
+            free = cells[held < 0]
+            if len(free):
+                v, x = u, free[0]
+                while True:  # each cube on the path takes the next cell
+                    owner[x] = v
+                    if v == start:
+                        return None
+                    v, x = came_from[v]
+            elsewhere = held != u
+            others, first = np.unique(held[elsewhere], return_index=True)
+            handed = cells[elsewhere][first]
+            for o, x in zip(others.tolist(), handed.tolist()):
+                if o not in came_from:
+                    came_from[o] = (u, x)
+                    stack.append(o)
+        return sorted(came_from)
+
+    def majors(self) -> list:
+        """Each added cube's major set, sorted, in the order of addition."""
+        return [np.flatnonzero(self.owner == i) for i in range(len(self.cells))]
+
+
 def verify_sparsity(spec: GridSpec, cubes: Sequence[DyadicCube],
                     major_sets=None) -> SparsityVerdict:
-    """Check (given major sets) or decide (via max-flow) sparsity feasibility.
+    """Check (given major sets) or decide (by augmenting paths) sparsity.
 
-    Without major sets, feasibility of assigning disjoint majority subsets is
-    a bipartite flow problem; on failure the reachable side of the min cut is
-    a subfamily whose union is smaller than its total demand.
+    Without major sets, the cubes join one assignment in order, each taking
+    its demand |Q|//2 + 1 of disjoint cells by augmenting paths.  The first
+    cube whose search fails ends the decision; the cubes that search
+    reached own all of their union, so that subfamily's union is smaller
+    than its total demand and is returned as the certificate.
     """
     cubes = list(cubes)
     if major_sets is not None:
@@ -163,43 +234,13 @@ def verify_sparsity(spec: GridSpec, cubes: Sequence[DyadicCube],
             return SparsityVerdict(False, None, None)
         return SparsityVerdict(True, coll, None)
 
-    cell_sets = [cube_cells(spec, c) for c in cubes]
-    demands = [_demand(len(cells)) for cells in cell_sets]
-    g = nx.DiGraph()
-    source, sink = "s", "t"
-    used_cells = sorted(set(int(x) for cells in cell_sets for x in cells))
-    for i, (cells, dem) in enumerate(zip(cell_sets, demands)):
-        g.add_edge(source, ("q", i), capacity=dem)
-        for x in cells:
-            g.add_edge(("q", i), ("c", int(x)), capacity=1)
-    for x in used_cells:
-        g.add_edge(("c", x), sink, capacity=1)
-    if not cubes:
-        return SparsityVerdict(True, SparseCollection(spec, [], []), None)
-    flow_value, flow = nx.maximum_flow(g, source, sink)
-    if flow_value == sum(demands):
-        majors = []
-        for i in range(len(cubes)):
-            taken = [x for (kind, x), v in flow[("q", i)].items() if v == 1]
-            majors.append(np.array(sorted(taken), dtype=np.int64))
-        return SparsityVerdict(True, SparseCollection(spec, cubes, majors), None)
-    # min-cut certificate: cubes reachable from the source in the residual graph
-    residual = nx.algorithms.flow.build_residual_network(g, "capacity")
-    for u, v, val in ((u, v, fv) for u, d in flow.items()
-                      for v, fv in d.items()):
-        residual[u][v]["flow"] = val
-        residual[v][u]["flow"] = -val
-    reachable = {source}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for v in residual[u]:
-            if v not in reachable and \
-                    residual[u][v]["capacity"] > residual[u][v].get("flow", 0):
-                reachable.add(v)
-                stack.append(v)
-    violating = [i for i in range(len(cubes)) if ("q", i) in reachable]
-    return SparsityVerdict(False, None, violating)
+    assignment = _Assignment(spec.ncells)
+    for cube in cubes:
+        violating = assignment.add(cube_cells(spec, cube))
+        if violating is not None:
+            return SparsityVerdict(False, None, violating)
+    return SparsityVerdict(True, SparseCollection(spec, cubes,
+                                                  assignment.majors()), None)
 
 
 def _cube_term(term: float, profiles, cells: np.ndarray, ps) -> float:
@@ -297,6 +338,12 @@ class ConstructionReport:
 
     @property
     def depth(self) -> int:
+        """Dyadic levels from the root down to the smallest cube, inclusive.
+
+        This is not the number of recursion steps: a root whose stopping
+        children are unit cubes has depth levels + 1 (9 at 1-d K = 8) after
+        a single step.  Count nodes with n_children > 0 to see recursion.
+        """
         root_level = self.nodes[0].cube.level
         return 1 + max(root_level - n.cube.level for n in self.nodes)
 
@@ -500,20 +547,20 @@ def sup_sparse_form(inputs: Sequence[GridFunction], ps: Sequence[float],
     """Maximize the scalar sparse form over feasible cube families.
 
     bruteforce (canonical lattice, <= 16 cells): exact optimum by dynamic
-    programming on the dyadic tree.  For a laminar family, flow feasibility
+    programming on the dyadic tree.  For a laminar family, sparsity
     is equivalent to the per-subtree Hall condition (total demand of selected
     cubes within any cube R at most |R|), because the union of any laminar
     subfamily splits into its maximal members; the DP maximizes total weight
     under those counting constraints.  greedy: feasible lower bound by
-    descending cube weight with incremental flow checks.
+    descending cube weight; every candidate joins one shared assignment by
+    augmenting paths or is dropped, so each is decided once.
 
-    Returns (value, SparseCollection with flow-assigned major sets).
+    Returns (value, SparseCollection with assigned major sets).
     """
     spec = inputs[0].spec
     profiles = _scalar_profiles(inputs, None)
 
-    def weight(cube):
-        cells = cube_cells(spec, cube)
+    def weight(cells):
         return _cube_term(float(len(cells)), profiles, cells, ps)
 
     if mode == "bruteforce":
@@ -527,34 +574,37 @@ def sup_sparse_form(inputs: Sequence[GridFunction], ps: Sequence[float],
         value, chosen = _laminar_optimum(spec, root, weight)
         verdict = verify_sparsity(spec, chosen)
         if not verdict.feasible:  # cannot happen if the Hall reduction is right
-            raise InfeasibleCollectionError("laminar optimum failed flow check")
+            raise InfeasibleCollectionError("laminar optimum is not sparse")
         return value, verdict.collection
 
     if mode == "greedy":
         scored = []
         for cube in enumerate_cubes(spec, shifts=shifts):
-            if len(cube_cells(spec, cube)) == 0:
+            cells = cube_cells(spec, cube)
+            if len(cells) == 0:
                 continue
-            scored.append((weight(cube), cube))
+            scored.append((weight(cells), cube, cells))
         scored.sort(key=lambda t: (-t[0], -t[1].side, t[1].corner, t[1].shift))
+        assignment = _Assignment(spec.ncells)
         family, value = [], 0.0
-        for w, cube in scored:
+        for w, cube, cells in scored:
             if w <= 0.0:
                 break
-            if verify_sparsity(spec, family + [cube]).feasible:
+            if assignment.add(cells) is None:
                 family.append(cube)
                 value += w
-        verdict = verify_sparsity(spec, family)
-        return value, verdict.collection
+        return value, SparseCollection(spec, family, assignment.majors())
 
     raise ValueError("mode must be 'bruteforce' or 'greedy'")
 
 
 def _laminar_optimum(spec: GridSpec, root: DyadicCube, weight):
-    """DP over the dyadic tree: table[d] = best weight with total demand d."""
+    """DP over the dyadic tree: table[d] = best weight with total demand d;
+    weight maps a cube's cell array to its weight."""
 
     def solve(cube):
-        size = len(cube_cells(spec, cube))
+        cells = cube_cells(spec, cube)
+        size = len(cells)
         table = np.full(size + 1, -np.inf)
         table[0] = 0.0
         picks = [[] for _ in range(size + 1)]
@@ -577,7 +627,7 @@ def _laminar_optimum(spec: GridSpec, root: DyadicCube, weight):
                     a, b = newp[dem]
                     merged[dem] = picks[a] + cp[b]
             table, picks = new, merged
-        w = weight(cube)
+        w = weight(cells)
         dem = _demand(size)
         for total in range(size, dem - 1, -1):
             cand = table[total - dem] + w

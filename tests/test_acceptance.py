@@ -175,7 +175,7 @@ def test_criterion_06_bruteforce_equivalence():
         c_values.append(integral / value)
         if k == 2:
             # cross-check the tree optimum against the exhaustive power-set
-            # enumeration with flow feasibility
+            # enumeration of sparse subfamilies
             cubes = list(enumerate_cubes(spec, shifts="canonical"))
             best = 0.0
             for m in range(1, len(cubes) + 1):

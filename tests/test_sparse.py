@@ -1,10 +1,16 @@
 """Sparse collections: feasibility, forms, optimizers and the constructor."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
+import sparsedom
 from sparsedom import (
     GridFunction,
     GridSpec,
@@ -32,7 +38,7 @@ from sparsedom.lattice import (
     lr_norm_rows,
     power_mean,
 )
-from sparsedom.sparse import _stopping_children
+from sparsedom.sparse import _Assignment, _stopping_children
 
 
 def canonical_cube(level, corner):
@@ -56,6 +62,8 @@ def test_single_cube_feasible():
     coll = verdict.collection
     assert len(coll.major_sets[0]) == 3  # demand |Q|/2 + 1 on 4 cells
     coll.validate()
+    empty = verify_sparsity(spec, [])
+    assert empty and empty.collection.major_sets == []
 
 
 def test_parent_plus_child_infeasible():
@@ -126,6 +134,130 @@ def test_json_roundtrip():
         assert np.array_equal(np.sort(a), np.sort(b))
 
 
+def _flow_feasible(spec, cubes):
+    """Oracle: the bipartite max-flow decision, source -> cube (capacity its
+    demand |Q|//2 + 1) -> each of its cells -> sink (capacity 1)."""
+    g = nx.DiGraph()
+    g.add_nodes_from(("s", "t"))
+    total = 0
+    for i, cube in enumerate(cubes):
+        cells = cube_cells(spec, cube)
+        demand = len(cells) // 2 + 1
+        total += demand
+        g.add_edge("s", ("q", i), capacity=demand)
+        for x in cells.tolist():
+            g.add_edge(("q", i), ("c", x), capacity=1)
+            g.add_edge(("c", x), "t", capacity=1)
+    return nx.maximum_flow_value(g, "s", "t") == total
+
+
+def _hall_feasible(spec, cubes):
+    """Oracle: every subfamily's union is at least its total demand."""
+    masks = [sum(1 << x for x in cube_cells(spec, c).tolist()) for c in cubes]
+    for k in range(1, len(cubes) + 1):
+        for sub in itertools.combinations(masks, k):
+            union = 0
+            for m in sub:
+                union |= m
+            if bin(union).count("1") < sum(bin(m).count("1") // 2 + 1
+                                           for m in sub):
+                return False
+    return True
+
+
+def _random_families(spec, shifts, seed, count, sizes):
+    rng = np.random.default_rng(seed)
+    pool = list(enumerate_cubes(spec, shifts=shifts))
+    for _ in range(count):
+        size = int(rng.integers(sizes[0], sizes[1] + 1))
+        pick = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
+        yield [pool[i] for i in pick]
+
+
+ORACLE_GRIDS = [(d, levels, periodic, shifts)
+                for d, levels in ((1, 3), (1, 5), (2, 2), (2, 3))
+                for periodic in (True, False)
+                for shifts in ("canonical", "all")]
+
+
+@pytest.mark.parametrize("d, levels, periodic, shifts", ORACLE_GRIDS)
+def test_verdicts_match_flow_and_hall_oracles(d, levels, periodic, shifts):
+    """Augmenting-path verdicts agree with max-flow on every family and with
+    the power-set Hall condition on families of at most 10 cubes; feasible
+    verdicts carry valid major sets, infeasible ones a subfamily whose union
+    is smaller than its demand."""
+    spec = GridSpec(d, levels, periodic)
+    seed = 1000 * d + 10 * levels + 2 * periodic + (shifts == "all")
+    seen = set()
+    for cubes in _random_families(spec, shifts, seed, 60, (1, 16)):
+        verdict = verify_sparsity(spec, cubes)
+        assert verdict.feasible == _flow_feasible(spec, cubes)
+        if len(cubes) <= 10:
+            assert verdict.feasible == _hall_feasible(spec, cubes)
+        seen.add(verdict.feasible)
+        if verdict.feasible:
+            assert verdict.collection.cubes == cubes
+            verdict.collection.validate()
+            continue
+        bad = verdict.violating
+        assert bad and all(0 <= i < len(cubes) for i in bad)
+        sets = [cube_cells(spec, cubes[i]) for i in bad]
+        union = len(np.unique(np.concatenate(sets)))
+        assert union < sum(len(s) // 2 + 1 for s in sets)
+    assert seen == {True, False}
+
+
+def test_some_families_need_multi_step_augmenting_paths(monkeypatch):
+    """The fixture families exercise the search, not only free-cell grabs:
+    some successful search hands cells along a path through two or more
+    cubes (each hand-over changes one cell's owner between cubes)."""
+    handovers = []
+    search = _Assignment._augment
+
+    def counted(self, start):
+        before = self.owner.copy()
+        reached = search(self, start)
+        if reached is None:
+            handovers.append(int(np.count_nonzero(
+                (before >= 0) & (before != self.owner))))
+        return reached
+
+    monkeypatch.setattr(_Assignment, "_augment", counted)
+    for d, levels, periodic, shifts in ORACLE_GRIDS:
+        spec = GridSpec(d, levels, periodic)
+        for cubes in _random_families(spec, shifts, 7, 30, (1, 16)):
+            verdict = verify_sparsity(spec, cubes)
+            assert verdict.feasible == _flow_feasible(spec, cubes)
+    assert max(handovers) >= 2
+
+
+def test_long_alternating_path_needs_no_recursion():
+    """A chain of overlapping cubes whose last member is satisfied only by a
+    path through every earlier one: the search is iterative, so a chain far
+    longer than the recursion limit is decided."""
+    n = sys.getrecursionlimit() + 500
+    assignment = _Assignment(2 * n + 1)
+    # cube i holds cells {2i, 2i+1, 2i+2} and needs 2 of them; each grabs
+    # 2i and 2i+1, so cube n (cells {0}) must shift every cube up by one
+    for i in range(n):
+        assert assignment.add(np.arange(2 * i, 2 * i + 3)) is None
+    assert assignment.add(np.array([0], dtype=np.int64)) is None
+    majors = assignment.majors()
+    assert majors[-1].tolist() == [0]
+    assert majors[n - 1].tolist() == [2 * n - 1, 2 * n]
+
+
+def test_import_does_not_load_networkx():
+    """networkx is a test-only dependency: the package never imports it."""
+    src = str(Path(sparsedom.__file__).resolve().parents[1])
+    code = ("import sys, sparsedom, sparsedom.cli; "
+            "print('networkx' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # forms
 
@@ -176,7 +308,7 @@ def test_part2_form_below_part1_form_on_same_collection():
 
 
 def powerset_optimum(spec, fs, ps):
-    """Oracle: enumerate every cube subfamily and keep the flow-feasible best."""
+    """Oracle: enumerate every cube subfamily and keep the sparse best."""
     cubes = list(enumerate_cubes(spec, shifts="canonical"))
     best = 0.0
     for k in range(1, len(cubes) + 1):
@@ -213,6 +345,37 @@ def test_greedy_is_feasible_and_below_optimum():
     bval, _ = sup_sparse_form(fs, (1.0, 1.0), mode="bruteforce")
     gval, _ = sup_sparse_form(fs, (1.0, 1.0), mode="greedy")
     assert gval <= bval * (1 + 1e-12)
+
+
+GREEDY_GRIDS = ((1, 4, True), (1, 4, False), (1, 5, True),
+                (2, 2, True), (2, 2, False))
+
+
+@pytest.mark.parametrize("d, levels, periodic", GREEDY_GRIDS)
+def test_greedy_matches_per_candidate_reverify(d, levels, periodic):
+    """The one-assignment greedy loop picks the same cubes, and sums the
+    same value bit for bit, as re-deciding family + [candidate] from
+    scratch for every candidate."""
+    spec = GridSpec(d, levels, periodic)
+    ps = (1.0, 1.0)
+    for seed in range(2):
+        rng = np.random.default_rng([seed, d, levels, periodic])
+        fs = [GridFunction(spec, rng.uniform(0.1, 1.0, size=spec.ncells))
+              for _ in ps]
+        value, coll = sup_sparse_form(fs, ps, mode="greedy", shifts="all")
+        scored = [(sparse_form(spec, [c], fs, ps), c)
+                  for c in enumerate_cubes(spec, shifts="all")
+                  if len(cube_cells(spec, c)) > 0]
+        scored.sort(key=lambda t: (-t[0], -t[1].side, t[1].corner,
+                                   t[1].shift))
+        family, want = [], 0.0
+        for w, cube in scored:
+            if verify_sparsity(spec, family + [cube]):
+                family.append(cube)
+                want += w
+        assert coll.cubes == family
+        assert value == want
+        coll.validate()
 
 
 def test_bruteforce_rejects_large_instances():

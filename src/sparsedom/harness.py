@@ -188,6 +188,40 @@ def _check_params(params: dict):
         raise ConfigError("must lie in (0, 1/2)", field="params.child_budget")
 
 
+# default (ps, rs) of the kinds that pair the two slot by slot
+_PAIRED_DEFAULTS = {
+    "maximal": ((1.0, 1.0), (2.0, 2.0)),
+    "build-sparse": ((1.0, 1.0), (2.0, 2.0)),
+    "theorem11": ((1.0, 1.0, 1.0), (4.0, 4.0, 2.0)),
+}
+
+
+def _paired_exponents(kind: str, params: dict) -> tuple:
+    default_ps, default_rs = _PAIRED_DEFAULTS[kind]
+    return params.get("ps", default_ps), params.get("rs", default_rs)
+
+
+def _check_kind_params(kind: str, grid: GridSpec, params: dict):
+    """Raise ConfigError naming the param that does not fit the kind: rs
+    and ps of different lengths where they pair, p_j >= r_j in build-sparse,
+    or a refinement level too large for the kind's grids."""
+    if kind in _PAIRED_DEFAULTS:
+        ps, rs = _paired_exponents(kind, params)
+        where = "params.rs" if "rs" in params else "params.ps"
+        if len(rs) != len(ps):
+            raise ConfigError(f"needs one r per p ({len(ps)} ps, {len(rs)} "
+                              "rs)", field=where)
+        if kind == "build-sparse" and not all(p < r for p, r in zip(ps, rs)):
+            raise ConfigError("the construction needs p_j < r_j", field=where)
+    if kind in ("weights", "bht", "weighted"):
+        d = grid.d if kind == "weights" else 1
+        for k in params.get("levels", ()):
+            try:
+                GridSpec(d, k)
+            except ValueError as err:
+                raise ConfigError(str(err), field="params.levels") from None
+
+
 @dataclass
 class ExperimentConfig:
     """One fully specified experiment run."""
@@ -231,6 +265,10 @@ class ExperimentConfig:
         if not isinstance(size, int) or size < 0:
             raise ConfigError("must be a nonnegative integer",
                               field="corpus.size")
+        if size == 0 and kind != "weights":
+            # every other kind asserts its checks over the corpus
+            raise ConfigError(f"must be positive for a {kind!r} experiment",
+                              field="corpus.size")
         if "seed" not in corpus and "seed" not in doc:
             raise ConfigError("a seed is mandatory", field="corpus.seed")
         seed = int(corpus.get("seed", doc.get("seed", 0)))
@@ -238,6 +276,7 @@ class ExperimentConfig:
         if not isinstance(params, dict):
             raise ConfigError("must be a mapping", field="params")
         _check_params(params)
+        _check_kind_params(kind, grid, params)
         return cls(kind, grid, corpus_kind, size, seed, params)
 
     @classmethod
@@ -338,8 +377,7 @@ def _param(cfg: ExperimentConfig, key, default):
 def run_maximal(cfg: ExperimentConfig) -> ReportBuilder:
     """Pointwise Hoelder sandwich and weak-type quotients on a corpus."""
     rep = ReportBuilder("maximal", cfg)
-    ps = tuple(_param(cfg, "ps", (1.0, 1.0)))
-    rs = tuple(_param(cfg, "rs", (2.0, 2.0)))
+    ps, rs = map(tuple, _paired_exponents(cfg.kind, cfg.params))
     n_comp = int(_param(cfg, "components", 3))
     corpus = generate_corpus(cfg.corpus_kind, cfg.seed, cfg.corpus_size,
                              cfg.grid, n_slots=len(ps), n_components=n_comp)
@@ -375,8 +413,7 @@ def run_maximal(cfg: ExperimentConfig) -> ReportBuilder:
 def run_build_sparse(cfg: ExperimentConfig) -> ReportBuilder:
     """Both stopping-time variants on a corpus: sparsity, budgets, factor 2."""
     rep = ReportBuilder("build-sparse", cfg)
-    ps = list(_param(cfg, "ps", (1.0, 1.0)))
-    rs = list(_param(cfg, "rs", (2.0, 2.0)))
+    ps, rs = map(list, _paired_exponents(cfg.kind, cfg.params))
     eps = float(_param(cfg, "eps", 0.5))
     budget = float(_param(cfg, "child_budget", 2.0 ** -16))
     n_comp = int(_param(cfg, "components", 2))
@@ -604,8 +641,7 @@ def run_lemma1(cfg: ExperimentConfig) -> ReportBuilder:
 def run_theorem11(cfg: ExperimentConfig) -> ReportBuilder:
     """Scalar-to-vector domination constant across family sizes."""
     rep = ReportBuilder("theorem11", cfg)
-    ps = tuple(_param(cfg, "ps", (1.0, 1.0, 1.0)))
-    rs = tuple(_param(cfg, "rs", (4.0, 4.0, 2.0)))
+    ps, rs = map(tuple, _paired_exponents(cfg.kind, cfg.params))
     sizes = tuple(_param(cfg, "family_sizes", (1, 4, 16)))
     pool = _model_family_pool(cfg.grid, cfg.seed + 1, max(sizes), ps)
     rows = []

@@ -16,10 +16,17 @@ The constructors mirror the recursive stopping-time scheme: on a node Q the
 localized maximal operators are thresholded at an adaptively doubled constant
 C, the stopping children are the maximal dyadic subcubes whose 9-fold dilate
 sits inside the exceedance set, and Q's major subset is what remains of Q
-after removing the children.  The child-measure budget (default 2^-16 of |Q|)
-is enforced exactly; with unit cells and desk-scale grids this budget is
-below one cell, so default-budget collections consist of the root alone and
-deeper recursions appear only with a relaxed budget.
+after removing the children.  Nodes are shift-0 cubes, so the children are
+found by array reductions, one dyadic level at a time: the grid cut into
+blocks of that level's side, each block any-reduced to "holds a cell off the
+set", ORed over its 9-block neighbourhood per axis.  They come back in the
+order of a last-in-first-out subcube walk, which fixes the recursion order
+and with it the summation order of the sparse form.
+
+The child-measure budget (default 2^-16 of |Q|) is enforced exactly; with
+unit cells and desk-scale grids this budget is below one cell, so
+default-budget collections consist of the root alone and deeper recursions
+appear only with a relaxed budget.
 """
 
 from __future__ import annotations
@@ -364,19 +371,69 @@ class ConstructionReport:
         }
 
 
+_NINE = np.arange(-4, 5)[:, None]     # the 9L window in cubes, per axis
+
+
 def _stopping_children(spec: GridSpec, root: DyadicCube,
                        mask: np.ndarray) -> list:
-    """Maximal proper dyadic subcubes L of root with cells(9L) inside the mask."""
-    out = []
-    stack = list(cube_children(spec, root))
-    while stack:
-        cube = stack.pop()
-        nine = dilate(spec, cube, 9)
-        if len(nine) > 0 and np.all(mask[nine]):
-            out.append(cube)
-        elif cube.level > 0:
-            stack.extend(cube_children(spec, cube))
-    return out
+    """Maximal proper dyadic subcubes L of root with cells(9L) inside the mask.
+
+    Works one dyadic level at a time on the shift-0 lattice (a root of
+    another shift raises ValueError), where level j is the grid cut into
+    blocks of side 2^j.  Each block is any-reduced to "holds a cell off the
+    mask", then ORed over the +-4 neighbouring blocks along each axis
+    (indices wrapped on periodic grids, so an axis of at most 9 blocks is
+    covered whole; clipped at the edges otherwise): the result says whether
+    9L meets a cell off the mask, with 9L the clipped or wrapped dilate.
+    Since 9L' lies in 9L for a child L' of L, qualifying is inherited
+    downwards, so the maximal qualifying cubes are those whose parent does
+    not qualify or is the root, and no cube qualifies above a level with
+    none.  The children are returned in descending Morton order of their
+    offset from the root's corner (axis 0 most significant): the order a
+    last-in-first-out walk over the subcubes visits them, which fixes the
+    recursion order and so the summation order of sparse_form.
+    """
+    if root.shift != 0:
+        raise ValueError("stopping children are selected on the shift-0 "
+                         "lattice")
+    d = spec.d
+    blocks = ~mask.reshape((spec.side,) * d)  # level 0: cells off the mask
+    clear = []      # per level from 0 up: subcubes L of root, 9L inside mask
+    for level in range(root.level):
+        m = spec.side >> level            # blocks per axis
+        if level:
+            blocks = blocks.reshape((m, 2) * d).any(axis=tuple(
+                range(1, 2 * d, 2)))
+        near = blocks
+        for axis in range(d):
+            idx = (root.corner[axis] >> level) + _NINE + \
+                np.arange(1 << (root.level - level))
+            idx = idx % m if spec.periodic else np.clip(idx, 0, m - 1)
+            near = np.take(near, idx, axis=axis).any(axis=axis)
+        if near.all():
+            break
+        clear.append(~near)
+    if not clear:
+        return []
+    offsets, levels = [], []
+    for level, ok in enumerate(clear):
+        if level + 1 < len(clear):
+            parent = clear[level + 1]
+            for axis in range(d):
+                parent = parent.repeat(2, axis=axis)
+            ok = ok & ~parent
+        found = np.argwhere(ok) << level
+        offsets.append(found)
+        levels += [level] * len(found)
+    offsets = np.concatenate(offsets)
+    # Morton keys: the offset bits from the most significant down, axis 0
+    # first within each bit
+    bits = (offsets[:, None, :] >> np.arange(root.level)[::-1, None]) & 1
+    bits = bits.reshape(len(offsets), -1)
+    keys = bits @ (1 << np.arange(bits.shape[1])[::-1])
+    return [DyadicCube(0, levels[i], tuple(int(c + o) for c, o in
+                                           zip(root.corner, offsets[i])))
+            for i in np.argsort(-keys)]
 
 
 def build_sparse_collection(inputs: Sequence[GridFunction],

@@ -245,16 +245,43 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                  id="nonpositive-eps"),
     pytest.param(lambda d: d["params"].update(child_budget=0.75),
                  "params.child_budget", id="child-budget-above-half"),
+    pytest.param(lambda d: d["params"].update(rs=[2.0]), "params.rs",
+                 id="maximal-fewer-rs-than-ps"),
+    pytest.param(lambda d: d["params"].update(ps=[1, 1, 1]), "params.ps",
+                 id="maximal-more-ps-than-default-rs"),
+    pytest.param(lambda d: d.update(kind="theorem11",
+                                    params={"rs": [4.0, 4.0]}),
+                 "params.rs", id="theorem11-fewer-rs-than-ps"),
+    pytest.param(lambda d: d.update(kind="build-sparse",
+                                    params={"rs": [1.0, 1.0]}),
+                 "params.rs", id="build-sparse-r-not-above-p"),
+    pytest.param(lambda d: d.update(kind="weights",
+                                    params={"levels": [8, 30]}),
+                 "params.levels", id="weights-level-too-large"),
+    pytest.param(lambda d: d.update(kind="bht", params={"levels": [6, 40]}),
+                 "params.levels", id="bht-level-too-large"),
+] + [
+    pytest.param(lambda d, kind=kind: (d.update(kind=kind),
+                                       d["corpus"].update(size=0)),
+                 "corpus.size", id=f"{kind}-empty-corpus")
+    for kind in EXPERIMENT_KINDS if kind != "weights"
 ])
 def test_cli_config_value_errors_exit_2(mutate, field, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     doc = base_doc()
     mutate(doc)
     path.write_text(json.dumps(doc))
-    assert main(["maximal", "--config", str(path),
+    assert main([doc["kind"], "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_weights_config_accepts_empty_corpus():
+    """weights reads no corpus, so its configs may leave it empty."""
+    doc = base_doc("weights", levels=[4, 6])
+    doc["corpus"]["size"] = 0
+    assert ExperimentConfig.from_dict(doc).corpus_size == 0
 
 
 def test_config_leaves_centers_unchecked():

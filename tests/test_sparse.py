@@ -31,6 +31,7 @@ from sparsedom.errors import (
 )
 from sparsedom.lattice import (
     DyadicCube,
+    children,
     cube_cells,
     dilate,
     enumerate_cubes,
@@ -389,6 +390,62 @@ def test_bruteforce_rejects_large_instances():
 # stopping-time constructor
 
 
+def _stopping_children_walk(spec, root, mask):
+    """Oracle: pop subcubes of root off a stack, keep each one whose 9-fold
+    dilate lies in the mask, and push the children of every other one."""
+    out = []
+    stack = list(children(spec, root))
+    while stack:
+        cube = stack.pop()
+        nine = dilate(spec, cube, 9)
+        if len(nine) > 0 and np.all(mask[nine]):
+            out.append(cube)
+        elif cube.level > 0:
+            stack.extend(children(spec, cube))
+    return out
+
+
+def stopping_masks(spec, rng):
+    """Random masks at densities 0.5-1, plus all-true, all-false and
+    single-hole masks."""
+    masks = [rng.random(spec.ncells) < density
+             for density in rng.uniform(0.5, 1.0, size=12)]
+    masks += [np.ones(spec.ncells, dtype=bool),
+              np.zeros(spec.ncells, dtype=bool)]
+    for hole in rng.choice(spec.ncells, size=min(3, spec.ncells),
+                           replace=False):
+        mask = np.ones(spec.ncells, dtype=bool)
+        mask[hole] = False
+        masks.append(mask)
+    return masks
+
+
+def test_stopping_children_match_walk():
+    """Same children, in the same order, as the walk, on every grid of
+    1-d K <= 6 and 2-d K <= 4, periodic and clipped, from the root and
+    from each of its children."""
+    rng = np.random.default_rng(61)
+    sides = set()
+    for d, max_levels in ((1, 6), (2, 4)):
+        for levels in range(1, max_levels + 1):
+            for periodic in (True, False):
+                spec = GridSpec(d, levels, periodic)
+                root = DyadicCube(0, levels, (0,) * d)
+                for mask in stopping_masks(spec, rng):
+                    for q in [root] + children(spec, root):
+                        got = _stopping_children(spec, q, mask)
+                        assert got == _stopping_children_walk(spec, q, mask)
+                        sides |= {kid.side for kid in got}
+    assert len(sides) >= 2
+
+
+def test_stopping_children_need_shift_zero_root():
+    spec = GridSpec(1, 4, periodic=True)
+    mask = np.ones(spec.ncells, dtype=bool)
+    with pytest.raises(ValueError):
+        _stopping_children(spec, DyadicCube(1, 2, (1,)), mask)
+
+
 def spiky_inputs(spec, n_slots, rng):
     out = []
     for _ in range(n_slots):
@@ -469,7 +526,7 @@ def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node):
     mask = np.zeros(spec.ncells, dtype=bool)
     for arr, th in zip(exceed, ths):
         mask |= arr >= th
-    kids = _stopping_children(spec, q, mask)
+    kids = _stopping_children_walk(spec, q, mask)
     assert len(kids) == node.n_children
     off = cells_q[~mask[cells_q]]
     prop1 = prop2 = prop3 = 0.0

@@ -137,6 +137,7 @@ def _sided_inverse_pair(spec: GridSpec, rng: np.random.Generator,
 
 
 _DEFAULT_PANEL = (-0.9, -0.5, 0.0, 0.5, 0.9, 1.5)
+_DEFAULT_BAD_EXPONENT = 1.5
 
 
 def _is_real(x) -> bool:
@@ -204,7 +205,8 @@ def _paired_exponents(kind: str, params: dict) -> tuple:
 def _check_kind_params(kind: str, grid: GridSpec, params: dict):
     """Raise ConfigError naming the param that does not fit the kind: rs
     and ps of different lengths where they pair, p_j >= r_j in build-sparse,
-    or a refinement level too large for the kind's grids."""
+    a refinement level too large for the kind's grids, or a weighted
+    bad_exponent missing from the panel."""
     if kind in _PAIRED_DEFAULTS:
         ps, rs = _paired_exponents(kind, params)
         where = "params.rs" if "rs" in params else "params.ps"
@@ -220,6 +222,11 @@ def _check_kind_params(kind: str, grid: GridSpec, params: dict):
                 GridSpec(d, k)
             except ValueError as err:
                 raise ConfigError(str(err), field="params.levels") from None
+    if kind == "weighted":
+        bad = params.get("bad_exponent", _DEFAULT_BAD_EXPONENT)
+        if bad not in params.get("panel", _DEFAULT_PANEL):
+            raise ConfigError(f"{bad:g} is not an entry of params.panel",
+                              field="params.bad_exponent")
 
 
 @dataclass
@@ -544,8 +551,8 @@ def run_weights(cfg: ExperimentConfig) -> ReportBuilder:
     for a, center in _panel(cfg):
         wid = f"a={a:g}@{center}"
 
-        def w_at(k, a=a, center=center):
-            return weights_mod.make_power_weight(spec_at(k), a, center)
+        w_at = {k: weights_mod.make_power_weight(spec_at(k), a, center)
+                for k in levels}.__getitem__
 
         # check 1: n=1 factorization (q=2, t1=t2=4/3)
         q, t1, t2 = 2.0, 4.0 / 3.0, 4.0 / 3.0
@@ -723,7 +730,7 @@ def run_weighted(cfg: ExperimentConfig) -> ReportBuilder:
     qs = tuple(_param(cfg, "qs", (2.0, 2.0)))
     rs = tuple(_param(cfg, "rs", (4.0, 4.0, 2.0)))
     q = holder_aggregate(qs)
-    bad_exponent = float(_param(cfg, "bad_exponent", 1.5))
+    bad_exponent = float(_param(cfg, "bad_exponent", _DEFAULT_BAD_EXPONENT))
     panel = tuple(_param(cfg, "panel", _DEFAULT_PANEL))
     center = _param(cfg, "center", "center")
     size = cfg.corpus_size

@@ -4,10 +4,11 @@ Everything here reduces to one primitive: for each shifted lattice and each
 level inside a truncation window, compute per-cube power means of each input
 component, form the product over input slots, scatter back to cells, and keep
 a running pointwise maximum.  The l^r aggregate over components is applied at
-the end.  Truncation windows are half-open side-length intervals (s, t]: a
-cube of side 2^j participates iff s < 2^j <= t, so (0, 2^K] is the full
-untruncated operator and the one-cell truncation floor corresponds to any
-s < 1.
+the end.  The power means of one array, exponent and shift share one
+normalized power |g/max g|^p; each level sums it per cube with one bincount.
+Truncation windows are half-open side-length intervals (s, t]: a cube of side
+2^j participates iff s < 2^j <= t, so (0, 2^K] is the full untruncated
+operator and the one-cell truncation floor corresponds to any s < 1.
 """
 
 from __future__ import annotations
@@ -53,21 +54,25 @@ def _check_ps(ps: Sequence[float]):
 
 
 def cube_averages(spec: GridSpec, g: np.ndarray, p: float, shift: int,
-                  level: int) -> np.ndarray:
-    """Power mean of |g| over every cube of one shift/level; g has shape (ncells,).
+                  levels: Sequence[int]) -> list:
+    """Power means of |g| over every cube of one shift; g has shape (ncells,).
 
-    Returns one value per cube id of the (shift, level) lattice; negative and
-    infinite exponents are supported (negative ones require g > 0).
+    Returns one array per entry of levels, holding one value per cube id of
+    that (shift, level) lattice.  |g| / max|g| is raised to the power p once,
+    then summed per cube with one bincount per level; since the scale does
+    not depend on the level, every mean is the one a single-level call gives.
+    Negative and infinite exponents are supported (negative ones require
+    g > 0).
     """
-    ids, counts, n_cubes = cell_to_cube_map(spec, shift, level)
+    maps = [cell_to_cube_map(spec, shift, level) for level in levels]
     a = np.abs(np.asarray(g, dtype=np.float64))
-    if p == np.inf:
-        out = np.zeros(n_cubes)
-        np.maximum.at(out, ids, a)
-        return out
-    if p == -np.inf:
-        out = np.full(n_cubes, np.inf)
-        np.minimum.at(out, ids, a)
+    if p in (np.inf, -np.inf):
+        reduce, fill = (np.maximum, 0.0) if p > 0 else (np.minimum, np.inf)
+        out = []
+        for ids, _, n_cubes in maps:
+            m = np.full(n_cubes, fill)
+            reduce.at(m, ids, a)
+            out.append(m)
         return out
     if p == 0:
         raise ExponentDomainError("exponent 0 is not supported")
@@ -75,11 +80,13 @@ def cube_averages(spec: GridSpec, g: np.ndarray, p: float, shift: int,
     if scale == 0.0:
         if p < 0:
             raise ValueError("negative-exponent averages need positive values")
-        return np.zeros(n_cubes)
+        return [np.zeros(n_cubes) for _, _, n_cubes in maps]
     if p < 0 and np.any(a == 0.0):
         raise ValueError("negative-exponent averages need positive values")
-    sums = np.bincount(ids, weights=(a / scale) ** p, minlength=n_cubes)
-    return scale * (sums / counts) ** (1.0 / p)
+    powered = (a / scale) ** p
+    return [scale * (np.bincount(ids, weights=powered, minlength=n_cubes)
+                     / counts) ** (1.0 / p)
+            for ids, counts, n_cubes in maps]
 
 
 def _window_levels(spec: GridSpec, window) -> list:
@@ -110,13 +117,14 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
     levels = _window_levels(spec, window)
     best = np.zeros((spec.ncells, n_comp))
     for shift in shift_list(spec, shifts):
-        for level in levels:
+        means = [[cube_averages(spec, f.values[:, k], p, shift, levels)
+                  for k in range(n_comp)] for f, p in zip(inputs, ps)]
+        for i, level in enumerate(levels):
             ids, _, n_cubes = cell_to_cube_map(spec, shift, level)
             prod = np.ones((n_cubes, n_comp))
-            for f, p in zip(inputs, ps):
+            for slot in means:
                 for k in range(n_comp):
-                    prod[:, k] *= cube_averages(spec, f.values[:, k], p,
-                                                shift, level)
+                    prod[:, k] *= slot[k][i]
             np.maximum(best, prod[ids, :], out=best)
     return best
 

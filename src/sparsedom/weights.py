@@ -28,13 +28,7 @@ from .errors import (
     NonpositiveValueError,
     SpecMismatchError,
 )
-from .lattice import (
-    GridFunction,
-    GridSpec,
-    cell_to_cube_map,
-    holder_aggregate,
-    shift_list,
-)
+from .lattice import GridFunction, GridSpec, holder_aggregate, shift_list
 
 
 class Weight:
@@ -55,9 +49,6 @@ class Weight:
 
     def inverse(self) -> "Weight":
         return self.power(-1.0)
-
-    def as_gridfunction(self) -> GridFunction:
-        return GridFunction(self.spec, self.values.copy())
 
     def __repr__(self):
         return f"Weight(spec={self.spec}, min={self.values.min():.3g}, " \
@@ -108,11 +99,12 @@ class WeightVector:
 def _ratio_sweep(w: Weight, num, den, shifts: str) -> float:
     """sup over cubes of <w>_num / <w>_den for a pair of exponents."""
     spec = w.spec
+    levels = range(spec.levels + 1)
     best = -np.inf
     for shift in shift_list(spec, shifts):
-        for level in range(spec.levels + 1):
-            hi = maximal.cube_averages(spec, w.values, num, shift, level)
-            lo = maximal.cube_averages(spec, w.values, den, shift, level)
+        his = maximal.cube_averages(spec, w.values, num, shift, levels)
+        los = maximal.cube_averages(spec, w.values, den, shift, levels)
+        for hi, lo in zip(his, los):
             best = max(best, float(np.max(hi / lo)))
     return best
 
@@ -179,14 +171,16 @@ def multilinear_characteristic(wv: WeightVector, ts: Sequence[float],
     inner, outer, q = multilinear_exponents(wv.qs, ts)
     spec = wv.spec
     inv = [w.inverse() for w in wv.components]
+    levels = range(spec.levels + 1)
     best = -np.inf
     for shift in shift_list(spec, shifts):
-        for level in range(spec.levels + 1):
-            term = maximal.cube_averages(spec, wv.v.values, outer,
-                                         shift, level) ** (1.0 / q)
-            for w, sj, qj in zip(inv, inner, wv.qs):
-                term = term * maximal.cube_averages(spec, w.values, sj,
-                                                    shift, level) ** (1.0 / qj)
+        terms = [m ** (1.0 / q) for m in maximal.cube_averages(
+            spec, wv.v.values, outer, shift, levels)]
+        for w, sj, qj in zip(inv, inner, wv.qs):
+            for t, m in zip(terms, maximal.cube_averages(
+                    spec, w.values, sj, shift, levels)):
+                t *= m ** (1.0 / qj)
+        for term in terms:
             best = max(best, float(np.max(term)))
     return best
 
@@ -288,13 +282,3 @@ def refinement_protocol(weight_at: Callable[[int], object],
     levels = tuple(int(k) for k in levels)
     values = tuple(characteristic(weight_at(k)) for k in levels)
     return RefinementVerdict(classify_growth(values), levels, values)
-
-
-def power_weight_protocol(d: int, a: float, center,
-                          characteristic: Callable[[Weight], float],
-                          levels: Sequence[int] = (8, 10, 12),
-                          periodic: bool = False) -> RefinementVerdict:
-    """Refinement protocol for one power weight profile."""
-    return refinement_protocol(
-        lambda k: make_power_weight(GridSpec(d, k, periodic), a, center),
-        characteristic, levels=levels)

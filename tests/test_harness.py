@@ -14,6 +14,7 @@ from sparsedom import (
     harness,
     maximal,
     run_experiment,
+    weights,
 )
 from sparsedom.cli import build_parser, main
 from sparsedom.errors import ConfigError
@@ -167,6 +168,45 @@ def test_small_experiments_pass(kind, tmp_path):
     assert asserted and all(r["pass"] for r in asserted)
 
 
+def test_weights_builds_each_power_weight_once(monkeypatch, tmp_path):
+    """One power weight per (exponent, centre, K), shared by every
+    characteristic of the run; the report bytes do not change, and a weight
+    shared by two components gives the bits of two separately built ones."""
+    cfg = small_config("weights")
+    run_experiment(cfg, tmp_path / "plain")
+    calls = []
+
+    def counted(spec, a, center="center"):
+        calls.append((spec.levels, a, center))
+        return make_power_weight(spec, a, center)
+
+    monkeypatch.setattr(weights, "make_power_weight", counted)
+    rep = harness.run_weights(cfg)
+    rep.write(tmp_path / "counted")
+    centers = ("center", "edge")   # the default centres
+    assert len(calls) == len(cfg.params["panel"]) * len(centers) \
+        * len(cfg.params["levels"])
+    assert len(set(calls)) == len(calls)
+    names = [p.name for p in (tmp_path / "plain").iterdir()]
+    _, mismatch, errors = filecmp.cmpfiles(
+        tmp_path / "plain", tmp_path / "counted", names, shallow=False)
+    assert not mismatch and not errors
+    # the bilinear rows feed one weight object to both components; two
+    # separately built weights give the same bits
+    levels = cfg.params["levels"]
+    for row in rep.tables["characteristics"][1]:
+        if row[2] != "bilinear":
+            continue
+        a, center = row[0][2:].split("@")
+        for k, value in zip(levels, row[4:]):
+            spec = GridSpec(cfg.grid.d, k, cfg.grid.periodic)
+            wv = weights.WeightVector(
+                [make_power_weight(spec, float(a), center),
+                 make_power_weight(spec, float(a), center)], (2.0, 2.0))
+            assert value == weights.multilinear_characteristic(
+                wv, (4.0 / 3.0, 4.0 / 3.0, 1.0))
+
+
 def test_reports_deterministic_across_runs(tmp_path):
     cfg = small_config("maximal")
     run_experiment(cfg, tmp_path / "a")
@@ -260,6 +300,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                  "params.levels", id="weights-level-too-large"),
     pytest.param(lambda d: d.update(kind="bht", params={"levels": [6, 40]}),
                  "params.levels", id="bht-level-too-large"),
+    pytest.param(lambda d: d.update(kind="weighted",
+                                    params={"bad_exponent": 2.0}),
+                 "params.bad_exponent",
+                 id="weighted-bad-exponent-not-in-panel"),
+    pytest.param(lambda d: d.update(kind="weighted", params={"panel": [0.0]}),
+                 "params.bad_exponent",
+                 id="weighted-panel-lacks-default-bad-exponent"),
 ] + [
     pytest.param(lambda d, kind=kind: (d.update(kind=kind),
                                        d["corpus"].update(size=0)),

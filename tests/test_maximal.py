@@ -16,17 +16,21 @@ from sparsedom import (
 )
 from sparsedom.errors import (
     EmptyCubeFamilyError,
+    ExponentDomainError,
     SpecMismatchError,
     ZeroInputError,
 )
 from sparsedom.lattice import (
+    cell_to_cube_map,
     cube_cells,
     cube_size,
     dilate,
     enumerate_cubes,
     lr_norm_rows,
     power_mean,
+    shift_list,
 )
+from sparsedom.maximal import cube_averages
 
 
 def brute_maximal(inputs, ps, r, shifts="all", window=None):
@@ -62,6 +66,77 @@ def random_inputs(spec, n_slots, n_comp, rng, nonneg=True):
 
 # ---------------------------------------------------------------------------
 # oracle agreement
+
+
+def cube_averages_one_level(spec, g, p, shift, level):
+    """Reference power means of one (shift, level) lattice: |g|, its scale
+    and its power recomputed from scratch for the single level."""
+    ids, counts, n_cubes = cell_to_cube_map(spec, shift, level)
+    a = np.abs(np.asarray(g, dtype=np.float64))
+    if p == np.inf:
+        out = np.zeros(n_cubes)
+        np.maximum.at(out, ids, a)
+        return out
+    if p == -np.inf:
+        out = np.full(n_cubes, np.inf)
+        np.minimum.at(out, ids, a)
+        return out
+    if p == 0:
+        raise ExponentDomainError("exponent 0 is not supported")
+    scale = float(a.max())
+    if scale == 0.0:
+        if p < 0:
+            raise ValueError("negative-exponent averages need positive values")
+        return np.zeros(n_cubes)
+    if p < 0 and np.any(a == 0.0):
+        raise ValueError("negative-exponent averages need positive values")
+    sums = np.bincount(ids, weights=(a / scale) ** p, minlength=n_cubes)
+    return scale * (sums / counts) ** (1.0 / p)
+
+
+AVERAGE_EXPONENTS = (-np.inf, -2.0, -0.5, 0.4, 1.0, 2.0, 3.0, np.inf)
+
+
+@pytest.mark.parametrize("d,levels,periodic", [(1, 5, False), (1, 5, True),
+                                               (2, 3, False), (2, 3, True)])
+def test_cube_averages_match_single_level_oracle(d, levels, periodic):
+    """One normalized power per array, exponent and shift gives, at every
+    level, the bits of a per-level computation."""
+    spec = GridSpec(d, levels, periodic)
+    rng = np.random.default_rng(31 + 10 * d + levels + periodic)
+    positive = [rng.uniform(0.05, 4.0, spec.ncells),
+                rng.uniform(0.5, 2.0, spec.ncells) * rng.choice([-1, 1],
+                                                                spec.ncells),
+                np.exp(rng.normal(0.0, 6.0, spec.ncells))]
+    with_zeros = [np.where(rng.random(spec.ncells) < 0.6, 0.0,
+                           rng.uniform(0.1, 3.0, spec.ncells)),
+                  np.eye(1, spec.ncells, spec.ncells - 1)[0] * 7.5,
+                  np.zeros(spec.ncells)]
+    level_sets = [range(spec.levels + 1), [spec.levels, 0, 2]]
+    for p in AVERAGE_EXPONENTS:
+        arrays = positive + (with_zeros if p > 0 else [])
+        for g in arrays:
+            for shift in shift_list(spec, "all"):
+                for lv in level_sets:
+                    got = cube_averages(spec, g, p, shift, lv)
+                    assert len(got) == len(lv)
+                    for level, means in zip(lv, got):
+                        want = cube_averages_one_level(spec, g, p, shift,
+                                                       level)
+                        assert np.array_equal(means, want)
+
+
+def test_cube_averages_exponent_errors():
+    spec = GridSpec(1, 4, False)
+    levels = range(spec.levels + 1)
+    g = np.linspace(0.5, 2.0, spec.ncells)
+    with pytest.raises(ExponentDomainError):
+        cube_averages(spec, g, 0.0, 0, levels)
+    for zeros in (np.where(np.arange(spec.ncells) == 3, 0.0, g),
+                  np.zeros(spec.ncells)):
+        for p in (-0.5, -2.0):
+            with pytest.raises(ValueError):
+                cube_averages(spec, zeros, p, 0, levels)
 
 
 def test_spike_maximal_hand_value():

@@ -32,7 +32,6 @@ from sparsedom.weights import (
     Weight,
     WeightVector,
     multilinear_exponents,
-    power_weight_protocol,
 )
 
 
@@ -223,18 +222,18 @@ def test_refinement_protocol_mechanics():
                                         (-1.5, INFINITE)])
 def test_power_weight_muckenhoupt_membership(a, expected):
     """d = 1: (dist + 1/2)^a is in A_2 exactly for a in (-1, 1)."""
-    verdict = power_weight_protocol(
-        1, a, "center", lambda w: muckenhoupt_characteristic(w, 2.0),
-        levels=(6, 8, 10))
+    verdict = refinement_protocol(
+        lambda k: make_power_weight(GridSpec(1, k, False), a, "center"),
+        lambda w: muckenhoupt_characteristic(w, 2.0), levels=(6, 8, 10))
     assert verdict.verdict == expected
 
 
 @pytest.mark.parametrize("a,expected", [(0.0, FINITE), (1.5, FINITE)])
 def test_power_weight_reverse_holder_membership(a, expected):
     """d = 1: (dist + 1/2)^a is in RH_2 exactly for a > -1/2."""
-    verdict = power_weight_protocol(
-        1, a, "center", lambda w: reverse_holder_characteristic(w, 2.0),
-        levels=(6, 8, 10))
+    verdict = refinement_protocol(
+        lambda k: make_power_weight(GridSpec(1, k, False), a, "center"),
+        lambda w: reverse_holder_characteristic(w, 2.0), levels=(6, 8, 10))
     assert verdict.verdict == expected
 
 
@@ -242,8 +241,9 @@ def test_power_weight_reverse_holder_failure_grows():
     """a = -2 is outside RH_2; the characteristic grows by a factor close to
     2 per refinement step, which sits exactly on the protocol's doubling
     threshold, so the verdict may be inconclusive but never finite."""
-    verdict = power_weight_protocol(
-        1, -2.0, "center", lambda w: reverse_holder_characteristic(w, 2.0),
+    verdict = refinement_protocol(
+        lambda k: make_power_weight(GridSpec(1, k, False), -2.0, "center"),
+        lambda w: reverse_holder_characteristic(w, 2.0),
         levels=(6, 8, 10, 12))
     assert verdict.verdict != FINITE
     ratios = [b / a for a, b in zip(verdict.values, verdict.values[1:])]

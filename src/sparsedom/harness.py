@@ -728,7 +728,7 @@ def run_weighted(cfg: ExperimentConfig) -> ReportBuilder:
     rep = ReportBuilder("weighted", cfg)
     levels = tuple(_param(cfg, "levels", (6, 8, 10, 12)))
     qs = tuple(_param(cfg, "qs", (2.0, 2.0)))
-    rs = tuple(_param(cfg, "rs", (4.0, 4.0, 2.0)))
+    rs = tuple(_param(cfg, "rs", (4.0, 4.0)))
     q = holder_aggregate(qs)
     bad_exponent = float(_param(cfg, "bad_exponent", _DEFAULT_BAD_EXPONENT))
     panel = tuple(_param(cfg, "panel", _DEFAULT_PANEL))

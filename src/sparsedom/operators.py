@@ -16,12 +16,12 @@ empirically, never asserted against a paper constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import maximal, sparse, weights as weights_mod
+from . import sparse, weights as weights_mod
 from .errors import (
     ExponentOrderError,
     HypothesisViolationError,
@@ -30,7 +30,6 @@ from .errors import (
     SizeMismatchError,
     SpecMismatchError,
     TruncationTooLargeError,
-    ZeroInputError,
 )
 from .lattice import GridFunction, GridSpec, holder_aggregate
 
@@ -113,42 +112,6 @@ class OperatorFamily:
         return max(certs)
 
 
-def check_slot_sublinearity(op: FormOperator, rng: np.random.Generator,
-                            trials: int = 8, tol: float = 1e-7) -> float:
-    """Randomized homogeneity and (sub)additivity probes on each slot.
-
-    Returns the worst relative violation: homogeneity must hold exactly for
-    every operator; additivity must hold for linear ones and hold as an
-    inequality (subadditivity on nonnegative inputs) otherwise.
-    """
-    worst = 0.0
-    for _ in range(trials):
-        base = [GridFunction(op.spec, rng.random(op.spec.ncells))
-                for _ in range(op.arity + 1)]
-        v0 = op.evaluate(base)
-        scale_ref = max(abs(v0), 1.0)
-        for slot in range(op.arity + 1):
-            c = float(rng.uniform(0.5, 2.0))
-            scaled = list(base)
-            scaled[slot] = GridFunction(op.spec, c * base[slot].values[:, 0])
-            worst = max(worst, abs(op.evaluate(scaled) - c * v0) / scale_ref)
-            other = GridFunction(op.spec, rng.random(op.spec.ncells))
-            bumped = list(base)
-            bumped[slot] = GridFunction(
-                op.spec, base[slot].values[:, 0] + other.values[:, 0])
-            split = list(base)
-            split[slot] = other
-            gap = op.evaluate(bumped) - (v0 + op.evaluate(split))
-            if op.linear:
-                worst = max(worst, abs(gap) / scale_ref)
-            else:
-                worst = max(worst, max(gap, 0.0) / scale_ref)
-    if worst > tol:
-        raise SpecMismatchError(
-            f"{op.name} failed the slot-linearity probe: {worst:.3g} > {tol}")
-    return worst
-
-
 def model_sparse_operator(collection: sparse.SparseCollection,
                           ps: Sequence[float]) -> FormOperator:
     """Operator whose (n+1)-linear form is the sparse form of a collection.
@@ -193,6 +156,53 @@ def _bht_coefficients(truncation: int, variant: str) -> np.ndarray:
     raise ValueError("variant must be 'sign' or 'smooth'")
 
 
+def _support_arc(a: np.ndarray) -> tuple:
+    """(start, length) of the shortest circular arc holding every nonzero
+    of a nonzero array a: the complement of the largest circular gap
+    between consecutive nonzeros."""
+    nz = np.flatnonzero(a)
+    gaps = nz[1:] - nz[:-1]
+    if len(gaps) and gaps.max() > nz[0] + len(a) - nz[-1]:
+        i = int(gaps.argmax())
+        return int(nz[i + 1]), len(a) - int(gaps[i]) + 1
+    return int(nz[0]), int(nz[-1] - nz[0]) + 1
+
+
+def _disjoint_bht_sum(f: np.ndarray, g: np.ndarray, coef: np.ndarray,
+                      sf: int, lf: int, sg: int, lg: int) -> np.ndarray:
+    """The singular sum for f supported on [sf, sf + lf) and g on
+    [sg, sg + lg), disjoint arcs with 0 <= sf < n and
+    sf + lf <= sg <= sf + n - lg.
+
+    With 2T < n (T = len(coef)), f(x-t) g(x+t) != 0 needs x - t = a in F and x + t = b in G
+    with b - a = 2t exactly, and f(x+t) g(x-t) != 0 needs x - t = b in G and
+    x + t = a + n; so both sets are intervals of midpoints of a point of F
+    and a point of G.  With lf + lg <= n they lie in
+    [ceil(S / 2), floor(S / 2) + n - 1] for S = sf + sg, so in
+    [rho, rho + n) with rho = ceil(S / 2).
+    out[y] accumulates cell (y + rho) mod n and is rolled back at the end.
+    Each term is added through a bound view of out: out[lo:hi] += ... would
+    copy the slice a second time through __setitem__.
+    """
+    n = len(f)
+    rho = (sf + sg + 1) // 2
+    f3 = np.concatenate((f, f, f))
+    g2 = np.concatenate((g, g))
+    out = np.zeros(n)
+    for t, c in enumerate(coef, start=1):
+        # f(x+t) g(x-t): x - t in G, x + t in F + n
+        lo, hi = max(sg + t, sf + n - t), min(sg + lg + t, sf + lf + n - t)
+        if lo < hi:
+            v = out[lo - rho:hi - rho]
+            v += c * (f3[lo + t:hi + t] * g2[lo - t:hi - t])
+        # f(x-t) g(x+t): x - t in F, x + t in G
+        lo, hi = max(sf + t, sg - t), min(sf + lf + t, sg + lg - t)
+        if lo < hi:
+            v = out[lo - rho:hi - rho]
+            v -= c * (f3[lo - t:hi - t] * g2[lo + t:hi + t])
+    return np.roll(out, rho)
+
+
 def discrete_bht(spec: GridSpec, truncation: int,
                  variant: str = "sign") -> FormOperator:
     """Truncated discrete bilinear singular sum on a periodic 1D grid.
@@ -207,6 +217,18 @@ def discrete_bht(spec: GridSpec, truncation: int,
     per-cell expression c(t) (f(x+t) g(x-t) - f(x-t) g(x+t)), so the output
     is bit-identical to the same sum taken over np.roll shifts; it is
     checked against the triple-loop oracle discrete_bht_reference.
+
+    If either input is zero the output is zero.  If the inputs have at most
+    n nonzeros together, each one's support arc (the complement of the
+    largest circular gap between its nonzeros) is found.  If the arcs are
+    disjoint, each product f(x+t) g(x-t) and f(x-t) g(x+t) can be nonzero
+    only on one interval of x per t, and _disjoint_bht_sum adds the first
+    and subtracts the second there only.
+    Every skipped term has an exact-zero factor times a finite value, so it
+    is +-0; A - (+-0) = A, c (0 - B) = -(c B), and adding +-0 to a cell that
+    starts at +0.0 (and can never become -0.0) changes nothing.  Each cell
+    still receives its nonzero terms in t order, so the output has the
+    bits of the dense loop.
     """
     if spec.d != 1 or not spec.periodic:
         raise RequiresPeriodicError("the model needs a periodic 1D grid")
@@ -219,6 +241,14 @@ def discrete_bht(spec: GridSpec, truncation: int,
     def apply(gs):
         f = gs[0].values[:, 0]
         g = gs[1].values[:, 0]
+        nf, ng = np.count_nonzero(f), np.count_nonzero(g)
+        if nf == 0 or ng == 0:
+            return np.zeros(n)
+        if nf + ng <= n:    # else the support arcs cannot be disjoint
+            (sf, lf), (sg, lg) = _support_arc(f), _support_arc(g)
+            if lf <= (sg - sf) % n <= n - lg:
+                return _disjoint_bht_sum(f, g, coef, sf, lf,
+                                         sf + (sg - sf) % n, lg)
         # fp[truncation + x + s] = f((x + s) mod n) for |s| <= truncation
         fp = np.concatenate((f[-truncation:], f, f[:truncation]))
         gp = np.concatenate((g[-truncation:], g, g[:truncation]))
@@ -407,42 +437,6 @@ def bht_corner_hypotheses(q: float = 1.0, rh: float = 2.0) -> list:
     entries.append((f"v in RH_{rh:g}",
                     lambda wv: weights_mod.reverse_holder_characteristic(
                         wv.v, rh)))
-    return entries
-
-
-def theorem31_hypotheses(qs: Sequence[float], ps: Sequence[float],
-                         t: float) -> list:
-    """Named characteristics of the general weighted theorem.
-
-    Condition 2: the multilinear characteristic with inner parameters
-    (p_1..p_n, 1); condition 3: the product weight lies in A_t and in
-    RH_{p_{n+1} / (t(1 - p_{n+1}) + p_{n+1})}.
-    """
-    qs = [float(x) for x in qs]
-    ps = [float(x) for x in ps]
-    n = len(qs)
-    if len(ps) != n + 1:
-        raise SizeMismatchError("need n component exponents and n+1 sparse ones")
-    for qj, pj in zip(qs, ps):
-        if not qj > pj:
-            raise ExponentOrderError(f"need q_j > p_j, got {qj} <= {pj}")
-    p_last = ps[-1]
-    if p_last <= 1.0:
-        p_conj = np.inf
-    else:
-        p_conj = p_last / (p_last - 1.0)
-    if not 1.0 <= t <= p_conj:
-        raise ExponentOrderError(f"need t in [1, {p_conj:g}], got {t}")
-    rh_den = t * (1.0 - p_last) + p_last
-    entries = [("multilinear", lambda wv: weights_mod.multilinear_characteristic(
-        wv, tuple(ps[:n]) + (1.0,)))]
-    entries.append((f"v in A_{t:g}",
-                    lambda wv: weights_mod.muckenhoupt_characteristic(wv.v, t)))
-    if rh_den > 0 and p_last / rh_den > 1.0:
-        rh = p_last / rh_den
-        entries.append((f"v in RH_{rh:g}",
-                        lambda wv: weights_mod.reverse_holder_characteristic(
-                            wv.v, rh)))
     return entries
 
 

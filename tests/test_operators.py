@@ -1,9 +1,12 @@
 """Model operators: singular sums, vector transfer, weighted quotients."""
 
+import filecmp
+
 import numpy as np
 import pytest
 
 from sparsedom import (
+    ExperimentConfig,
     GridFunction,
     GridSpec,
     OperatorFamily,
@@ -13,6 +16,8 @@ from sparsedom import (
     estimate_sparse_norm_lower_bound,
     lemma1_check,
     model_sparse_operator,
+    operators,
+    run_experiment,
     theorem11_check,
     vector_form,
     verify_sparsity,
@@ -30,8 +35,6 @@ from sparsedom.lattice import enumerate_cubes
 from sparsedom.operators import (
     _bht_coefficients,
     bht_corner_hypotheses,
-    check_slot_sublinearity,
-    theorem31_hypotheses,
     validate_weight_hypotheses,
 )
 from sparsedom.weights import Weight, WeightVector, make_power_weight
@@ -44,6 +47,38 @@ def random_scalars(spec, count, rng, signed=True):
             rng.uniform(0, 2, size=(spec.ncells, 1))
         out.append(GridFunction(spec, vals))
     return out
+
+
+def check_slot_sublinearity(op, rng, trials=8):
+    """Randomized homogeneity and (sub)additivity probes on each slot.
+
+    Returns the worst relative violation: homogeneity must hold exactly for
+    every operator; additivity must hold for linear ones and hold as an
+    inequality (subadditivity on nonnegative inputs) otherwise.
+    """
+    worst = 0.0
+    for _ in range(trials):
+        base = [GridFunction(op.spec, rng.random(op.spec.ncells))
+                for _ in range(op.arity + 1)]
+        v0 = op.evaluate(base)
+        scale_ref = max(abs(v0), 1.0)
+        for slot in range(op.arity + 1):
+            c = float(rng.uniform(0.5, 2.0))
+            scaled = list(base)
+            scaled[slot] = GridFunction(op.spec, c * base[slot].values[:, 0])
+            worst = max(worst, abs(op.evaluate(scaled) - c * v0) / scale_ref)
+            other = GridFunction(op.spec, rng.random(op.spec.ncells))
+            bumped = list(base)
+            bumped[slot] = GridFunction(
+                op.spec, base[slot].values[:, 0] + other.values[:, 0])
+            split = list(base)
+            split[slot] = other
+            gap = op.evaluate(bumped) - (v0 + op.evaluate(split))
+            if op.linear:
+                worst = max(worst, abs(gap) / scale_ref)
+            else:
+                worst = max(worst, max(gap, 0.0) / scale_ref)
+    return worst
 
 
 def feasible_collection(spec, rng):
@@ -93,6 +128,160 @@ def test_bht_apply_bit_identical_to_roll_sum(variant, levels):
         f, g = random_scalars(spec, 2, rng)
         want = roll_bht_apply(f.values[:, 0], g.values[:, 0], trunc, variant)
         assert np.array_equal(op.output([f, g]), want)
+
+
+def arc_values(n, start, length, rng, holes=False):
+    """Signed values on the circular arc [start, start + length), zero
+    elsewhere; with holes, some cells at odd offsets strictly inside the
+    arc are zero, so no gap inside the arc is longer than two cells."""
+    a = np.zeros(n)
+    cells = (start + np.arange(length)) % n
+    a[cells] = rng.uniform(0.5, 2.0, length) * rng.choice((-1.0, 1.0), length)
+    if holes:
+        inner = cells[1:-1:2]
+        a[inner[rng.random(len(inner)) < 0.5]] = 0.0
+    return a
+
+
+def disjoint_arc_pairs(n, rng):
+    """(f, g) with disjoint support arcs: adjacent and with a gap, wrapping
+    past cell 0, single cells, zeros inside an arc, and arcs covering the
+    whole circle with s_f + s_g odd."""
+    pairs = []
+
+    def pair(sf, lf, gap, lg, holes=False):
+        sg = (sf + lf + gap) % n
+        pairs.append((arc_values(n, sf, lf, rng, holes),
+                      arc_values(n, sg, lg, rng, holes)))
+
+    for holes in (False, True):
+        lf = int(rng.integers(1, n // 2 + 1))
+        pair(int(rng.integers(n)), lf, 0, int(rng.integers(1, n - lf + 1)),
+             holes)
+        lf = int(rng.integers(1, n - 1))
+        gap = int(rng.integers(1, n - lf))
+        pair(int(rng.integers(n)), lf, gap,
+             int(rng.integers(1, n - lf - gap + 1)), holes)
+        pair(n - 2, n // 2, 1, n // 4, holes)            # f wraps past 0
+        pair(n // 4, n // 2, 0, n // 2 - 1, holes)       # g wraps past 0
+    pair(n - 1, n - 1, 0, 1)                             # whole circle
+    pair(int(rng.integers(n)), 1, 0, 1)
+    pair(int(rng.integers(n)), 1, int(rng.integers(1, n - 1)), 1)
+    pair(int(rng.integers(n)), 1, int(rng.integers(0, n // 2)), n // 2)
+    lf = 2 * int(rng.integers(0, n // 2)) + 1            # s_f + s_g odd
+    pair(int(rng.integers(n)), lf, 0, n - lf)
+    pair(int(rng.integers(n)), n - 3, 0, 3, holes=True)
+    return pairs
+
+
+def count_disjoint_path(monkeypatch):
+    """Count the calls of the disjoint-support kernel from now on."""
+    calls = []
+    fast = operators._disjoint_bht_sum
+
+    def counted(*args):
+        calls.append(1)
+        return fast(*args)
+
+    monkeypatch.setattr(operators, "_disjoint_bht_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", ["sign", "smooth"])
+@pytest.mark.parametrize("levels", range(3, 11))
+def test_bht_disjoint_supports_bit_identical_to_roll_sum(
+        monkeypatch, variant, levels):
+    """Disjointly supported inputs take the interval path and get the bits
+    of the np.roll sum; overlapping ones and zero inputs do not take it."""
+    spec = GridSpec(1, levels, periodic=True)
+    n = spec.ncells
+    rng = np.random.default_rng(50 + levels)
+    calls = count_disjoint_path(monkeypatch)
+    zero = np.zeros(n)
+    for trunc in sorted({1, spec.side // 4, spec.side // 2 - 1}):
+        op = discrete_bht(spec, trunc, variant=variant)
+
+        def check(f, g):
+            got = op.output([GridFunction(spec, f), GridFunction(spec, g)])
+            assert np.array_equal(got, roll_bht_apply(f, g, trunc, variant))
+
+        for f, g in disjoint_arc_pairs(n, rng):
+            before = len(calls)
+            check(f, g)
+            check(g, f)
+            assert len(calls) == before + 2
+        before = len(calls)
+        check(f, zero)
+        check(zero, g)
+        lf = int(rng.integers(2, n // 2 + 1))
+        overlap = int(rng.integers(1, lf))
+        f = arc_values(n, 0, lf, rng)
+        g = arc_values(n, lf - overlap,
+                       int(rng.integers(overlap, n // 2 + 1)), rng)
+        check(f, g)
+        check(g, f)
+        assert len(calls) == before
+
+
+@pytest.mark.parametrize("variant", ["sign", "smooth"])
+def test_bht_disjoint_supports_match_reference(variant):
+    for levels in (3, 4):
+        spec = GridSpec(1, levels, periodic=True)
+        rng = np.random.default_rng(60 + levels)
+        for trunc in sorted({1, spec.side // 4, spec.side // 2 - 1}):
+            op = discrete_bht(spec, trunc, variant=variant)
+            for f, g in disjoint_arc_pairs(spec.ncells, rng)[::3]:
+                gs = [GridFunction(spec, f), GridFunction(spec, g),
+                      GridFunction(spec, rng.normal(size=spec.ncells))]
+                want = discrete_bht_reference(gs, trunc, variant=variant)
+                assert op.evaluate(gs) == pytest.approx(want, rel=1e-12,
+                                                        abs=1e-12)
+
+
+def test_bht_path_selection(monkeypatch, tmp_path):
+    """Every apply of a small weighted run takes the disjoint-support path
+    and the report keeps the dense loop's bytes; dense inputs never take it."""
+    cfg = ExperimentConfig.from_dict({
+        "kind": "weighted",
+        "grid": {"d": 1, "levels": 6, "periodic": True},
+        "corpus": {"kind": "sided-inverse", "size": 3, "seed": 5},
+        "params": {"levels": [6, 8]},
+    })
+    applies = []
+    build = operators.discrete_bht
+
+    def counted_build(*args, **kwargs):
+        op = build(*args, **kwargs)
+        apply = op.apply
+
+        def counted_apply(gs):
+            applies.append(1)
+            return apply(gs)
+
+        op.apply = counted_apply
+        return op
+
+    monkeypatch.setattr(operators, "discrete_bht", counted_build)
+    calls = count_disjoint_path(monkeypatch)
+    run_experiment(cfg, tmp_path / "disjoint")
+    assert applies and len(calls) == len(applies)
+    # a full support arc for every input forces the dense loop
+    monkeypatch.setattr(operators, "_support_arc", lambda a: (0, len(a)))
+    run_experiment(cfg, tmp_path / "dense")
+    assert len(calls) == len(applies) // 2
+    names = [p.name for p in (tmp_path / "disjoint").iterdir()]
+    _, mismatch, errors = filecmp.cmpfiles(
+        tmp_path / "disjoint", tmp_path / "dense", names, shallow=False)
+    assert not mismatch and not errors
+    monkeypatch.undo()
+    calls = count_disjoint_path(monkeypatch)
+    rng = np.random.default_rng(61)
+    for levels in (3, 6, 9):
+        spec = GridSpec(1, levels, periodic=True)
+        op = discrete_bht(spec, spec.side // 4)
+        for signed in (True, False):
+            op.output(random_scalars(spec, 2, rng, signed=signed))
+    assert not calls
 
 
 def test_bht_antisymmetry():
@@ -303,14 +492,3 @@ def test_corner_hypotheses_verdicts():
 
     with pytest.raises(HypothesisViolationError):
         validate_weight_hypotheses(bad_at, hyps, levels=(6, 8, 10))
-
-
-def test_theorem31_hypothesis_construction():
-    entries = theorem31_hypotheses((2.0, 2.0), (1.0, 1.0, 1.0), 1.0)
-    names = [n for n, _ in entries]
-    assert names[0] == "multilinear"
-    assert any("A_1" in n for n in names)
-    with pytest.raises(ExponentOrderError):
-        theorem31_hypotheses((1.0, 2.0), (1.0, 1.0, 1.0), 1.0)  # q_1 = p_1
-    with pytest.raises(ExponentOrderError):
-        theorem31_hypotheses((2.0, 2.0), (1.0, 1.0, 2.0), 3.0)  # t > p'

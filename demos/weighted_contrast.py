@@ -7,7 +7,7 @@ evaluates the weighted vector-valued quotient on adapted input pairs across
 grid refinements: in-class exponents stay flat while a = 1.5 climbs without
 bound.  A fast, smaller-scale version of the weighted experiment.
 
-Run:  python3 demos/weighted_contrast.py   (about 2 s on a 2-core x86 box)
+Run:  python3 demos/weighted_contrast.py   (about 1 s on a 2-core x86 box)
 """
 
 from sparsedom import GridSpec, OperatorFamily, discrete_bht, generate_corpus

@@ -16,6 +16,7 @@ empirically, never asserted against a paper constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -168,39 +169,83 @@ def _support_arc(a: np.ndarray) -> tuple:
     return int(nz[0]), int(nz[-1] - nz[0]) + 1
 
 
+# (t, x) cells of one block, and the ufunc buffer size meanwhile: with
+# numpy's default of 8192 elements the 2-D block operations ran a K = 12
+# half-circle pair in 8.1 ms, with 64 in 5.7 ms (2-core x86, numpy 2.4)
+_BAND_BLOCK_CELLS = 1 << 16
+_BAND_BUFSIZE = 64
+
+
 def _disjoint_bht_sum(f: np.ndarray, g: np.ndarray, coef: np.ndarray,
                       sf: int, lf: int, sg: int, lg: int) -> np.ndarray:
     """The singular sum for f supported on [sf, sf + lf) and g on
     [sg, sg + lg), disjoint arcs with 0 <= sf < n and
     sf + lf <= sg <= sf + n - lg.
 
-    With 2T < n (T = len(coef)), f(x-t) g(x+t) != 0 needs x - t = a in F and x + t = b in G
-    with b - a = 2t exactly, and f(x+t) g(x-t) != 0 needs x - t = b in G and
-    x + t = a + n; so both sets are intervals of midpoints of a point of F
-    and a point of G.  With lf + lg <= n they lie in
-    [ceil(S / 2), floor(S / 2) + n - 1] for S = sf + sg, so in
-    [rho, rho + n) with rho = ceil(S / 2).
-    out[y] accumulates cell (y + rho) mod n and is rolled back at the end.
-    Each term is added through a bound view of out: out[lo:hi] += ... would
-    copy the slice a second time through __setitem__.
+    With 2T < n (T = len(coef)), f(x-t) g(x+t) != 0 needs x - t = a in F
+    and x + t = b in G with b - a = 2t exactly, and f(x+t) g(x-t) != 0
+    needs x - t = b in G and x + t = a + n; so both sets are intervals
+    [lo, hi) of midpoints of a point of F and a point of G.  With
+    lf + lg <= n they lie in [ceil(S / 2), floor(S / 2) + n - 1] for
+    S = sf + sg, so in [rho, rho + n) with rho = ceil(S / 2); out[y]
+    accumulates cell (y + rho) mod n and is rolled back at the end.  No
+    cell gets nonzero terms of both products (shifts t, t' with
+    n - lf + 1 <= t + t' <= lg - 1 would need lf + lg >= n + 2), so each
+    product is summed on its own.
+
+    lo and hi move by at most one cell per t and hi - lo is concave, so the
+    rows t with lo < hi are consecutive; they are taken in blocks of s rows
+    over the hull of their intervals (at most width + s - 1 cells, widened
+    to two).  Row 0 of a block holds out and row i the terms of the i-th t.
+    A sum over axis 0 of a C-ordered array of two or more columns adds the
+    rows one after the other (numpy sums pairwise only along the fast
+    axis), so it leaves what the same updates one t at a time would.  Hull
+    cells outside a row's interval get an exact-zero factor: a term of
+    +-0, which leaves out unchanged.
     """
     n = len(f)
     rho = (sf + sg + 1) // 2
-    f3 = np.concatenate((f, f, f))
-    g2 = np.concatenate((g, g))
+    r = rho % n
+    # row k holds cells k - n .. k - 1 of the rotated input, periodically
+    wf, wg = (np.ndarray((3 * n + 1, n), np.float64,
+                         np.concatenate((v[r:], v, v, v, v[:r])), 0, (8, 8))
+              for v in (f, g))
+    t = np.arange(1, len(coef) + 1)
+    bands = (   # f(x+t) g(x-t): x - t in G, x + t in F + n
+        (coef, np.maximum(t + (sg - rho), (sf + n - rho) - t),
+         np.minimum(t + (sg + lg - rho), (sf + lf + n - rho) - t), wf, wg),
+        # f(x-t) g(x+t): x - t in F, x + t in G; out - c B is out + (-c) B
+        (-coef, np.maximum(t + (sf - rho), (sg - rho) - t),
+         np.minimum(t + (sf + lf - rho), (sg + lg - rho) - t), wg, wf))
     out = np.zeros(n)
-    for t, c in enumerate(coef, start=1):
-        # f(x+t) g(x-t): x - t in G, x + t in F + n
-        lo, hi = max(sg + t, sf + n - t), min(sg + lg + t, sf + lf + n - t)
-        if lo < hi:
-            v = out[lo - rho:hi - rho]
-            v += c * (f3[lo + t:hi + t] * g2[lo - t:hi - t])
-        # f(x-t) g(x+t): x - t in F, x + t in G
-        lo, hi = max(sf + t, sg - t), min(sf + lf + t, sg + lg - t)
-        if lo < hi:
-            v = out[lo - rho:hi - rho]
-            v -= c * (f3[lo - t:hi - t] * g2[lo + t:hi + t])
-    return np.roll(out, rho)
+    bufsize = np.setbufsize(_BAND_BUFSIZE)
+    try:
+        for c, lo, hi, ahead, behind in bands:
+            rows = np.flatnonzero(lo < hi)
+            if not len(rows):
+                continue
+            first, stop = int(rows[0]), int(rows[-1]) + 1
+            width = int((hi - lo)[rows].max())
+            step = max(1, (math.isqrt(width * width + 4 * _BAND_BLOCK_CELLS)
+                           - width) // 2)       # cells: step * (step + width)
+            starts = np.arange(first, stop, step)
+            y0s = np.minimum(
+                np.minimum.reduceat(lo[first:stop], starts - first), n - 2)
+            y1s = np.maximum(
+                np.maximum.reduceat(hi[first:stop], starts - first), y0s + 2)
+            buffer = np.empty((step + 1) * int((y1s - y0s).max()))
+            for a, y0, y1 in zip(starts.tolist(), y0s.tolist(), y1s.tolist()):
+                b = min(a + step, stop)         # t = a + 1 .. b
+                block = buffer[:(b - a + 1) * (y1 - y0)].reshape(b - a + 1, -1)
+                block[0] = out[y0:y1]
+                np.multiply(ahead[n + y0 + a + 1:n + y0 + b + 1, :y1 - y0],
+                            behind[n + y0 - a - 1:n + y0 - b - 1:-1, :y1 - y0],
+                            out=block[1:])
+                block[1:] *= c[a:b, None]
+                np.add.reduce(block, axis=0, out=out[y0:y1])
+    finally:
+        np.setbufsize(bufsize)
+    return np.concatenate((out[n - r:], out[:n - r]))     # np.roll by rho
 
 
 def discrete_bht(spec: GridSpec, truncation: int,
@@ -223,7 +268,7 @@ def discrete_bht(spec: GridSpec, truncation: int,
     largest circular gap between its nonzeros) is found.  If the arcs are
     disjoint, each product f(x+t) g(x-t) and f(x-t) g(x+t) can be nonzero
     only on one interval of x per t, and _disjoint_bht_sum adds the first
-    and subtracts the second there only.
+    and subtracts the second there only, a block of successive t at a time.
     Every skipped term has an exact-zero factor times a finite value, so it
     is +-0; A - (+-0) = A, c (0 - B) = -(c B), and adding +-0 to a cell that
     starts at +0.0 (and can never become -0.0) changes nothing.  Each cell

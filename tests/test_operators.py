@@ -238,6 +238,29 @@ def test_bht_disjoint_supports_match_reference(variant):
                                                         abs=1e-12)
 
 
+@pytest.mark.parametrize("block_cells", [1, 16, 64])
+def test_bht_disjoint_small_blocks_bit_identical(monkeypatch, block_cells):
+    """Bands cut into blocks of a row or a few rows, with hulls widened to
+    two cells, keep the bits of the np.roll sum and its signs of zero; the
+    ufunc buffer size is restored after each apply."""
+    monkeypatch.setattr(operators, "_BAND_BLOCK_CELLS", block_cells)
+    bufsize = np.getbufsize()
+    for levels in (3, 5, 7):
+        spec = GridSpec(1, levels, periodic=True)
+        rng = np.random.default_rng(70 + levels)
+        for trunc in sorted({1, spec.side // 4, spec.side // 2 - 1}):
+            for variant in ("sign", "smooth"):
+                op = discrete_bht(spec, trunc, variant=variant)
+                for f, g in disjoint_arc_pairs(spec.ncells, rng):
+                    f[f == 0] = -0.0
+                    got = op.output([GridFunction(spec, f),
+                                     GridFunction(spec, g)])
+                    want = roll_bht_apply(f, g, trunc, variant)
+                    assert np.array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+                    assert np.getbufsize() == bufsize
+
+
 def test_bht_path_selection(monkeypatch, tmp_path):
     """Every apply of a small weighted run takes the disjoint-support path
     and the report keeps the dense loop's bytes; dense inputs never take it."""

@@ -39,11 +39,9 @@ for a in (-0.5, 0.0, 0.4, 1.5):
                                n_components=2, weight=w)
 
     check = weighted_bound_check(family_at, wv_at, corpus_at, qs, rs,
-                                 hypotheses, levels=levels,
-                                 enforce_hypotheses=False)
+                                 hypotheses, levels=levels)
     sups = "  ".join(f"{s:4.2f}" for s in check["sup_quotients"])
-    verdicts = {n: (v.verdict if hasattr(v, "verdict") else v)
-                for n, v in check["hypotheses"].items()}
+    verdicts = {n: v.verdict for n, v in check["hypotheses"].items()}
     flat = "all finite" if all(v == "finite" for v in verdicts.values()) \
         else ", ".join(f"{n}: {v}" for n, v in verdicts.items()
                        if v != "finite")

@@ -13,7 +13,6 @@ from .errors import (
     EmptyCubeFamilyError,
     ExponentDomainError,
     ExponentOrderError,
-    HypothesisViolationError,
     InfeasibleCollectionError,
     InstanceTooLargeError,
     NoCertificateError,
@@ -27,7 +26,6 @@ from .errors import (
 )
 from .lattice import (
     DyadicCube,
-    ExponentTuple,
     GridFunction,
     GridSpec,
     cube_cells,
@@ -36,9 +34,7 @@ from .lattice import (
     enumerate_cubes,
     gridfunction_from_csv,
     holder_aggregate,
-    is_banach_holder_tuple,
     load_gridfunction,
-    lr_norm,
     power_mean,
     save_gridfunction,
 )
@@ -68,11 +64,9 @@ from .weights import (
     make_power_weight,
     muckenhoupt_characteristic,
     multilinear_characteristic,
-    p_form,
     rc_characteristic,
     refinement_protocol,
     reverse_holder_characteristic,
-    weighted_norm,
 )
 from .operators import (
     FormOperator,

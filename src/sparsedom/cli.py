@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import SparsedomError
+from .errors import ConfigError, SparsedomError
 from .harness import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
 
@@ -29,6 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("must be a nonnegative integer", field="--seed")
         cfg = ExperimentConfig.from_file(args.config)
         if cfg.kind != args.command:
             print(f"error: config describes a {cfg.kind!r} experiment, "

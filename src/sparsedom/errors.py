@@ -61,14 +61,6 @@ class NoCertificateError(SparsedomError):
     """An operation requires operators carrying an exact sparse-norm certificate."""
 
 
-class HypothesisViolationError(SparsedomError):
-    """A weight hypothesis required by a weighted bound check fails."""
-
-    def __init__(self, message, characteristic=None):
-        super().__init__(message)
-        self.characteristic = characteristic
-
-
 class ConfigError(SparsedomError):
     """An experiment configuration is invalid."""
 

@@ -144,13 +144,22 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _is_positive_int(x) -> bool:
+def _is_nonnegative_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) \
-        and x >= 1
+        and x >= 0
 
 
-# numeric experiment params: (is a list, element check, expected shape);
-# every other param (centers, center) is left to its runner
+def _is_positive_int(x) -> bool:
+    return _is_nonnegative_int(x) and x >= 1
+
+
+def _is_center(x, d: int) -> bool:
+    """A weight centre: "center", "edge" or a list of d coordinates."""
+    return x in ("center", "edge") or (
+        isinstance(x, list) and len(x) == d and all(map(_is_real, x)))
+
+
+# numeric experiment params: (is a list, element check, expected shape)
 _PARAM_TYPES = {
     "ps": (True, _is_real, "a nonempty list of numbers"),
     "rs": (True, _is_real, "a nonempty list of numbers"),
@@ -205,8 +214,10 @@ def _paired_exponents(kind: str, params: dict) -> tuple:
 def _check_kind_params(kind: str, grid: GridSpec, params: dict):
     """Raise ConfigError naming the param that does not fit the kind: rs
     and ps of different lengths where they pair, p_j >= r_j in build-sparse,
-    a refinement level too large for the kind's grids, or a weighted
-    bad_exponent missing from the panel."""
+    a refinement level too large for the kind's grids or below 2 for the
+    singular model (truncation side/4), a single level where a refinement
+    protocol runs, a weight centre that is not "center", "edge" or one
+    coordinate per axis, or a weighted bad_exponent missing from the panel."""
     if kind in _PAIRED_DEFAULTS:
         ps, rs = _paired_exponents(kind, params)
         where = "params.rs" if "rs" in params else "params.ps"
@@ -215,13 +226,31 @@ def _check_kind_params(kind: str, grid: GridSpec, params: dict):
                               "rs)", field=where)
         if kind == "build-sparse" and not all(p < r for p, r in zip(ps, rs)):
             raise ConfigError("the construction needs p_j < r_j", field=where)
-    if kind in ("weights", "bht", "weighted"):
-        d = grid.d if kind == "weights" else 1
-        for k in params.get("levels", ()):
+    d = grid.d if kind == "weights" else 1
+    if kind in ("weights", "bht", "weighted") and "levels" in params:
+        levels = params["levels"]
+        for k in levels:
             try:
                 GridSpec(d, k)
             except ValueError as err:
                 raise ConfigError(str(err), field="params.levels") from None
+        if kind != "weights" and min(levels) < 2:
+            raise ConfigError("the singular model needs levels >= 2",
+                              field="params.levels")
+        if kind != "bht" and len(levels) < 2:
+            raise ConfigError("the refinement protocol needs two or more "
+                              "levels", field="params.levels")
+    if kind == "weighted" and "center" in params \
+            and not _is_center(params["center"], d):
+        raise ConfigError(f'must be "center", "edge" or a list of {d} number',
+                          field="params.center")
+    if kind == "weights" and "centers" in params:
+        centers = params["centers"]
+        if not (isinstance(centers, list) and centers
+                and all(_is_center(c, d) for c in centers)):
+            raise ConfigError('must be a nonempty list of "center", "edge" '
+                              f"or lists of {d} numbers",
+                              field="params.centers")
     if kind == "weighted":
         bad = params.get("bad_exponent", _DEFAULT_BAD_EXPONENT)
         if bad not in params.get("panel", _DEFAULT_PANEL):
@@ -251,9 +280,11 @@ class ExperimentConfig:
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}", field="kind")
         grid_doc = need(doc, "grid", "grid")
+        if not isinstance(grid_doc, dict):
+            raise ConfigError("must be a JSON object", field="grid")
         for key in ("d", "levels"):
             val = need(grid_doc, key, f"grid.{key}")
-            if not isinstance(val, int) or val < 0:
+            if not _is_nonnegative_int(val):
                 raise ConfigError("must be a nonnegative integer",
                                   field=f"grid.{key}")
         if grid_doc["d"] not in (1, 2):
@@ -264,21 +295,28 @@ class ExperimentConfig:
         except ValueError as err:
             raise ConfigError(str(err), field="grid.levels") from None
         corpus = doc.get("corpus", {})
+        if not isinstance(corpus, dict):
+            raise ConfigError("must be a JSON object", field="corpus")
         corpus_kind = corpus.get("kind", "mixed")
         if corpus_kind not in CORPUS_KINDS:
             raise ConfigError(f"unknown corpus kind {corpus_kind!r}",
                               field="corpus.kind")
         size = corpus.get("size", 50)
-        if not isinstance(size, int) or size < 0:
+        if not _is_nonnegative_int(size):
             raise ConfigError("must be a nonnegative integer",
                               field="corpus.size")
         if size == 0 and kind != "weights":
             # every other kind asserts its checks over the corpus
             raise ConfigError(f"must be positive for a {kind!r} experiment",
                               field="corpus.size")
-        if "seed" not in corpus and "seed" not in doc:
+        if "seed" in corpus:
+            seed, where = corpus["seed"], "corpus.seed"
+        elif "seed" in doc:
+            seed, where = doc["seed"], "seed"
+        else:
             raise ConfigError("a seed is mandatory", field="corpus.seed")
-        seed = int(corpus.get("seed", doc.get("seed", 0)))
+        if not _is_nonnegative_int(seed):
+            raise ConfigError("must be a nonnegative integer", field=where)
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("must be a mapping", field="params")
@@ -760,12 +798,10 @@ def run_weighted(cfg: ExperimentConfig) -> ReportBuilder:
                                    n_components=len(qs), weight=w)
 
         check = operators.weighted_bound_check(
-            family_at, wv_at, corpus_at, qs, rs, hypotheses,
-            levels=levels, enforce_hypotheses=False)
-        verdicts = {name: (v.verdict if hasattr(v, "verdict") else v)
-                    for name, v in check["hypotheses"].items()}
+            family_at, wv_at, corpus_at, qs, rs, hypotheses, levels=levels)
         in_class = check["violated"] is None and \
-            all(v == weights_mod.FINITE for v in verdicts.values())
+            all(v.verdict == weights_mod.FINITE
+                for v in check["hypotheses"].values())
         sups = check["sup_quotients"]
         for k, s in zip(levels, sups):
             quotient_rows.append([f"a={a:g}", int(k), s])

@@ -110,10 +110,6 @@ class GridFunction:
         v[cells] = self.values[cells]
         return GridFunction(self.spec, v)
 
-    def abs_lr_over_components(self, r: float) -> np.ndarray:
-        """Pointwise l^r norm over components, shape (ncells,)."""
-        return lr_norm_rows(self.values, r)
-
     def __repr__(self):
         return (f"GridFunction(d={self.spec.d}, K={self.spec.levels}, "
                 f"N={self.n_components})")
@@ -158,37 +154,29 @@ def _shift_digits(shift: int, d: int) -> tuple:
     return tuple(digits)
 
 
-def n_shifts(spec: GridSpec) -> int:
-    return 3 ** spec.d
-
-
 def shift_list(spec: GridSpec, shifts: str) -> list:
     if shifts == "canonical":
         return [0]
     if shifts == "all":
-        return list(range(n_shifts(spec)))
+        return list(range(3 ** spec.d))
     raise ValueError("shifts must be 'canonical' or 'all'")
 
 
 @lru_cache(maxsize=4096)
 def _axis_cube_ids(side: int, periodic: bool, level: int, digit: int):
-    """Per-axis map coordinate -> (normalized cube id, corner of that cube)."""
+    """Per-axis map coordinate -> normalized cube id, and the number of ids."""
     o = shift_offset(level, digit)
     x = np.arange(side, dtype=np.int64)
-    step = 1 << level
     if periodic:
         ids = ((x - o) % side) >> level
         n_ids = max(side >> level, 1)
-        corners = (o + ids * step) % side
     else:
         raw = (x - o) >> level
         lo = raw.min()
         ids = raw - lo
         n_ids = int(raw.max() - lo + 1)
-        corners = o + (ids + lo) * step
     ids.setflags(write=False)
-    corners.setflags(write=False)
-    return ids, n_ids, corners
+    return ids, n_ids
 
 
 @lru_cache(maxsize=4096)
@@ -203,7 +191,7 @@ def _cube_maps(d: int, levels: int, periodic: bool, shift: int, level: int):
     axis_ids = []
     n_ids = []
     for axis in range(d):
-        ids, n, _ = _axis_cube_ids(spec.side, periodic, level, digits[axis])
+        ids, n = _axis_cube_ids(spec.side, periodic, level, digits[axis])
         axis_ids.append(ids)
         n_ids.append(n)
     cell_ids = np.zeros(spec.ncells, dtype=np.int64)
@@ -220,17 +208,6 @@ def _cube_maps(d: int, levels: int, periodic: bool, shift: int, level: int):
 def cell_to_cube_map(spec: GridSpec, shift: int, level: int):
     """Public accessor for the (cell -> cube id, counts, n_cubes) map."""
     return _cube_maps(spec.d, spec.levels, spec.periodic, shift, level)
-
-
-def cube_of_cell(spec: GridSpec, cell: int, shift: int, level: int) -> DyadicCube:
-    digits = _shift_digits(shift, spec.d)
-    coords = spec.cell_coords(np.array([cell]))[0]
-    corner = []
-    for axis in range(spec.d):
-        ids, _, corners = _axis_cube_ids(spec.side, spec.periodic, level,
-                                         digits[axis])
-        corner.append(int(corners[coords[axis]]))
-    return DyadicCube(shift=shift, level=level, corner=tuple(corner))
 
 
 def enumerate_cubes(spec: GridSpec, shifts: str = "canonical",
@@ -351,21 +328,8 @@ def power_mean(vals: np.ndarray, p: float) -> float:
     return scale * float(np.mean((vals / scale) ** p)) ** (1.0 / p)
 
 
-def lr_norm(a: Sequence[float], r: float) -> float:
-    """l^r (quasi-)norm of a vector; r = inf is the sup norm."""
-    a = np.abs(np.asarray(a, dtype=np.float64))
-    if r == np.inf:
-        return float(a.max()) if a.size else 0.0
-    if r <= 0:
-        raise ExponentDomainError("l^r exponent must be positive")
-    scale = float(a.max()) if a.size else 0.0
-    if scale == 0.0:
-        return 0.0
-    return scale * float(np.sum((a / scale) ** r)) ** (1.0 / r)
-
-
 def lr_norm_rows(values: np.ndarray, r: float) -> np.ndarray:
-    """Row-wise l^r norms of a 2-d array (vectorized lr_norm)."""
+    """Row-wise l^r (quasi-)norms of a 2-d array; r = inf is the sup norm."""
     a = np.abs(values)
     if r == np.inf:
         return a.max(axis=1)
@@ -380,69 +344,10 @@ def lr_norm_rows(values: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# exponent tuples
-
-
 def holder_aggregate(entries: Sequence[float]) -> float:
     """1 / sum(1/e) with inf contributing 0; returns inf for an empty sum."""
     s = sum(0.0 if e == np.inf else 1.0 / e for e in entries)
     return np.inf if s == 0.0 else 1.0 / s
-
-
-@dataclass(frozen=True)
-class ExponentTuple:
-    """Tuple of exponents with a role tag: 'integrability', 'vector', 'lebesgue'."""
-
-    entries: tuple
-    role: str = "integrability"
-
-    def __post_init__(self):
-        entries = tuple(float(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if self.role not in ("integrability", "vector", "lebesgue"):
-            raise ValueError(f"unknown role {self.role!r}")
-        if self.role == "integrability":
-            for e in entries:
-                if not (1.0 <= e < np.inf):
-                    raise ExponentDomainError(
-                        f"integrability exponents must lie in [1, inf), got {e}")
-        else:
-            for e in entries:
-                if not (0.0 < e):
-                    raise ExponentDomainError(
-                        f"exponents must be positive, got {e}")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    @property
-    def aggregate(self) -> float:
-        return holder_aggregate(self.entries)
-
-
-def is_banach_holder_tuple(rs: Sequence[float], tol: float = 1e-12) -> bool:
-    """Check r_{n+1}/(r_{n+1}-1) == 1/sum_{j<=n} 1/r_j within tolerance."""
-    rs = [float(r) for r in rs]
-    if len(rs) < 2 or any(r < 1.0 for r in rs):
-        return False
-    last = rs[-1]
-    if last == 1.0:
-        conj = np.inf
-    elif last == np.inf:
-        conj = 1.0
-    else:
-        conj = last / (last - 1.0)
-    agg = holder_aggregate(rs[:-1])
-    if conj == np.inf or agg == np.inf:
-        return conj == agg
-    return abs(conj - agg) <= tol * max(1.0, abs(conj))
 
 
 # ---------------------------------------------------------------------------

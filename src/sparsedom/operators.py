@@ -22,10 +22,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import sparse, weights as weights_mod
+from . import maximal, sparse, weights as weights_mod
 from .errors import (
     ExponentOrderError,
-    HypothesisViolationError,
     NoCertificateError,
     RequiresPeriodicError,
     SizeMismatchError,
@@ -42,9 +41,8 @@ class FormOperator:
     evaluator maps n+1 scalar GridFunctions to the real number
     <T(g^1..g^n), g^{n+1}>.  apply materializes the operator output
     T(g^1..g^n) as a cell array (used by weighted norm quotients).
-    certificate_kind is "exact" when the sparse norm bound stored in
-    certificate is structural, "empirical" when it is a recorded estimate,
-    "none" otherwise.  linear records whether the form is genuinely linear
+    certificate is the sparse norm bound when it is structural (exact),
+    None otherwise.  linear records whether the form is genuinely linear
     in each slot or only sublinear on the nonnegative cone.
     """
 
@@ -54,7 +52,6 @@ class FormOperator:
     apply: Callable
     name: str = "operator"
     certificate: float | None = None
-    certificate_kind: str = "none"
     linear: bool = True
 
     def evaluate(self, gs: Sequence[GridFunction]) -> float:
@@ -106,7 +103,7 @@ class OperatorFamily:
     def sup_certificate(self) -> float:
         certs = []
         for t in self.members:
-            if t.certificate_kind != "exact" or t.certificate is None:
+            if t.certificate is None:
                 raise NoCertificateError(
                     f"{t.name} carries no exact sparse-norm certificate")
             certs.append(t.certificate)
@@ -142,7 +139,7 @@ def model_sparse_operator(collection: sparse.SparseCollection,
     linear = all(p == 1.0 for p in ps)
     return FormOperator(spec, n, evaluator,
                         name=f"model-sparse[{len(collection)} cubes]",
-                        certificate=1.0, certificate_kind="exact",
+                        certificate=1.0,
                         apply=apply, linear=linear)
 
 
@@ -308,7 +305,6 @@ def discrete_bht(spec: GridSpec, truncation: int,
         return float(np.dot(apply(gs[:2]), gs[2].values[:, 0]))
 
     return FormOperator(spec, 2, evaluator, name=f"bht-{variant}[T={truncation}]",
-                        certificate=None, certificate_kind="empirical",
                         apply=apply, linear=True)
 
 
@@ -449,7 +445,7 @@ def weighted_quotient(family: OperatorFamily,
         raise SizeMismatchError("need one q and one r per input slot")
     denom = 1.0
     for f, qj, rj, w in zip(inputs, qs, rs, wv.components):
-        norm = weights_mod.weighted_norm(f, qj, w, r=rj)
+        norm = maximal.mixed_norm(f, qj, rj, weight=w.values)
         if norm == 0.0:
             return None
         denom *= norm
@@ -458,8 +454,8 @@ def weighted_quotient(family: OperatorFamily,
         for k, op in enumerate(family.members)])
     r = holder_aggregate(list(rs)[:n])
     q = holder_aggregate(qs)
-    numer = weights_mod.weighted_norm(GridFunction(family.spec, out), q,
-                                      wv.v, r=r)
+    numer = maximal.mixed_norm(GridFunction(family.spec, out), q, r,
+                               weight=wv.v.values)
     return numer / denom
 
 
@@ -485,67 +481,38 @@ def bht_corner_hypotheses(q: float = 1.0, rh: float = 2.0) -> list:
     return entries
 
 
-def validate_weight_hypotheses(wv_at: Callable[[int], weights_mod.WeightVector],
-                               hypotheses: list,
-                               levels: Sequence[int] = (6, 8, 10)) -> dict:
-    """Refinement-protocol verdict for each named characteristic.
-
-    Raises HypothesisViolation naming the first characteristic classified
-    infinite; inconclusive entries are reported, not failed.
-    """
-    verdicts = {}
-    for name, char in hypotheses:
-        verdict = weights_mod.refinement_protocol(wv_at, char, levels=levels)
-        verdicts[name] = verdict
-        if verdict.verdict == weights_mod.INFINITE:
-            raise HypothesisViolationError(
-                f"characteristic classified infinite: {name} ({verdict})",
-                characteristic=name)
-    return verdicts
-
-
 def weighted_bound_check(family_at: Callable[[int], OperatorFamily],
                          wv_at: Callable[[int], weights_mod.WeightVector],
                          corpus_at: Callable[[int], list],
                          qs: Sequence[float], rs: Sequence[float],
                          hypotheses: list,
-                         levels: Sequence[int] = (6, 8, 10),
-                         enforce_hypotheses: bool = True) -> dict:
+                         levels: Sequence[int] = (6, 8, 10)) -> dict:
     """Weighted vector-valued quotient across grid refinements.
 
     family_at, wv_at and corpus_at produce the operator family, the weight
     vector and the list of input tuples at each resolution K.  Records the
-    per-K supremum of the weighted quotient, the growth ratios between
-    consecutive resolutions, and the hypothesis verdicts.  With enforcement
-    on, an infinite characteristic raises HypothesisViolation before any
-    quotient is computed.
+    per-K supremum of the weighted quotient, whether it stays within a
+    factor 2, and the refinement-protocol verdict of each named
+    characteristic in order, up to the first one classified infinite, whose
+    name is returned as violated (None when there is none).
     """
-    try:
-        verdicts = validate_weight_hypotheses(wv_at, hypotheses, levels=levels)
-        violation = None
-    except HypothesisViolationError as err:
-        if enforce_hypotheses:
-            raise
-        verdicts = {err.characteristic: "infinite"}
-        violation = err.characteristic
-    per_level = []
+    verdicts, violation = {}, None
+    for name, char in hypotheses:
+        verdicts[name] = weights_mod.refinement_protocol(wv_at, char,
+                                                         levels=levels)
+        if verdicts[name].verdict == weights_mod.INFINITE:
+            violation = name
+            break
+    sups = []
     for k in levels:
         family = family_at(k)
         wv = wv_at(k)
         best = 0.0
-        skipped = 0
         for inputs in corpus_at(k):
             quot = weighted_quotient(family, list(inputs), wv, qs, rs)
-            if quot is None:
-                skipped += 1
-                continue
-            best = max(best, quot)
-        per_level.append({"level": int(k), "sup_quotient": best,
-                          "skipped": skipped})
-    sups = [row["sup_quotient"] for row in per_level]
-    growth = [b / a if a > 0 else np.inf for a, b in zip(sups, sups[1:])]
+            if quot is not None:
+                best = max(best, quot)
+        sups.append(best)
     stable = bool(sups and min(sups) > 0.0 and max(sups) <= 2.0 * min(sups))
-    return {"levels": list(int(k) for k in levels), "rows": per_level,
-            "sup_quotients": sups, "growth_ratios": growth,
-            "stable_within_2x": stable, "hypotheses": verdicts,
-            "violated": violation}
+    return {"sup_quotients": sups, "stable_within_2x": stable,
+            "hypotheses": verdicts, "violated": violation}

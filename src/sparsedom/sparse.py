@@ -32,7 +32,7 @@ appear only with a relaxed budget.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -222,25 +222,17 @@ class _Assignment:
         return [np.flatnonzero(self.owner == i) for i in range(len(self.cells))]
 
 
-def verify_sparsity(spec: GridSpec, cubes: Sequence[DyadicCube],
-                    major_sets=None) -> SparsityVerdict:
-    """Check (given major sets) or decide (by augmenting paths) sparsity.
+def verify_sparsity(spec: GridSpec,
+                    cubes: Sequence[DyadicCube]) -> SparsityVerdict:
+    """Decide sparsity of a cube family by augmenting paths.
 
-    Without major sets, the cubes join one assignment in order, each taking
-    its demand |Q|//2 + 1 of disjoint cells by augmenting paths.  The first
-    cube whose search fails ends the decision; the cubes that search
-    reached own all of their union, so that subfamily's union is smaller
-    than its total demand and is returned as the certificate.
+    The cubes join one assignment in order, each taking its demand
+    |Q|//2 + 1 of disjoint cells by augmenting paths.  The first cube whose
+    search fails ends the decision; the cubes that search reached own all
+    of their union, so that subfamily's union is smaller than its total
+    demand and is returned as the certificate.
     """
     cubes = list(cubes)
-    if major_sets is not None:
-        coll = SparseCollection(spec, cubes, list(major_sets))
-        try:
-            coll.validate()
-        except InfeasibleCollectionError:
-            return SparsityVerdict(False, None, None)
-        return SparsityVerdict(True, coll, None)
-
     assignment = _Assignment(spec.ncells)
     for cube in cubes:
         violating = assignment.add(cube_cells(spec, cube))
@@ -319,19 +311,12 @@ class StoppingNode:
     cube: DyadicCube
     threshold: float | None          # final scale-free C (None: zero data)
     doublings: int
-    exceptional_cells: int
     child_measure: int               # sum |L| over stopping children
     size: int
-    local_form: float                # integral of the localized form over Q
-    node_bound: float                # |Q| * prod_j of the 3Q-normalizations
     off_exceptional_ratio: float     # property (i): sup off E of A / threshold
     child_average_ratio: float       # property (ii), part 1 only
     child_truncated_ratio: float     # property (iii)
     n_children: int
-
-    @property
-    def budget_ratio(self) -> float:
-        return self.child_measure / self.size
 
 
 @dataclass
@@ -358,20 +343,9 @@ class ConstructionReport:
     def theta_emp(self) -> float | None:
         return None if self.rhs == 0.0 else self.lhs / self.rhs
 
-    def summary(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n_cubes": len(self.collection),
-            "depth": self.depth,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "theta_emp": self.theta_emp,
-            "max_budget_ratio": max(n.budget_ratio for n in self.nodes),
-            "thresholds": [n.threshold for n in self.nodes],
-        }
-
 
 _NINE = np.arange(-4, 5)[:, None]     # the 9L window in cubes, per axis
+_MAX_DOUBLINGS = 200
 
 
 def _stopping_children(spec: GridSpec, root: DyadicCube,
@@ -441,8 +415,7 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
                             eps: float | None = None, variant: int = 1,
                             shifts: str = "all",
                             child_budget: float = 2.0 ** -16,
-                            c0: float = 2.0 ** 10,
-                            max_doublings: int = 200) -> ConstructionReport:
+                            c0: float = 2.0 ** 10) -> ConstructionReport:
     """Run the stopping-time construction (variant 1 with eps, variant 2 without).
 
     Thresholds are scale-free: the per-node constant C multiplies the 3Q
@@ -495,19 +468,16 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
             group_scales = [float(np.prod(scales))]
             exceed_arrays = a_loc
 
-        node_bound = size_q * float(np.prod(scales))
-        local_form = float(np.sum(np.prod(a_loc, axis=0)[cells_q]))
-
         if any(s == 0.0 for s in scales):
             # some input vanishes on 3Q, so the localized operators vanish on Q
             cubes.append(q)
             majors.append(cells_q)
-            nodes.append(StoppingNode(q, None, 0, 0, 0, size_q, local_form,
-                                      node_bound, 0.0, 0.0, 0.0, 0))
+            nodes.append(StoppingNode(q, None, 0, 0, size_q, 0.0, 0.0, 0.0,
+                                      0))
             return
 
         c = c0
-        for doublings in range(max_doublings + 1):
+        for doublings in range(_MAX_DOUBLINGS + 1):
             thresholds = [c * s for s in group_scales]
             mask = np.zeros(spec.ncells, dtype=bool)
             for arr, th in zip(exceed_arrays, thresholds):
@@ -521,7 +491,7 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
             c *= 2.0
         else:
             raise CalibrationFailureError(
-                f"no threshold below c0 * 2^{max_doublings} met the budget")
+                f"no threshold below c0 * 2^{_MAX_DOUBLINGS} met the budget")
 
         kid_cells = [cube_cells(spec, L) for L in kids]
         ratios = _node_property_ratios(spec, q, cells_q, cells_3q, mask, kids,
@@ -531,8 +501,7 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
             cells_q, np.concatenate(kid_cells), assume_unique=False)
         cubes.append(q)
         majors.append(major)
-        nodes.append(StoppingNode(q, c, doublings, exc_count, kid_measure,
-                                  size_q, local_form, node_bound,
+        nodes.append(StoppingNode(q, c, doublings, kid_measure, size_q,
                                   ratios[0], ratios[1], ratios[2], len(kids)))
         for kid in kids:
             recurse(kid)

@@ -16,7 +16,7 @@ characteristic (ratio at the last refinement at most 1.25: finite; at least
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     NonpositiveValueError,
     SpecMismatchError,
 )
-from .lattice import GridFunction, GridSpec, holder_aggregate, shift_list
+from .lattice import GridSpec, holder_aggregate, shift_list
 
 
 class Weight:
@@ -185,17 +185,6 @@ def multilinear_characteristic(wv: WeightVector, ts: Sequence[float],
     return best
 
 
-def weighted_norm(f: GridFunction, q: float, w: Weight | None = None,
-                  r: float | None = None) -> float:
-    """(sum_x ||f(x)||_{l^r}^q w(x))^{1/q}; r absent means scalar input."""
-    if r is None:
-        if f.n_components != 1:
-            raise SpecMismatchError("vector input needs an aggregation exponent r")
-        r = 1.0
-    weight = None if w is None else w.values
-    return maximal.mixed_norm(f, q, r, weight=weight)
-
-
 def make_power_weight(spec: GridSpec, a: float, center="center") -> Weight:
     """Weight (dist(x, center) + 1/2)^a with Euclidean distance of cell centers.
 
@@ -213,24 +202,6 @@ def make_power_weight(spec: GridSpec, a: float, center="center") -> Weight:
     coords = spec.cell_coords(np.arange(spec.ncells)) + 0.5
     dist = np.sqrt(np.sum((coords - point) ** 2, axis=1))
     return Weight(spec, (dist + 0.5) ** a)
-
-
-def p_form(gs: Sequence[GridFunction], ps: Sequence[float],
-           region: np.ndarray | None = None, shifts: str = "all") -> float:
-    """sum over F of M_{(p_1..p_n)}(g^1..g^n) times M_{p_{n+1}} g^{n+1}."""
-    if len(gs) != len(ps) or len(gs) < 2:
-        raise SpecMismatchError("need n+1 >= 2 inputs with matching exponents")
-    if any(g.n_components != 1 for g in gs):
-        raise SpecMismatchError("the scalar form needs N = 1 inputs")
-    front = maximal.vector_maximal(
-        list(gs[:-1]), list(ps[:-1]), shifts=shifts).values[:, 0]
-    last = maximal.vector_maximal(
-        [gs[-1]], [ps[-1]], shifts=shifts).values[:, 0]
-    prod = front * last
-    if region is None:
-        return float(np.sum(prod))
-    region = np.asarray(region, dtype=np.int64)
-    return float(np.sum(prod[region])) if len(region) else 0.0
 
 
 # ---------------------------------------------------------------------------

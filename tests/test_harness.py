@@ -307,19 +307,63 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     pytest.param(lambda d: d.update(kind="weighted", params={"panel": [0.0]}),
                  "params.bad_exponent",
                  id="weighted-panel-lacks-default-bad-exponent"),
+    pytest.param(lambda d: d["corpus"].update(seed="abc"), "corpus.seed",
+                 id="string-seed"),
+    pytest.param(lambda d: d["corpus"].update(seed=-1), "corpus.seed",
+                 id="negative-seed"),
+    pytest.param(lambda d: d["corpus"].update(seed=1.7), "corpus.seed",
+                 id="fractional-seed"),
+    pytest.param(lambda d: d["corpus"].update(seed=True), "corpus.seed",
+                 id="bool-seed"),
+    pytest.param(lambda d: d.update(seed=-1, corpus={"size": 4}), "seed",
+                 id="negative-top-level-seed"),
+    pytest.param(lambda d: ["--seed", "-3"], "--seed",
+                 id="negative-seed-option"),
+    pytest.param(lambda d: d.update(corpus=[1, 2]), "corpus",
+                 id="corpus-not-an-object"),
+    pytest.param(lambda d: d.update(grid=4), "grid",
+                 id="grid-not-an-object"),
+    pytest.param(lambda d: d["grid"].update(d=True), "grid.d",
+                 id="bool-grid-d"),
+    pytest.param(lambda d: d["grid"].update(levels=True), "grid.levels",
+                 id="bool-grid-levels"),
+    pytest.param(lambda d: d["corpus"].update(size=True), "corpus.size",
+                 id="bool-corpus-size"),
+    pytest.param(lambda d: d.update(kind="weighted",
+                                    params={"center": "middle"}),
+                 "params.center", id="weighted-unknown-center"),
+    pytest.param(lambda d: d.update(kind="weighted",
+                                    params={"center": [1.0, 2.0]}),
+                 "params.center", id="weighted-center-of-two-coordinates"),
+    pytest.param(lambda d: d.update(kind="weights",
+                                    params={"centers": "center"}),
+                 "params.centers", id="weights-centers-not-a-list"),
+    pytest.param(lambda d: d.update(kind="weights",
+                                    params={"centers": ["center", [1, 2]]}),
+                 "params.centers", id="weights-center-of-two-coordinates"),
+    pytest.param(lambda d: d.update(kind="bht", params={"levels": [1, 6]}),
+                 "params.levels", id="bht-level-below-two"),
+    pytest.param(lambda d: d.update(kind="weighted",
+                                    params={"levels": [1, 6]}),
+                 "params.levels", id="weighted-level-below-two"),
+    pytest.param(lambda d: d.update(kind="weights", params={"levels": [6]}),
+                 "params.levels", id="weights-single-level"),
+    pytest.param(lambda d: d.update(kind="weighted", params={"levels": [6]}),
+                 "params.levels", id="weighted-single-level"),
 ] + [
-    pytest.param(lambda d, kind=kind: (d.update(kind=kind),
-                                       d["corpus"].update(size=0)),
+    pytest.param(lambda d, kind=kind: d.update(
+        kind=kind, corpus=dict(d["corpus"], size=0)),
                  "corpus.size", id=f"{kind}-empty-corpus")
     for kind in EXPERIMENT_KINDS if kind != "weights"
 ])
 def test_cli_config_value_errors_exit_2(mutate, field, tmp_path, capsys):
+    """mutate edits the config and may return extra command-line arguments."""
     path = tmp_path / "cfg.json"
     doc = base_doc()
-    mutate(doc)
+    extra = mutate(doc) or []
     path.write_text(json.dumps(doc))
     assert main([doc["kind"], "--config", str(path),
-                 "--out", str(tmp_path / "o")]) == 2
+                 "--out", str(tmp_path / "o")] + extra) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -332,6 +376,7 @@ def test_weights_config_accepts_empty_corpus():
 
 
 def test_config_leaves_centers_unchecked():
+    """Valid weight centres pass validation and reach the runner as given."""
     doc = base_doc("weights", centers=["center", "edge"], panel=[0, 1.5])
     cfg = ExperimentConfig.from_dict(doc)
     assert cfg.params["centers"] == ["center", "edge"]

@@ -7,7 +7,6 @@ import pytest
 
 from sparsedom import (
     DyadicCube,
-    ExponentTuple,
     GridFunction,
     GridSpec,
     cube_cells,
@@ -16,9 +15,7 @@ from sparsedom import (
     enumerate_cubes,
     gridfunction_from_csv,
     holder_aggregate,
-    is_banach_holder_tuple,
     load_gridfunction,
-    lr_norm,
     power_mean,
     save_gridfunction,
 )
@@ -30,9 +27,7 @@ from sparsedom.errors import (
 from sparsedom.lattice import (
     cell_to_cube_map,
     children,
-    cube_of_cell,
     lr_norm_rows,
-    n_shifts,
     shift_list,
     shift_offset,
 )
@@ -75,16 +70,21 @@ def test_gridfunction_shapes_and_protection():
     assert restricted.values.sum() == 0.0
 
 
-def test_abs_lr_over_components():
-    spec = GridSpec(1, 1)
-    f = GridFunction(spec, np.array([[3.0, -4.0], [0.0, 0.0]]))
-    out = f.abs_lr_over_components(2.0)
-    assert out[0] == pytest.approx(5.0)
-    assert out[1] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # shifted dyadic lattices
+
+
+def cube_of_cell(spec, cell, shift, level):
+    """The cube of one shifted lattice and level that holds a cell, from the
+    offsets alone: each corner coordinate is the offset plus the cell
+    coordinate's distance from it rounded down to a multiple of the side."""
+    coords = spec.cell_coords(np.array([cell]))[0]
+    corner = []
+    for axis in range(spec.d):
+        o = shift_offset(level, shift // 3 ** axis % 3)
+        c = o + ((int(coords[axis]) - o) >> level << level)
+        corner.append(c % spec.side if spec.periodic else c)
+    return DyadicCube(shift=shift, level=level, corner=tuple(corner))
 
 
 def test_shift_offset_values():
@@ -110,7 +110,7 @@ def test_shift_nesting_is_laminar_per_shift():
 
 def test_each_shift_level_partitions_periodic_domain():
     spec = GridSpec(2, 3, periodic=True)
-    assert n_shifts(spec) == 9
+    assert len(shift_list(spec, "all")) == 9
     for shift in shift_list(spec, "all"):
         for level in range(spec.levels + 1):
             cubes = enumerate_cubes(spec, shifts="all", levels=[level])
@@ -132,7 +132,7 @@ def test_cube_of_cell_consistency():
     rng = np.random.default_rng(7)
     for _ in range(50):
         cell = int(rng.integers(spec.ncells))
-        shift = int(rng.integers(n_shifts(spec)))
+        shift = int(rng.integers(3 ** spec.d))
         level = int(rng.integers(spec.levels + 1))
         cube = cube_of_cell(spec, cell, shift, level)
         assert cell in cube_cells(spec, cube)
@@ -204,13 +204,13 @@ def test_power_mean_edge_cases():
 
 
 def test_lr_norm():
-    assert lr_norm([3.0, 4.0], 2.0) == pytest.approx(5.0)
-    assert lr_norm([3.0, -4.0], np.inf) == 4.0
-    assert lr_norm([], 2.0) == 0.0
-    with pytest.raises(ExponentDomainError):
-        lr_norm([1.0], 0.0)
-    rows = lr_norm_rows(np.array([[3.0, 4.0], [0.0, 0.0]]), 2.0)
+    values = np.array([[3.0, -4.0], [0.0, 0.0]])
+    rows = lr_norm_rows(values, 2.0)
     assert rows[0] == pytest.approx(5.0) and rows[1] == 0.0
+    assert np.array_equal(lr_norm_rows(values, np.inf), [4.0, 0.0])
+    for r in (0.0, -1.0):
+        with pytest.raises(ExponentDomainError):
+            lr_norm_rows(values, r)
 
 
 def test_holder_aggregate():
@@ -218,23 +218,6 @@ def test_holder_aggregate():
     assert holder_aggregate([2.0, 2.0]) == pytest.approx(1.0)
     assert holder_aggregate([np.inf, 2.0]) == pytest.approx(2.0)
     assert holder_aggregate([np.inf]) == np.inf
-
-
-def test_exponent_tuples():
-    t = ExponentTuple((4.0, 4.0), role="integrability")
-    assert t.aggregate == pytest.approx(2.0)
-    with pytest.raises(ExponentDomainError):
-        ExponentTuple((0.5, 2.0), role="integrability")
-    ExponentTuple((0.5, 2.0), role="vector")  # quasi-norms allowed
-    with pytest.raises(ValueError):
-        ExponentTuple((2.0,), role="nonsense")
-
-
-def test_banach_holder_tuple():
-    assert is_banach_holder_tuple((4.0, 4.0, 2.0))
-    assert is_banach_holder_tuple((2.0, 2.0, np.inf))
-    assert not is_banach_holder_tuple((2.0, 2.0, 2.0))
-    assert not is_banach_holder_tuple((0.5, 4.0, 2.0))
 
 
 # ---------------------------------------------------------------------------

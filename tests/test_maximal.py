@@ -9,7 +9,6 @@ from sparsedom import (
     holder_dominator,
     localized_maximal,
     mixed_norm,
-    p_form,
     partitioned_maximal,
     vector_maximal,
     weak_type_quotient,
@@ -17,7 +16,6 @@ from sparsedom import (
 from sparsedom.errors import (
     EmptyCubeFamilyError,
     ExponentDomainError,
-    SpecMismatchError,
     ZeroInputError,
 )
 from sparsedom.lattice import (
@@ -309,16 +307,6 @@ def test_hardy_littlewood_dominates_function():
     assert np.all(m >= f.values[:, 0].mean() - 1e-12)
 
 
-def test_scalar_multilinear_rejects_vector_inputs():
-    """The scalar form p_form takes N = 1 inputs only, in every slot."""
-    spec = GridSpec(1, 3)
-    f = GridFunction.constant(spec, 1.0, n_components=2)
-    g = GridFunction.constant(spec, 1.0)
-    for gs in ([f, f], [g, f], [f, g]):
-        with pytest.raises(SpecMismatchError):
-            p_form(gs, (1.0, 1.0))
-
-
 def test_mixed_norm():
     spec = GridSpec(1, 1)
     f = GridFunction(spec, np.array([[3.0, 4.0], [0.0, 0.0]]))
@@ -326,6 +314,8 @@ def test_mixed_norm():
     assert mixed_norm(f, np.inf, 2.0) == pytest.approx(5.0)
     w = np.array([4.0, 1.0])
     assert mixed_norm(f, 1.0, 2.0, weight=w) == pytest.approx(20.0)
+    w = np.array([2.0, 1.0])
+    assert mixed_norm(f, 1.0, 2.0, weight=w) == pytest.approx(10.0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from sparsedom import (
 )
 from sparsedom.errors import (
     ExponentOrderError,
-    HypothesisViolationError,
     NoCertificateError,
     RequiresPeriodicError,
     SizeMismatchError,
@@ -35,7 +34,7 @@ from sparsedom.lattice import enumerate_cubes
 from sparsedom.operators import (
     _bht_coefficients,
     bht_corner_hypotheses,
-    validate_weight_hypotheses,
+    weighted_bound_check,
 )
 from sparsedom.weights import Weight, WeightVector, make_power_weight
 
@@ -497,21 +496,29 @@ def test_weighted_quotient_unweighted_consistency():
 
 
 def test_corner_hypotheses_verdicts():
+    """Every verdict of an in-class weight; for an out-of-class one, the
+    verdicts stop at the first characteristic classified infinite."""
     hyps = bht_corner_hypotheses(q=1.0, rh=2.0)
     assert len(hyps) == 4
 
-    def wv_at(k):
-        spec = GridSpec(1, k, periodic=True)
-        w = make_power_weight(spec, 0.4, center="center")
-        return WeightVector([w, w], (2.0, 2.0))
+    def family_at(k):
+        return OperatorFamily([discrete_bht(GridSpec(1, k, periodic=True), 3)])
 
-    verdicts = validate_weight_hypotheses(wv_at, hyps, levels=(6, 8, 10))
-    assert all(v.verdict == "finite" for v in verdicts.values())
+    def check(a):
+        def wv_at(k):
+            spec = GridSpec(1, k, periodic=True)
+            w = make_power_weight(spec, a, center="center")
+            return WeightVector([w, w], (2.0, 2.0))
 
-    def bad_at(k):
-        spec = GridSpec(1, k, periodic=True)
-        w = make_power_weight(spec, 1.5, center="center")
-        return WeightVector([w, w], (2.0, 2.0))
+        return weighted_bound_check(family_at, wv_at, lambda k: [],
+                                    (2.0, 2.0), (4.0, 4.0), hyps,
+                                    levels=(6, 8, 10))
 
-    with pytest.raises(HypothesisViolationError):
-        validate_weight_hypotheses(bad_at, hyps, levels=(6, 8, 10))
+    good = check(0.4)
+    assert list(good["hypotheses"]) == [name for name, _ in hyps]
+    assert all(v.verdict == "finite" for v in good["hypotheses"].values())
+    assert good["violated"] is None
+    bad = check(1.5)
+    assert bad["violated"] == hyps[0][0]
+    assert list(bad["hypotheses"]) == [hyps[0][0]]
+    assert bad["hypotheses"][hyps[0][0]].verdict == "infinite"

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from sparsedom import (
-    GridFunction,
     GridSpec,
     classify_growth,
     make_power_weight,
     muckenhoupt_characteristic,
     multilinear_characteristic,
-    p_form,
     rc_characteristic,
     refinement_protocol,
     reverse_holder_characteristic,
-    weighted_norm,
 )
 from sparsedom.errors import (
     ExponentDomainError,
@@ -24,7 +21,6 @@ from sparsedom.errors import (
     NonpositiveValueError,
     SpecMismatchError,
 )
-from sparsedom.maximal import vector_maximal
 from sparsedom.weights import (
     FINITE,
     INCONCLUSIVE,
@@ -150,29 +146,6 @@ def test_single_weight_factorization():
         rh_char = reverse_holder_characteristic(w, 2.0)
         assert multi <= a_char * rh_char * (1 + 1e-12)
         assert multi >= max(a_char, rh_char) * (1 - 1e-12)
-
-
-def test_weighted_norm():
-    spec = GridSpec(1, 1)
-    f = GridFunction(spec, np.array([[3.0, 4.0], [0.0, 0.0]]))
-    w = Weight(spec, np.array([2.0, 1.0]))
-    assert weighted_norm(f, 1.0, w, r=2.0) == pytest.approx(10.0)
-    with pytest.raises(SpecMismatchError):
-        weighted_norm(f, 1.0, w)  # vector input without r
-
-
-def test_p_form_matches_direct_product():
-    spec = GridSpec(1, 3, periodic=True)
-    rng = np.random.default_rng(26)
-    gs = [GridFunction(spec, rng.uniform(0, 2, size=(8, 1)))
-          for _ in range(3)]
-    ps = (1.0, 2.0, 1.0)
-    direct = vector_maximal(gs[:2], ps[:2]).values[:, 0] * \
-        vector_maximal([gs[2]], [ps[2]]).values[:, 0]
-    assert p_form(gs, ps) == pytest.approx(float(direct.sum()))
-    left = p_form(gs, ps, region=np.arange(4))
-    right = p_form(gs, ps, region=np.arange(4, 8))
-    assert left + right == pytest.approx(p_form(gs, ps))
 
 
 # ---------------------------------------------------------------------------

@@ -314,8 +314,6 @@ def test_mixed_norm():
     assert mixed_norm(f, np.inf, 2.0) == pytest.approx(5.0)
     w = np.array([4.0, 1.0])
     assert mixed_norm(f, 1.0, 2.0, weight=w) == pytest.approx(20.0)
-    w = np.array([2.0, 1.0])
-    assert mixed_norm(f, 1.0, 2.0, weight=w) == pytest.approx(10.0)
 
 
 # ---------------------------------------------------------------------------

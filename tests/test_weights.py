@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from sparsedom import (
+    GridFunction,
     GridSpec,
     classify_growth,
     make_power_weight,
+    mixed_norm,
     muckenhoupt_characteristic,
     multilinear_characteristic,
     rc_characteristic,
@@ -146,6 +148,15 @@ def test_single_weight_factorization():
         rh_char = reverse_holder_characteristic(w, 2.0)
         assert multi <= a_char * rh_char * (1 + 1e-12)
         assert multi >= max(a_char, rh_char) * (1 - 1e-12)
+
+
+def test_weighted_norm():
+    """The weighted L^q(l^r) norm, taken with a Weight's values as
+    weighted_quotient takes it."""
+    spec = GridSpec(1, 1)
+    f = GridFunction(spec, np.array([[3.0, 4.0], [0.0, 0.0]]))
+    w = Weight(spec, np.array([2.0, 1.0]))
+    assert mixed_norm(f, 1.0, 2.0, weight=w.values) == pytest.approx(10.0)
 
 
 # ---------------------------------------------------------------------------

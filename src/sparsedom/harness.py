@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -136,8 +136,24 @@ def _sided_inverse_pair(spec: GridSpec, rng: np.random.Generator,
 # configuration
 
 
-_DEFAULT_PANEL = (-0.9, -0.5, 0.0, 0.5, 0.9, 1.5)
-_DEFAULT_BAD_EXPONENT = 1.5
+_DEFAULT_PANEL = [-0.9, -0.5, 0.0, 0.5, 0.9, 1.5]
+
+# every param each kind reads, with its default, spelled as in a config
+_PARAMS = {
+    "maximal": {"ps": [1.0, 1.0], "rs": [2.0, 2.0], "components": 3},
+    "build-sparse": {"ps": [1.0, 1.0], "rs": [2.0, 2.0], "eps": 0.5,
+                     "child_budget": 2.0 ** -16, "components": 2},
+    "equivalence": {"ps": [1.0, 1.0]},
+    "weights": {"levels": [8, 10, 12], "panel": _DEFAULT_PANEL,
+                "centers": ["center", "edge"]},
+    "theorem11": {"ps": [1.0, 1.0, 1.0], "rs": [4.0, 4.0, 2.0],
+                  "family_sizes": [1, 4, 16]},
+    "lemma1": {"ps": [1.0, 1.0, 1.0], "components": 4},
+    "bht": {"ps": [2.0, 2.0, 2.0], "levels": [6, 8, 10]},
+    "weighted": {"levels": [6, 8, 10, 12], "qs": [2.0, 2.0],
+                 "rs": [4.0, 4.0], "bad_exponent": 1.5,
+                 "panel": _DEFAULT_PANEL, "center": "center"},
+}
 
 
 def _is_real(x) -> bool:
@@ -198,37 +214,34 @@ def _check_params(params: dict):
         raise ConfigError("must lie in (0, 1/2)", field="params.child_budget")
 
 
-# default (ps, rs) of the kinds that pair the two slot by slot
-_PAIRED_DEFAULTS = {
-    "maximal": ((1.0, 1.0), (2.0, 2.0)),
-    "build-sparse": ((1.0, 1.0), (2.0, 2.0)),
-    "theorem11": ((1.0, 1.0, 1.0), (4.0, 4.0, 2.0)),
-}
+def _check_keys(obj: dict, accepted, where: str = ""):
+    """Raise ConfigError naming the first key of obj that is not accepted."""
+    for key in obj:
+        if key not in accepted:
+            raise ConfigError(f"unknown key (accepted: {', '.join(accepted)})",
+                              field=f"{where}{key}")
 
 
-def _paired_exponents(kind: str, params: dict) -> tuple:
-    default_ps, default_rs = _PAIRED_DEFAULTS[kind]
-    return params.get("ps", default_ps), params.get("rs", default_rs)
-
-
-def _check_kind_params(kind: str, grid: GridSpec, params: dict):
-    """Raise ConfigError naming the param that does not fit the kind: rs
-    and ps of different lengths where they pair, p_j >= r_j in build-sparse,
-    a refinement level too large for the kind's grids or below 2 for the
-    singular model (truncation side/4), a single level where a refinement
-    protocol runs, a weight centre that is not "center", "edge" or one
-    coordinate per axis, or a weighted bad_exponent missing from the panel."""
-    if kind in _PAIRED_DEFAULTS:
-        ps, rs = _paired_exponents(kind, params)
+def _check_kind_params(cfg: ExperimentConfig):
+    """Raise ConfigError naming the param whose value, configured or
+    default, does not fit the kind: rs and ps of different lengths where
+    they pair, p_j >= r_j in build-sparse, a refinement level too large for
+    the kind's grids or below 2 for the singular model (truncation side/4),
+    a single level where a refinement protocol runs, a weight centre that
+    is not "center", "edge" or one coordinate per axis, or a bad_exponent
+    missing from the panel."""
+    kind, params, accepted = cfg.kind, cfg.params, _PARAMS[cfg.kind]
+    if "ps" in accepted and "rs" in accepted:
+        ps, rs = cfg.param("ps"), cfg.param("rs")
         where = "params.rs" if "rs" in params else "params.ps"
         if len(rs) != len(ps):
             raise ConfigError(f"needs one r per p ({len(ps)} ps, {len(rs)} "
                               "rs)", field=where)
         if kind == "build-sparse" and not all(p < r for p, r in zip(ps, rs)):
             raise ConfigError("the construction needs p_j < r_j", field=where)
-    d = grid.d if kind == "weights" else 1
-    if kind in ("weights", "bht", "weighted") and "levels" in params:
-        levels = params["levels"]
+    d = cfg.grid.d if kind == "weights" else 1
+    if "levels" in accepted:
+        levels = cfg.param("levels")
         for k in levels:
             try:
                 GridSpec(d, k)
@@ -240,20 +253,19 @@ def _check_kind_params(kind: str, grid: GridSpec, params: dict):
         if kind != "bht" and len(levels) < 2:
             raise ConfigError("the refinement protocol needs two or more "
                               "levels", field="params.levels")
-    if kind == "weighted" and "center" in params \
-            and not _is_center(params["center"], d):
+    if "center" in accepted and not _is_center(cfg.param("center"), d):
         raise ConfigError(f'must be "center", "edge" or a list of {d} number',
                           field="params.center")
-    if kind == "weights" and "centers" in params:
-        centers = params["centers"]
+    if "centers" in accepted:
+        centers = cfg.param("centers")
         if not (isinstance(centers, list) and centers
                 and all(_is_center(c, d) for c in centers)):
             raise ConfigError('must be a nonempty list of "center", "edge" '
                               f"or lists of {d} numbers",
                               field="params.centers")
-    if kind == "weighted":
-        bad = params.get("bad_exponent", _DEFAULT_BAD_EXPONENT)
-        if bad not in params.get("panel", _DEFAULT_PANEL):
+    if "bad_exponent" in accepted:
+        bad = cfg.param("bad_exponent")
+        if bad not in cfg.param("panel"):
             raise ConfigError(f"{bad:g} is not an entry of params.panel",
                               field="params.bad_exponent")
 
@@ -264,10 +276,10 @@ class ExperimentConfig:
 
     kind: str
     grid: GridSpec
-    corpus_kind: str = "mixed"
-    corpus_size: int = 50
-    seed: int = 0
-    params: dict = field(default_factory=dict)
+    corpus_kind: str
+    corpus_size: int
+    seed: int
+    params: dict
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -279,9 +291,11 @@ class ExperimentConfig:
         kind = need(doc, "kind", "kind")
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}", field="kind")
+        _check_keys(doc, ("kind", "grid", "corpus", "seed", "params"))
         grid_doc = need(doc, "grid", "grid")
         if not isinstance(grid_doc, dict):
             raise ConfigError("must be a JSON object", field="grid")
+        _check_keys(grid_doc, ("d", "levels", "periodic"), "grid.")
         for key in ("d", "levels"):
             val = need(grid_doc, key, f"grid.{key}")
             if not _is_nonnegative_int(val):
@@ -289,14 +303,17 @@ class ExperimentConfig:
                                   field=f"grid.{key}")
         if grid_doc["d"] not in (1, 2):
             raise ConfigError("dimension must be 1 or 2", field="grid.d")
+        periodic = grid_doc.get("periodic", True)
+        if not isinstance(periodic, bool):
+            raise ConfigError("must be true or false", field="grid.periodic")
         try:
-            grid = GridSpec(grid_doc["d"], grid_doc["levels"],
-                            bool(grid_doc.get("periodic", True)))
+            grid = GridSpec(grid_doc["d"], grid_doc["levels"], periodic)
         except ValueError as err:
             raise ConfigError(str(err), field="grid.levels") from None
         corpus = doc.get("corpus", {})
         if not isinstance(corpus, dict):
             raise ConfigError("must be a JSON object", field="corpus")
+        _check_keys(corpus, ("kind", "size", "seed"), "corpus.")
         corpus_kind = corpus.get("kind", "mixed")
         if corpus_kind not in CORPUS_KINDS:
             raise ConfigError(f"unknown corpus kind {corpus_kind!r}",
@@ -320,9 +337,11 @@ class ExperimentConfig:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("must be a mapping", field="params")
+        _check_keys(params, _PARAMS[kind], "params.")
         _check_params(params)
-        _check_kind_params(kind, grid, params)
-        return cls(kind, grid, corpus_kind, size, seed, params)
+        cfg = cls(kind, grid, corpus_kind, size, seed, params)
+        _check_kind_params(cfg)
+        return cfg
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -331,7 +350,13 @@ class ExperimentConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"invalid JSON: {err}", field=str(path))
+        if not isinstance(doc, dict):
+            raise ConfigError("must hold a JSON object", field=str(path))
         return cls.from_dict(doc)
+
+    def param(self, key: str):
+        """The configured value of a param of this kind, or its default."""
+        return self.params.get(key, _PARAMS[self.kind][key])
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +440,11 @@ def _json_default(obj):
 # the experiments
 
 
-def _param(cfg: ExperimentConfig, key, default):
-    return cfg.params.get(key, default)
-
-
 def run_maximal(cfg: ExperimentConfig) -> ReportBuilder:
     """Pointwise Hoelder sandwich and weak-type quotients on a corpus."""
     rep = ReportBuilder("maximal", cfg)
-    ps, rs = map(tuple, _paired_exponents(cfg.kind, cfg.params))
-    n_comp = int(_param(cfg, "components", 3))
+    ps, rs = tuple(cfg.param("ps")), tuple(cfg.param("rs"))
+    n_comp = int(cfg.param("components"))
     corpus = generate_corpus(cfg.corpus_kind, cfg.seed, cfg.corpus_size,
                              cfg.grid, n_slots=len(ps), n_components=n_comp)
     partition = [[j] for j in range(len(ps))]
@@ -458,10 +479,10 @@ def run_maximal(cfg: ExperimentConfig) -> ReportBuilder:
 def run_build_sparse(cfg: ExperimentConfig) -> ReportBuilder:
     """Both stopping-time variants on a corpus: sparsity, budgets, factor 2."""
     rep = ReportBuilder("build-sparse", cfg)
-    ps, rs = map(list, _paired_exponents(cfg.kind, cfg.params))
-    eps = float(_param(cfg, "eps", 0.5))
-    budget = float(_param(cfg, "child_budget", 2.0 ** -16))
-    n_comp = int(_param(cfg, "components", 2))
+    ps, rs = list(cfg.param("ps")), list(cfg.param("rs"))
+    eps = float(cfg.param("eps"))
+    budget = float(cfg.param("child_budget"))
+    n_comp = int(cfg.param("components"))
     corpus = generate_corpus(cfg.corpus_kind, cfg.seed, cfg.corpus_size,
                              cfg.grid, n_slots=len(ps), n_components=n_comp)
     rows = []
@@ -515,7 +536,7 @@ def run_build_sparse(cfg: ExperimentConfig) -> ReportBuilder:
 def run_equivalence(cfg: ExperimentConfig) -> ReportBuilder:
     """Brute-force sparse-form maximization against the maximal integral."""
     rep = ReportBuilder("equivalence", cfg)
-    ps = list(_param(cfg, "ps", (1.0, 1.0)))
+    ps = list(cfg.param("ps"))
     if cfg.grid.ncells > 16:
         raise ConfigError("equivalence experiments need at most 16 cells",
                           field="grid.levels")
@@ -549,8 +570,8 @@ def run_equivalence(cfg: ExperimentConfig) -> ReportBuilder:
 
 
 def _panel(cfg: ExperimentConfig):
-    exponents = tuple(_param(cfg, "panel", _DEFAULT_PANEL))
-    centers = tuple(_param(cfg, "centers", ("center", "edge")))
+    exponents = tuple(cfg.param("panel"))
+    centers = tuple(cfg.param("centers"))
     return [(a, c) for a in exponents for c in centers]
 
 
@@ -577,7 +598,7 @@ def run_weights(cfg: ExperimentConfig) -> ReportBuilder:
     geometric-mean weight.
     """
     rep = ReportBuilder("weights", cfg)
-    levels = tuple(_param(cfg, "levels", (8, 10, 12)))
+    levels = tuple(cfg.param("levels"))
     d = cfg.grid.d
     periodic = cfg.grid.periodic
     table_rows = []
@@ -664,8 +685,8 @@ def _model_family_pool(spec: GridSpec, seed: int, size: int,
 def run_lemma1(cfg: ExperimentConfig) -> ReportBuilder:
     """Vector transfer factor-2 bound over a corpus of model families."""
     rep = ReportBuilder("lemma1", cfg)
-    ps = tuple(_param(cfg, "ps", (1.0, 1.0, 1.0)))
-    n_comp = int(_param(cfg, "components", 4))
+    ps = tuple(cfg.param("ps"))
+    n_comp = int(cfg.param("components"))
     pool = _model_family_pool(cfg.grid, cfg.seed + 1, n_comp, ps)
     family = operators.OperatorFamily(pool)
     corpus = generate_corpus(cfg.corpus_kind, cfg.seed, cfg.corpus_size,
@@ -686,8 +707,8 @@ def run_lemma1(cfg: ExperimentConfig) -> ReportBuilder:
 def run_theorem11(cfg: ExperimentConfig) -> ReportBuilder:
     """Scalar-to-vector domination constant across family sizes."""
     rep = ReportBuilder("theorem11", cfg)
-    ps, rs = map(tuple, _paired_exponents(cfg.kind, cfg.params))
-    sizes = tuple(_param(cfg, "family_sizes", (1, 4, 16)))
+    ps, rs = tuple(cfg.param("ps")), tuple(cfg.param("rs"))
+    sizes = tuple(cfg.param("family_sizes"))
     pool = _model_family_pool(cfg.grid, cfg.seed + 1, max(sizes), ps)
     rows = []
     c_by_n = {}
@@ -737,8 +758,8 @@ def run_bht(cfg: ExperimentConfig) -> ReportBuilder:
     rep.asserted("tuple-1-1-1-rejected",
                  not operators.admissible_sparse_tuple((1.0, 1.0, 1.0)))
     # empirical sparse-norm lower bound across K
-    ps = tuple(_param(cfg, "ps", (2.0, 2.0, 2.0)))
-    levels = tuple(_param(cfg, "levels", (6, 8, 10)))
+    ps = tuple(cfg.param("ps"))
+    levels = tuple(cfg.param("levels"))
     rows = []
     for k in levels:
         spec = GridSpec(1, int(k), True)
@@ -764,13 +785,13 @@ def run_weighted(cfg: ExperimentConfig) -> ReportBuilder:
     band.  The contrast is the assertion.
     """
     rep = ReportBuilder("weighted", cfg)
-    levels = tuple(_param(cfg, "levels", (6, 8, 10, 12)))
-    qs = tuple(_param(cfg, "qs", (2.0, 2.0)))
-    rs = tuple(_param(cfg, "rs", (4.0, 4.0)))
+    levels = tuple(cfg.param("levels"))
+    qs = tuple(cfg.param("qs"))
+    rs = tuple(cfg.param("rs"))
     q = holder_aggregate(qs)
-    bad_exponent = float(_param(cfg, "bad_exponent", _DEFAULT_BAD_EXPONENT))
-    panel = tuple(_param(cfg, "panel", _DEFAULT_PANEL))
-    center = _param(cfg, "center", "center")
+    bad_exponent = float(cfg.param("bad_exponent"))
+    panel = tuple(cfg.param("panel"))
+    center = cfg.param("center")
     size = cfg.corpus_size
     hypotheses = operators.bht_corner_hypotheses(q=q)
 

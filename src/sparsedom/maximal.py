@@ -144,8 +144,7 @@ def vector_maximal(inputs: Sequence[GridFunction], ps: Sequence[float],
     return GridFunction(spec, lr_norm_rows(sup, r))
 
 
-def localized_maximal(inputs, ps, r, cube: DyadicCube,
-                      shifts: str = "all") -> GridFunction:
+def localized_maximal(inputs, ps, r, cube: DyadicCube) -> GridFunction:
     """1_Q times the maximal function truncated to sides <= side(Q).
 
     By support considerations this only sees input values on the 3-fold
@@ -153,23 +152,22 @@ def localized_maximal(inputs, ps, r, cube: DyadicCube,
     result (asserted in the test suite).
     """
     spec = inputs[0].spec
-    out = vector_maximal(inputs, ps, r, shifts=shifts,
-                         window=(0, cube.side))
+    out = vector_maximal(inputs, ps, r, window=(0, cube.side))
     mask = np.zeros(spec.ncells)
     mask[cube_cells(spec, cube)] = 1.0
     return GridFunction(spec, out.values[:, 0] * mask)
 
 
-def holder_dominator(inputs, ps, rs, shifts: str = "all") -> GridFunction:
+def holder_dominator(inputs, ps, rs) -> GridFunction:
     """prod_j M_{p_j, r_j}(f^j), the pointwise Hoelder majorant."""
     spec, _ = _check_common_spec(inputs)
     out = np.ones(spec.ncells)
     for f, p, r in zip(inputs, ps, rs):
-        out *= vector_maximal([f], (p,), r=r, shifts=shifts).values[:, 0]
+        out *= vector_maximal([f], (p,), r=r).values[:, 0]
     return GridFunction(spec, out)
 
 
-def partitioned_maximal(inputs, ps, rs, partition, shifts: str = "all") -> GridFunction:
+def partitioned_maximal(inputs, ps, rs, partition) -> GridFunction:
     """prod over blocks I of M_{p_I, r_I}({f^j}_{j in I}) for a slot partition."""
     spec, _ = _check_common_spec(inputs)
     out = np.ones(spec.ncells)
@@ -178,7 +176,7 @@ def partitioned_maximal(inputs, ps, rs, partition, shifts: str = "all") -> GridF
         r_block = holder_aggregate([rs[j] for j in block])
         out *= vector_maximal([inputs[j] for j in block],
                               [ps[j] for j in block],
-                              r=r_block, shifts=shifts).values[:, 0]
+                              r=r_block).values[:, 0]
     return GridFunction(spec, out)
 
 
@@ -192,29 +190,26 @@ def mixed_norm(f: GridFunction, q: float, r: float,
     return float(np.sum(w * g ** q)) ** (1.0 / q)
 
 
-def weak_type_quotient(inputs, ps, rs, weight: np.ndarray | None = None,
-                       shifts: str = "all") -> float:
-    """Weak-type operator quotient at the natural endpoint.
+def weak_type_quotient(inputs, ps, rs) -> float:
+    """Weak-type operator quotient at the natural endpoint, counting measure.
 
-    sup_lambda lambda * mu({M > lambda})^{1/p} over the breakpoints of the
+    sup_lambda lambda * |{M > lambda}|^{1/p} over the breakpoints of the
     output's level sets, divided by prod_j ||f^j||_{L^{p_j}(l^{r_j})}; the
     supremum of the piecewise expression is attained at a distinct output
     value, so scanning the sorted values is exact.
     """
-    spec, _ = _check_common_spec(inputs)
+    _check_common_spec(inputs)
     p = holder_aggregate(ps)
     r = holder_aggregate(rs)
-    m_out = vector_maximal(inputs, ps, r=r, shifts=shifts).values[:, 0]
+    m_out = vector_maximal(inputs, ps, r=r).values[:, 0]
     denom = 1.0
     for f, pj, rj in zip(inputs, ps, rs):
         nj = mixed_norm(f, pj, rj)
         if nj == 0.0:
             raise ZeroInputError("an input factor norm vanishes")
         denom *= nj
-    w = np.ones(spec.ncells) if weight is None else np.asarray(weight, dtype=float)
-    order = np.argsort(m_out)[::-1]
-    vals = m_out[order]
-    cum = np.cumsum(w[order])  # cum[i] = mu({M >= vals[i]}) at block ends
+    vals = m_out[np.argsort(m_out)[::-1]]
+    cum = np.arange(1.0, len(vals) + 1)  # |{M >= vals[i]}| at block ends
     best = 0.0
     for i in range(len(vals)):
         if i + 1 < len(vals) and vals[i + 1] == vals[i]:

@@ -356,7 +356,7 @@ def vector_form(family: OperatorFamily,
 
 
 def lemma1_check(family: OperatorFamily, inputs: Sequence[GridFunction],
-                 ps: Sequence[float], shifts: str = "all") -> dict:
+                 ps: Sequence[float]) -> dict:
     """Vector transfer with the exact factor 2.
 
     Asserts |vector form| <= 2 * (sup certificate) * integral of the
@@ -365,8 +365,7 @@ def lemma1_check(family: OperatorFamily, inputs: Sequence[GridFunction],
     """
     cert = family.sup_certificate()
     lhs = abs(vector_form(family, inputs))
-    integral = sparse.integral_of_form(list(inputs), list(ps), r=1.0,
-                                       shifts=shifts)
+    integral = sparse.integral_of_form(list(inputs), list(ps), r=1.0)
     bound = 2.0 * cert * integral
     ratio = np.inf if bound == 0.0 and lhs > 0.0 else \
         (0.0 if bound == 0.0 else lhs / bound)
@@ -375,9 +374,7 @@ def lemma1_check(family: OperatorFamily, inputs: Sequence[GridFunction],
 
 
 def theorem11_check(family: OperatorFamily, inputs: Sequence[GridFunction],
-                    ps: Sequence[float], rs: Sequence[float],
-                    shifts: str = "all",
-                    child_budget: float = 2.0 ** -16) -> dict:
+                    ps: Sequence[float], rs: Sequence[float]) -> dict:
     """Scalar-to-vector sparse domination with a recorded empirical constant.
 
     Builds the multilinear stopping-time collection on the (n+1) vector
@@ -390,8 +387,7 @@ def theorem11_check(family: OperatorFamily, inputs: Sequence[GridFunction],
     cert = family.sup_certificate()
     lhs = abs(vector_form(family, inputs))
     report = sparse.build_sparse_collection(list(inputs), list(ps), list(rs),
-                                            variant=2, shifts=shifts,
-                                            child_budget=child_budget)
+                                            variant=2)
     rhs = sparse.sparse_form(family.spec, report.collection.cubes,
                              list(inputs), list(ps), rs=list(rs))
     c_emp = None if rhs == 0.0 else lhs / (cert * rhs)
@@ -400,9 +396,9 @@ def theorem11_check(family: OperatorFamily, inputs: Sequence[GridFunction],
             "construction": report}
 
 
-def estimate_sparse_norm_lower_bound(op: FormOperator, ps: Sequence[float],
-                                     corpus: Sequence[Sequence[GridFunction]],
-                                     shifts: str = "all") -> dict:
+def estimate_sparse_norm_lower_bound(
+        op: FormOperator, ps: Sequence[float],
+        corpus: Sequence[Sequence[GridFunction]]) -> dict:
     """sup over the corpus of |form| / integral of the maximal form.
 
     This is a certified lower bound on the sparse norm up to the structural
@@ -412,8 +408,7 @@ def estimate_sparse_norm_lower_bound(op: FormOperator, ps: Sequence[float],
     best, best_index = 0.0, None
     skipped = 0
     for i, gs in enumerate(corpus):
-        denom = sparse.integral_of_form(list(gs), list(ps), r=1.0,
-                                        shifts=shifts)
+        denom = sparse.integral_of_form(list(gs), list(ps), r=1.0)
         if denom == 0.0:
             skipped += 1
             continue

@@ -269,22 +269,15 @@ def sparse_form(spec: GridSpec, cubes: Sequence[DyadicCube],
 
 
 def integral_of_form(inputs: Sequence[GridFunction], ps: Sequence[float],
-                     r: float = 1.0, region: np.ndarray | None = None,
-                     shifts: str = "all", window=None) -> float:
-    """Cell sum of the multilinear maximal function over a region."""
-    if region is not None and len(region) == 0:
-        return 0.0
-    m_out = maximal.vector_maximal(list(inputs), ps, r=r, shifts=shifts,
-                                   window=window).values[:, 0]
-    if region is None:
-        return float(np.sum(m_out))
-    return float(np.sum(m_out[np.asarray(region, dtype=np.int64)]))
+                     r: float = 1.0, shifts: str = "all") -> float:
+    """Cell sum of the multilinear maximal function."""
+    return float(np.sum(maximal.vector_maximal(list(inputs), ps, r=r,
+                                               shifts=shifts).values[:, 0]))
 
 
 def lower_direction_check(collection: SparseCollection,
                           inputs: Sequence[GridFunction],
-                          ps: Sequence[float], rs=None,
-                          shifts: str = "all") -> dict:
+                          ps: Sequence[float], rs=None) -> dict:
     """Per-collection factor-2 bound: sparse form <= 2 * integral of the form.
 
     Mirrors the disjoint-major-subset argument: each cube's term is at most
@@ -294,7 +287,7 @@ def lower_direction_check(collection: SparseCollection,
     profiles = _scalar_profiles(inputs, rs)
     scalars = [GridFunction(collection.spec, g) for g in profiles]
     form = sparse_form(collection.spec, collection.cubes, inputs, ps, rs)
-    integral = integral_of_form(scalars, ps, r=1.0, shifts=shifts)
+    integral = integral_of_form(scalars, ps, r=1.0)
     ratio = 0.0 if integral == 0.0 else form / integral
     return {"sparse_form": form, "integral": integral, "ratio": ratio,
             "holds": form <= 2.0 * integral * (1.0 + 1e-9) + 1e-12}
@@ -322,8 +315,6 @@ class StoppingNode:
 @dataclass
 class ConstructionReport:
     collection: SparseCollection
-    variant: int
-    eps: float | None
     nodes: list
     lhs: float
     rhs: float
@@ -413,7 +404,6 @@ def _stopping_children(spec: GridSpec, root: DyadicCube,
 def build_sparse_collection(inputs: Sequence[GridFunction],
                             ps: Sequence[float], rs: Sequence[float],
                             eps: float | None = None, variant: int = 1,
-                            shifts: str = "all",
                             child_budget: float = 2.0 ** -16,
                             c0: float = 2.0 ** 10) -> ConstructionReport:
     """Run the stopping-time construction (variant 1 with eps, variant 2 without).
@@ -457,13 +447,12 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
         cells_3q = dilate(spec, q, 3)
         scales = [power_mean(g[cells_3q], e) if np.any(g[cells_3q]) else 0.0
                   for g, e in zip(profiles, form_exps)]
-        a_loc = [maximal.localized_maximal(fs, es, r, q, shifts=shifts)
-                 .values[:, 0] for fs, es, r in groups]
+        a_loc = [maximal.localized_maximal(fs, es, r, q).values[:, 0]
+                 for fs, es, r in groups]
         if variant == 1:
             group_scales = scales
             exceed_arrays = [maximal.vector_maximal(
-                [GridFunction(spec, a)], (1.0,), shifts=shifts).values[:, 0]
-                for a in a_loc]
+                [GridFunction(spec, a)], (1.0,)).values[:, 0] for a in a_loc]
         else:
             group_scales = [float(np.prod(scales))]
             exceed_arrays = a_loc
@@ -496,7 +485,7 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
         kid_cells = [cube_cells(spec, L) for L in kids]
         ratios = _node_property_ratios(spec, q, cells_q, cells_3q, mask, kids,
                                        kid_cells, groups, a_loc, thresholds,
-                                       variant, shifts)
+                                       variant)
         major = cells_q if not kids else np.setdiff1d(
             cells_q, np.concatenate(kid_cells), assume_unique=False)
         cubes.append(q)
@@ -514,15 +503,15 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
     collection.validate()
     if variant == 1:
         lhs = float(np.sum(maximal.holder_dominator(
-            list(inputs), ps, rs, shifts=shifts).values[:, 0]))
+            list(inputs), ps, rs).values[:, 0]))
     else:
-        lhs = integral_of_form(inputs, ps, r=r_agg, shifts=shifts)
+        lhs = integral_of_form(inputs, ps, r=r_agg)
     rhs = sparse_form(spec, cubes, inputs, form_exps, rs)
-    return ConstructionReport(collection, variant, eps, nodes, lhs, rhs)
+    return ConstructionReport(collection, nodes, lhs, rhs)
 
 
 def _node_property_ratios(spec, q, cells_q, cells_3q, mask, kids, kid_cells,
-                          groups, a_loc, thresholds, variant, shifts):
+                          groups, a_loc, thresholds, variant):
     """Scale-free ratios behind the three stopping-node properties.
 
     (i) localized operator off the exceedance set / threshold;
@@ -559,7 +548,7 @@ def _node_property_ratios(spec, q, cells_q, cells_3q, mask, kids, kid_cells,
         cells = np.concatenate(cell_sets)
         for fs, (_, es, r), th in zip(restricted, groups, thresholds):
             trunc = maximal.vector_maximal(
-                fs, es, r, shifts=shifts, window=(side, q.side)).values[:, 0]
+                fs, es, r, window=(side, q.side)).values[:, 0]
             prop3 = max(prop3, float(trunc[cells].max()) / th)
     return prop1, prop2, prop3
 

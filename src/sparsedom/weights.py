@@ -2,10 +2,11 @@
 
 A weight is a strictly positive scalar grid function.  Every class used here
 is of reverse-chain type: w lies in RC(alpha, beta) when its beta-power means
-are uniformly controlled by its alpha-power means over lattice cubes, and the
+are uniformly controlled by its alpha-power means over cubes, and the
 characteristic is the supremum of that ratio.  Muckenhoupt A_t is
 RC(1/(1-t), 1) (with alpha = -inf when t = 1) and reverse Hoelder RH_t is
-RC(1, t), so one ratio sweep serves all three.
+RC(1, t), so one ratio sweep serves all three.  Every characteristic sweeps
+the dyadic cubes, the shift-0 lattice, at every level.
 
 Finiteness of a characteristic is an asymptotic statement; on a finite grid
 it is operationalized by a refinement protocol: sample the same weight
@@ -16,7 +17,7 @@ characteristic (ratio at the last refinement at most 1.25: finite; at least
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     NonpositiveValueError,
     SpecMismatchError,
 )
-from .lattice import GridSpec, holder_aggregate, shift_list
+from .lattice import GridSpec, holder_aggregate
 
 
 class Weight:
@@ -57,15 +58,12 @@ class Weight:
 
 @dataclass
 class WeightVector:
-    """Component weights v_1..v_n with exponents q_j and product v.
-
-    The product v = prod_j v_j^{q/q_j} with 1/q = sum_j 1/q_j is recomputed
-    and, when a candidate v is supplied, checked against it to 1e-12 relative.
-    """
+    """Component weights v_1..v_n with exponents q_j and the product weight
+    v = prod_j v_j^{q/q_j}, 1/q = sum_j 1/q_j, computed on construction."""
 
     components: list
     qs: tuple
-    v: Weight | None = None
+    v: Weight = field(init=False)
 
     def __post_init__(self):
         if len(self.components) != len(self.qs):
@@ -79,38 +77,23 @@ class WeightVector:
         prod = np.ones(spec.ncells)
         for w, qj in zip(self.components, self.qs):
             prod *= w.values ** (self.q / qj)
-        if self.v is None:
-            self.v = Weight(spec, prod)
-        else:
-            rel = np.max(np.abs(self.v.values - prod) / prod)
-            if rel > 1e-12:
-                raise SpecMismatchError(
-                    f"stored product weight is off by {rel:.3g} relative")
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
+        self.v = Weight(spec, prod)
 
     @property
     def spec(self) -> GridSpec:
         return self.components[0].spec
 
 
-def _ratio_sweep(w: Weight, num, den, shifts: str) -> float:
-    """sup over cubes of <w>_num / <w>_den for a pair of exponents."""
+def _ratio_sweep(w: Weight, num, den) -> float:
+    """sup over dyadic cubes of <w>_num / <w>_den for a pair of exponents."""
     spec = w.spec
     levels = range(spec.levels + 1)
-    best = -np.inf
-    for shift in shift_list(spec, shifts):
-        his = maximal.cube_averages(spec, w.values, num, shift, levels)
-        los = maximal.cube_averages(spec, w.values, den, shift, levels)
-        for hi, lo in zip(his, los):
-            best = max(best, float(np.max(hi / lo)))
-    return best
+    his = maximal.cube_averages(spec, w.values, num, 0, levels)
+    los = maximal.cube_averages(spec, w.values, den, 0, levels)
+    return max(float(np.max(hi / lo)) for hi, lo in zip(his, los))
 
 
-def rc_characteristic(w: Weight, alpha: float, beta: float,
-                      shifts: str = "canonical") -> float:
+def rc_characteristic(w: Weight, alpha: float, beta: float) -> float:
     """sup_Q <w>_{beta,Q} / <w>_{alpha,Q}; at least 1 by power-mean monotonicity.
 
     alpha = -inf and beta = inf mean the min and max over the cube.
@@ -119,24 +102,22 @@ def rc_characteristic(w: Weight, alpha: float, beta: float,
         raise ExponentOrderError(f"need alpha < beta, got {alpha} >= {beta}")
     if alpha == 0 or beta == 0:
         raise ExponentDomainError("exponent 0 is not supported")
-    return _ratio_sweep(w, beta, alpha, shifts)
+    return _ratio_sweep(w, beta, alpha)
 
 
-def muckenhoupt_characteristic(w: Weight, t: float,
-                               shifts: str = "canonical") -> float:
+def muckenhoupt_characteristic(w: Weight, t: float) -> float:
     """A_t characteristic: RC(1/(1-t), 1), with alpha = -inf when t = 1."""
     if t < 1:
         raise ExponentDomainError(f"Muckenhoupt parameter must be >= 1, got {t}")
     alpha = -np.inf if t == 1 else 1.0 / (1.0 - t)
-    return rc_characteristic(w, alpha, 1.0, shifts=shifts)
+    return rc_characteristic(w, alpha, 1.0)
 
 
-def reverse_holder_characteristic(w: Weight, t: float,
-                                  shifts: str = "canonical") -> float:
+def reverse_holder_characteristic(w: Weight, t: float) -> float:
     """RH_t characteristic: RC(1, t)."""
     if t <= 1:
         raise ExponentDomainError(f"reverse Hoelder parameter must exceed 1, got {t}")
-    return rc_characteristic(w, 1.0, t, shifts=shifts)
+    return rc_characteristic(w, 1.0, t)
 
 
 def multilinear_exponents(qs: Sequence[float], ts: Sequence[float]):
@@ -165,24 +146,19 @@ def multilinear_exponents(qs: Sequence[float], ts: Sequence[float]):
     return inner, t_last / den, q
 
 
-def multilinear_characteristic(wv: WeightVector, ts: Sequence[float],
-                               shifts: str = "canonical") -> float:
+def multilinear_characteristic(wv: WeightVector, ts: Sequence[float]) -> float:
     """sup_Q <v>^{1/q}_{s,Q} prod_j <v_j^{-1}>^{1/q_j}_{s_j,Q} (the mwc sup)."""
     inner, outer, q = multilinear_exponents(wv.qs, ts)
     spec = wv.spec
     inv = [w.inverse() for w in wv.components]
     levels = range(spec.levels + 1)
-    best = -np.inf
-    for shift in shift_list(spec, shifts):
-        terms = [m ** (1.0 / q) for m in maximal.cube_averages(
-            spec, wv.v.values, outer, shift, levels)]
-        for w, sj, qj in zip(inv, inner, wv.qs):
-            for t, m in zip(terms, maximal.cube_averages(
-                    spec, w.values, sj, shift, levels)):
-                t *= m ** (1.0 / qj)
-        for term in terms:
-            best = max(best, float(np.max(term)))
-    return best
+    terms = [m ** (1.0 / q) for m in maximal.cube_averages(
+        spec, wv.v.values, outer, 0, levels)]
+    for w, sj, qj in zip(inv, inner, wv.qs):
+        for t, m in zip(terms, maximal.cube_averages(
+                spec, w.values, sj, 0, levels)):
+            t *= m ** (1.0 / qj)
+    return max(float(np.max(term)) for term in terms)
 
 
 def make_power_weight(spec: GridSpec, a: float, center="center") -> Weight:

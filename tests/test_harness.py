@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ def test_config_roundtrip(tmp_path):
     (lambda d: d["corpus"].update(size=-1), "corpus.size"),
     (lambda d: d["corpus"].pop("seed"), "corpus.seed"),
     (lambda d: d.update(params=[1, 2]), "params"),
+    pytest.param(lambda d: d["params"].update(pannel=[0.0]), "params.pannel",
+                 id="misspelt-param"),
+    pytest.param(lambda d: d["params"].update(eps=0.5), "params.eps",
+                 id="param-of-another-kind"),
+    pytest.param(lambda d: d["grid"].update(periodc=False), "grid.periodc",
+                 id="misspelt-grid-key"),
+    pytest.param(lambda d: d["corpus"].update(sise=4), "corpus.sise",
+                 id="misspelt-corpus-key"),
+    pytest.param(lambda d: d.update(param={}), "param",
+                 id="misspelt-top-level-key"),
+    pytest.param(lambda d: d["grid"].update(periodic="false"),
+                 "grid.periodic", id="string-periodic"),
+    pytest.param(lambda d: d["grid"].update(periodic=0), "grid.periodic",
+                 id="integer-periodic"),
 ])
 def test_config_validation_names_field(mutate, field):
     doc = base_doc()
@@ -124,11 +139,34 @@ def test_config_validation_names_field(mutate, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parents[1]
+                                         .glob("configs/*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    """Each shipped config passes validation and its file name names its
+    kind; with every param of the kind spelled out at its default it passes
+    too, so no default breaks its own checks."""
+    cfg = ExperimentConfig.from_file(path)
+    assert cfg.kind == path.stem.replace("_", "-")
+    doc = json.loads(path.read_text())
+    doc["params"] = dict(harness._PARAMS[cfg.kind])
+    ExperimentConfig.from_dict(doc)
+
+
 def test_config_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize("text", ["5", '"kind"', "[1]"])
+def test_cli_config_not_an_object_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["maximal", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -269,21 +307,28 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     (lambda d: d["grid"].update(levels=30), "grid.levels"),
     (lambda d: d["params"].update(ps=[1, "x"]), "params.ps"),
     (lambda d: d["params"].update(rs=2.0), "params.rs"),
-    (lambda d: d["params"].update(qs=[]), "params.qs"),
-    (lambda d: d["params"].update(panel=[0.0, None]), "params.panel"),
-    (lambda d: d["params"].update(levels=[4, 0]), "params.levels"),
-    (lambda d: d["params"].update(levels=[4.0, 6.0]), "params.levels"),
-    (lambda d: d["params"].update(family_sizes=[1, True]),
+    (lambda d: d.update(kind="weighted", params={"qs": []}), "params.qs"),
+    (lambda d: d.update(kind="weights", params={"panel": [0.0, None]}),
+     "params.panel"),
+    (lambda d: d.update(kind="weights", params={"levels": [4, 0]}),
+     "params.levels"),
+    (lambda d: d.update(kind="weights", params={"levels": [4.0, 6.0]}),
+     "params.levels"),
+    (lambda d: d.update(kind="theorem11", params={"family_sizes": [1, True]}),
      "params.family_sizes"),
-    (lambda d: d["params"].update(eps="0.5"), "params.eps"),
-    (lambda d: d["params"].update(child_budget=[0.25]), "params.child_budget"),
-    (lambda d: d["params"].update(bad_exponent=None), "params.bad_exponent"),
+    (lambda d: d.update(kind="build-sparse", params={"eps": "0.5"}),
+     "params.eps"),
+    (lambda d: d.update(kind="build-sparse", params={"child_budget": [0.25]}),
+     "params.child_budget"),
+    (lambda d: d.update(kind="weighted", params={"bad_exponent": None}),
+     "params.bad_exponent"),
     (lambda d: d["params"].update(components=2.5), "params.components"),
     pytest.param(lambda d: d["params"].update(ps=[0, 1.0]), "params.ps",
                  id="nonpositive-ps"),
-    pytest.param(lambda d: d["params"].update(eps=-1), "params.eps",
-                 id="nonpositive-eps"),
-    pytest.param(lambda d: d["params"].update(child_budget=0.75),
+    pytest.param(lambda d: d.update(kind="build-sparse", params={"eps": -1}),
+                 "params.eps", id="nonpositive-eps"),
+    pytest.param(lambda d: d.update(kind="build-sparse",
+                                    params={"child_budget": 0.75}),
                  "params.child_budget", id="child-budget-above-half"),
     pytest.param(lambda d: d["params"].update(rs=[2.0]), "params.rs",
                  id="maximal-fewer-rs-than-ps"),

@@ -17,7 +17,6 @@ from sparsedom import (
     SparseCollection,
     build_sparse_collection,
     generate_corpus,
-    integral_of_form,
     localized_maximal,
     lower_direction_check,
     sparse_form,
@@ -629,14 +628,3 @@ def test_lower_direction_on_adversarial_collections():
         check = lower_direction_check(verdict.collection, fs, (1.0, 2.0))
         assert check["holds"]
         assert check["ratio"] <= 2.0 * (1 + 1e-9)
-
-
-def test_integral_of_form_region():
-    spec = GridSpec(1, 3, periodic=True)
-    rng = np.random.default_rng(18)
-    fs = random_inputs(spec, 2, 1, rng)
-    whole = integral_of_form(fs, (1.0, 1.0))
-    left = integral_of_form(fs, (1.0, 1.0), region=np.arange(4))
-    right = integral_of_form(fs, (1.0, 1.0), region=np.arange(4, 8))
-    assert whole == pytest.approx(left + right)
-    assert integral_of_form(fs, (1.0, 1.0), region=np.array([])) == 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, SparsedomError
 from .harness import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
@@ -31,6 +32,9 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError("must be a nonnegative integer", field="--seed")
+        out = Path(args.out)
+        if any(p.exists() and not p.is_dir() for p in (out, *out.parents)):
+            raise ConfigError("must name a directory", field="--out")
         cfg = ExperimentConfig.from_file(args.config)
         if cfg.kind != args.command:
             print(f"error: config describes a {cfg.kind!r} experiment, "

@@ -345,11 +345,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"invalid JSON: {err}", field=str(path))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read: {err}", field=str(path)) from None
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"invalid JSON: {err}", field=str(path))
         if not isinstance(doc, dict):
             raise ConfigError("must hold a JSON object", field=str(path))
         return cls.from_dict(doc)
@@ -447,27 +448,34 @@ def run_maximal(cfg: ExperimentConfig) -> ReportBuilder:
     n_comp = int(cfg.param("components"))
     corpus = generate_corpus(cfg.corpus_kind, cfg.seed, cfg.corpus_size,
                              cfg.grid, n_slots=len(ps), n_components=n_comp)
-    partition = [[j] for j in range(len(ps))]
-    if len(ps) > 1:
-        partition = [[0], list(range(1, len(ps)))]
+    n = len(ps)
+    # every contiguous two-block split of the slots; one slot has none, and
+    # its one-block partition is the joint maximal function itself
+    splits = [[list(range(s)), list(range(s, n))] for s in range(1, n)] \
+        or [[[0]]]
     r = holder_aggregate(rs)
     rows = []
     worst = 0.0
+    sandwich_ok = True
     for i, tup in enumerate(corpus):
         inputs = list(tup)
         left = maximal.vector_maximal(inputs, ps, r=r).values[:, 0]
-        mid = maximal.partitioned_maximal(inputs, ps, rs,
-                                          partition).values[:, 0]
         right = maximal.holder_dominator(inputs, ps, rs).values[:, 0]
         scale = max(float(right.max()), 1e-300)
-        gap = max(float(np.max(left - mid)), float(np.max(mid - right)))
-        worst = max(worst, gap / scale)
+        for split in splits:
+            mid = maximal.partitioned_maximal(inputs, ps, rs,
+                                              split).values[:, 0]
+            gap = max(float(np.max(left - mid)), float(np.max(mid - right)))
+            worst = max(worst, gap / scale)
+            # pointwise, so a breach far below the sup counts too
+            sandwich_ok &= bool(np.all(left <= mid * (1 + 1e-9) + 1e-15)
+                                and np.all(mid <= right * (1 + 1e-9) + 1e-15))
         try:
             quotient = maximal.weak_type_quotient(inputs, ps, rs)
         except ZeroInputError:
             quotient = None
         rows.append([i, float(left.max()), float(right.max()), quotient])
-    rep.asserted("holder-sandwich", worst <= 1e-9, worst_violation=worst,
+    rep.asserted("holder-sandwich", sandwich_ok, worst_violation=worst,
                  trials=len(corpus))
     rep.recorded("weak-type-quotients",
                  values=[row[3] for row in rows if row[3] is not None])
@@ -551,7 +559,7 @@ def run_equivalence(cfg: ExperimentConfig) -> ReportBuilder:
         coll.validate()
         integral = sparse.integral_of_form(inputs, ps, r=1.0,
                                            shifts="canonical")
-        upper_ok &= value <= 2.0 * integral * (1.0 + 1e-9) + 1e-12
+        upper_ok &= value <= 2.0 * integral * (1.0 + 1e-9)
         c_emp = integral / value if value > 0 else None
         if c_emp is not None:
             c_emps.append(c_emp)

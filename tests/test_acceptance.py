@@ -1,42 +1,23 @@
 """Acceptance gate: ten structural criteria, one printed verdict line each.
 
-Each test prints `criterion NN <name>: PASS|FAIL` before asserting, so a full
-run (`pytest -s tests/test_acceptance.py`) yields one line per criterion.
+Each criterion runs configs (`configs/*.json`, `configs/acceptance/*.json`)
+and needs every run to exit 0 with its ASSERTED rows passing.  Each test
+prints `criterion NN <name>: PASS|FAIL` before asserting, so a full run
+(`pytest -s tests/test_acceptance.py`) yields one line per criterion.
 """
 
-import itertools
+import csv
+import json
+import math
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from sparsedom import (
-    ExperimentConfig,
-    GridFunction,
-    GridSpec,
-    OperatorFamily,
-    admissible_sparse_tuple,
-    build_sparse_collection,
-    discrete_bht,
-    discrete_bht_reference,
-    estimate_sparse_norm_lower_bound,
-    generate_corpus,
-    holder_dominator,
-    integral_of_form,
-    lower_direction_check,
-    partitioned_maximal,
-    sparse_form,
-    sup_sparse_form,
-    vector_maximal,
-    verify_sparsity,
-)
-from sparsedom.harness import run_theorem11, run_weighted, run_weights
-from sparsedom.lattice import enumerate_cubes, holder_aggregate
+from sparsedom import ExperimentConfig, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-REL_TOL = 1e-9
+ACCEPTANCE = CONFIG_DIR / "acceptance"
 
 
 def verdict(number, name, ok):
@@ -44,212 +25,146 @@ def verdict(number, name, ok):
     assert ok, f"criterion {number} ({name}) failed"
 
 
-def report_row(rep, row_id):
-    for row in rep.rows:
-        if row["id"] == row_id:
-            return row
-    raise KeyError(row_id)
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """Run one config; return its exit code, report rows by id and output
+    directory."""
+    def run_config(path):
+        out = tmp_path_factory.mktemp(path.stem)
+        code = run_experiment(ExperimentConfig.from_file(path), out)
+        report = json.loads((out / "report.json").read_text())
+        return code, {row["id"]: row for row in report["rows"]}, out
+    return run_config
+
+
+def passed(code, rows, *row_ids):
+    """The run exited 0 and each of row_ids is an ASSERTED row that passed."""
+    return code == 0 and all(rows.get(i, {}).get("pass") is True
+                             for i in row_ids)
+
+
+def table(out, name):
+    with open(out / f"{name}.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 # ---------------------------------------------------------------------------
-# shared 500-trial construction corpus (criteria 1-3)
+# the 500-trial construction panel (criteria 1-3): one build-sparse config
+# per grid, each running both stopping-time variants on 100 corpus items
 
-GRID_PANEL = ((1, 6), (1, 8), (1, 10), (2, 4), (2, 5))
-TRIALS_PER_GRID = 100
-PS, RS, EPS = (1.0, 1.0), (2.0, 2.0), 0.5
+PANEL = sorted(ACCEPTANCE.glob("construction_*.json"))
 
 
 @pytest.fixture(scope="module")
-def construction_corpus():
+def construction_panel(run):
     start = time.monotonic()
-    results = []
-    for gi, (d, k) in enumerate(GRID_PANEL):
-        spec = GridSpec(d, k, periodic=True)
-        corpus = generate_corpus("mixed", 1000 + gi, TRIALS_PER_GRID, spec,
-                                 n_slots=2, n_components=2)
-        for tup in corpus:
-            for variant, eps in ((1, EPS), (2, None)):
-                rep = build_sparse_collection(list(tup), PS, RS, eps=eps,
-                                              variant=variant)
-                results.append((rep, tup, variant))
-    return results, time.monotonic() - start
+    runs = [run(path) for path in PANEL]
+    return runs, time.monotonic() - start
 
 
-def test_criterion_01_sparsity_exactness(construction_corpus):
-    results, elapsed = construction_corpus
-    ok = len(results) == 2 * TRIALS_PER_GRID * len(GRID_PANEL)
-    for rep, _, _ in results:
-        ok &= rep.collection.is_valid()
-    ok &= elapsed < 300.0
+def panel_passes(runs, row_id):
+    return len(runs) == 5 and all(passed(code, rows, row_id)
+                                  for code, rows, _ in runs)
+
+
+def test_criterion_01_sparsity_exactness(construction_panel):
+    runs, elapsed = construction_panel
+    ok = panel_passes(runs, "sparsity-exact") and elapsed < 300.0 and all(
+        rows["sparsity-exact"]["trials"] == 100 for _, rows, _ in runs)
     verdict(1, "sparsity exactness (500 trials, both variants)", ok)
 
 
-def test_criterion_02_child_measure_budget(construction_corpus):
-    results, _ = construction_corpus
+def test_criterion_02_child_measure_budget(construction_panel):
+    runs, _ = construction_panel
+    # child_measure <= 2^-16 * size is exact in floating point
+    verdict(2, "stopping-child measure budget 2^-16 (exact)",
+            panel_passes(runs, "child-measure-budget"))
+
+
+def test_criterion_03_factor2_lower_direction(construction_panel):
+    runs, _ = construction_panel
+    verdict(3, "factor-2 lower direction on every constructed collection",
+            panel_passes(runs, "factor2-lower-direction"))
+
+
+def test_criterion_04_holder_sandwich(run):
+    code, rows, _ = run(ACCEPTANCE / "sandwich.json")
+    verdict(4, "pointwise Hoelder domination and partition sandwich",
+            passed(code, rows, "holder-sandwich"))
+
+
+def test_criterion_05_domination_stability(run):
     ok = True
-    for rep, _, _ in results:
-        for node in rep.nodes:
-            # exact integer comparison of sum |L| * 2^16 <= |Q|
-            ok &= node.child_measure * 2 ** 16 <= node.size
-    verdict(2, "stopping-child measure budget 2^-16 (exact)", ok)
-
-
-def test_criterion_03_factor2_lower_direction(construction_corpus):
-    results, _ = construction_corpus
-    ok = True
-    # every constructed collection
-    for rep, tup, variant in results:
-        exps = [p + EPS for p in PS] if variant == 1 else list(PS)
-        check = lower_direction_check(rep.collection, list(tup), exps, rs=RS)
-        ok &= check["holds"]
-    # plus independently enumerated feasible collections
-    spec = GridSpec(1, 4, periodic=True)
-    rng = np.random.default_rng(3003)
-    checked = 0
-    while checked < 25:
-        fs = [GridFunction(spec, rng.uniform(0, 3, size=(spec.ncells, 1)))
-              for _ in range(2)]
-        cubes = [c for c in enumerate_cubes(spec, shifts="canonical")
-                 if rng.random() < 0.4]
-        v = verify_sparsity(spec, cubes)
-        if not v:
-            continue
-        ok &= lower_direction_check(v.collection, fs, (1.0, 2.0))["holds"]
-        checked += 1
-    verdict(3, "factor-2 lower direction on every feasible collection", ok)
-
-
-def test_criterion_04_holder_sandwich():
-    spec = GridSpec(1, 6, periodic=True)
-    ps, rs = (1.0, 1.5, 2.0), (4.0, 4.0, 2.0)
-    r_all = holder_aggregate(rs)
-    corpus = generate_corpus("mixed", 44, 200, spec, n_slots=3,
-                             n_components=3)
-    ok = True
-    for tup in corpus:
-        fs = list(tup)
-        joint = vector_maximal(fs, ps, r=r_all).values[:, 0]
-        middle = partitioned_maximal(fs, ps, rs, [[0, 1], [2]]).values[:, 0]
-        product = holder_dominator(fs, ps, rs).values[:, 0]
-        ok &= bool(np.all(joint <= middle * (1 + REL_TOL) + 1e-15))
-        ok &= bool(np.all(middle <= product * (1 + REL_TOL) + 1e-15))
-    verdict(4, "pointwise Hoelder domination and partition sandwich", ok)
-
-
-def test_criterion_05_domination_stability():
     c_by_k = {}
     for k in (6, 8, 10):
-        spec = GridSpec(1, k, periodic=True)
-        corpus = generate_corpus("mixed", 55, 30, spec, n_slots=2,
-                                 n_components=2)
-        best = 0.0
-        for tup in corpus:
-            rep = build_sparse_collection(list(tup), PS, RS, variant=2)
-            if rep.rhs > 0:
-                best = max(best, rep.lhs / rep.rhs)
-        c_by_k[k] = best
+        code, rows, out = run(ACCEPTANCE / f"stability_k{k}.json")
+        ok &= passed(code, rows)
+        c_by_k[k] = max((float(row["theta_emp"])
+                         for row in table(out, "build_sparse_trials")
+                         if row["variant"] == "2" and row["theta_emp"]),
+                        default=0.0)
     values = list(c_by_k.values())
-    ok = all(v > 0 and np.isfinite(v) for v in values) and \
+    ok &= all(v > 0 and math.isfinite(v) for v in values) and \
         max(values) <= 2.0 * min(values)
     print(f"  recorded C_emp by K: "
           f"{ {k: round(v, 3) for k, v in c_by_k.items()} }")
     verdict(5, "construction constant stable within 2x across K", ok)
 
 
-def test_criterion_06_bruteforce_equivalence():
+def test_criterion_06_bruteforce_equivalence(run):
     start = time.monotonic()
     ok = True
     c_values = []
-    seeds = iter(range(600, 800))
-    for i in range(50):
-        k = (2, 3, 4)[i % 3]
-        spec = GridSpec(1, k, periodic=False)
-        rng = np.random.default_rng(next(seeds))
-        fs = [GridFunction(spec, rng.uniform(0, 3, size=(spec.ncells, 1)))
-              for _ in range(2)]
-        value, coll = sup_sparse_form(fs, PS, mode="bruteforce")
-        coll.validate()
-        integral = integral_of_form(fs, PS, shifts="canonical")
-        ok &= value <= 2.0 * integral * (1 + REL_TOL)
-        ok &= value > 0 and np.isfinite(integral / value)
-        c_values.append(integral / value)
-        if k == 2:
-            # cross-check the tree optimum against the exhaustive power-set
-            # enumeration of sparse subfamilies
-            cubes = list(enumerate_cubes(spec, shifts="canonical"))
-            best = 0.0
-            for m in range(1, len(cubes) + 1):
-                for sub in itertools.combinations(cubes, m):
-                    if verify_sparsity(spec, list(sub)):
-                        best = max(best, sparse_form(spec, list(sub), fs, PS))
-            ok &= abs(best - value) <= REL_TOL * max(1.0, best)
+    for k in (2, 3, 4):
+        code, rows, out = run(ACCEPTANCE / f"equivalence_k{k}.json")
+        ok &= passed(code, rows, "supform-le-2-integral",
+                     "greedy-le-optimum")
+        # an empty c_emp marks a vanishing optimum
+        c_values += [float(row["c_emp"] or "nan")
+                     for row in table(out, "equivalence_trials")]
     elapsed = time.monotonic() - start
+    ok &= len(c_values) == 50 and all(map(math.isfinite, c_values))
     ok &= elapsed < 120.0
     print(f"  recorded C_emp range: [{min(c_values):.3f}, "
           f"{max(c_values):.3f}] in {elapsed:.1f}s")
-    verdict(6, "exact optimizer vs power-set oracle, factor 2", ok)
+    verdict(6, "exact optimizer vs maximal integral, factor 2", ok)
 
 
-def test_criterion_07_family_size_transfer():
-    cfg = ExperimentConfig.from_file(CONFIG_DIR / "theorem11.json")
-    rep = run_theorem11(cfg)
-    row = report_row(rep, "c-emp-stable-in-family-size")
-    print(f"  recorded C_emp by family size: {row.get('c_emp')}")
+def test_criterion_07_family_size_transfer(run):
+    code, rows, _ = run(CONFIG_DIR / "theorem11.json")
+    c_emp = rows["c-emp-stable-in-family-size"]["c_emp"]
+    print(f"  recorded C_emp by family size: "
+          f"{ {int(n): c for n, c in c_emp.items()} }")
     verdict(7, "vector domination constant stable across family sizes",
-            bool(row["pass"]) and not rep.failures)
+            passed(code, rows, "c-emp-stable-in-family-size"))
 
 
-def test_criterion_08_weight_finiteness_agreement():
-    cfg = ExperimentConfig.from_file(CONFIG_DIR / "weights.json")
-    rep = run_weights(cfg)
-    row = report_row(rep, "finiteness-agreement")
-    inconclusive = report_row(rep, "inconclusive-entries")
+def test_criterion_08_weight_finiteness_agreement(run):
+    code, rows, _ = run(CONFIG_DIR / "weights.json")
     print(f"  inconclusive entries (reported, not failed): "
-          f"{inconclusive.get('entries')}")
+          f"{rows['inconclusive-entries']['entries']}")
     verdict(8, "factorization and diagonal identity agree on the panel",
-            bool(row["pass"]) and not rep.failures)
+            passed(code, rows, "finiteness-agreement"))
 
 
-def test_criterion_09_singular_model():
-    ok = True
-    # reference agreement on every instance up to 64 cells
-    for k in (3, 4, 5, 6):
-        spec = GridSpec(1, k, periodic=True)
-        rng = np.random.default_rng(900 + k)
-        t = spec.side // 4
-        for variant in ("sign", "smooth"):
-            op = discrete_bht(spec, t, variant=variant)
-            for _ in range(3):
-                gs = [GridFunction(spec, rng.normal(size=(spec.ncells, 1)))
-                      for _ in range(3)]
-                got = op.evaluate(gs)
-                want = discrete_bht_reference(gs, t, variant=variant)
-                ok &= abs(got - want) <= 1e-12 * max(1.0, abs(want))
-    # admissibility range pins
-    ok &= admissible_sparse_tuple((2.0, 2.0, 2.0))
-    ok &= not admissible_sparse_tuple((1.0, 1.0, 1.0))
-    # empirical sparse-norm lower bound, recorded across refinements
-    bounds = {}
-    for k in (6, 8, 10):
-        spec = GridSpec(1, k, periodic=True)
-        op = discrete_bht(spec, spec.side // 4)
-        corpus = generate_corpus("mixed", 99, 40, spec, n_slots=3)
-        result = estimate_sparse_norm_lower_bound(op, (2.0, 2.0, 2.0), corpus)
-        bounds[k] = result["value"]
-    ok &= all(np.isfinite(v) for v in bounds.values())
+def test_criterion_09_singular_model(run):
+    code, rows, _ = run(ACCEPTANCE / "singular.json")
+    ok = passed(code, rows, "matches-triple-loop", "tuple-2-2-2-admissible",
+                "tuple-1-1-1-rejected")
+    bounds = {k: v for k, v, _ in
+              rows["sparse-norm-lower-bound"]["by_level"]}
+    ok &= all(map(math.isfinite, bounds.values()))
     print(f"  recorded sparse-norm lower bounds by K: "
           f"{ {k: round(v, 4) for k, v in bounds.items()} }")
     verdict(9, "singular model reference match and admissibility pins", ok)
 
 
-def test_criterion_10_weighted_contrast():
-    cfg = ExperimentConfig.from_file(CONFIG_DIR / "weighted.json")
-    rep = run_weighted(cfg)
-    good = report_row(rep, "good-weights-stable")
-    bad = report_row(rep, "bad-weight-grows")
+def test_criterion_10_weighted_contrast(run):
+    code, rows, out = run(CONFIG_DIR / "weighted.json")
     sups = {}
-    for row in rep.tables["weighted_quotients"][1]:
-        sups.setdefault(row[0], []).append(round(row[2], 3))
+    for row in table(out, "weighted_quotients"):
+        sups.setdefault(row["weight"], []).append(
+            round(float(row["sup_quotient"]), 3))
     print(f"  sup quotients by weight and K: {sups}")
     verdict(10, "weighted quotients: stable in class, growing out of class",
-            bool(good["pass"]) and bool(bad["pass"]) and not rep.failures)
+            passed(code, rows, "good-weights-stable", "bad-weight-grows"))

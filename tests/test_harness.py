@@ -139,15 +139,19 @@ def test_config_validation_names_field(mutate, field):
     assert err.value.field == field
 
 
-@pytest.mark.parametrize("path", sorted(Path(__file__).resolve().parents[1]
-                                         .glob("configs/*.json")),
-                         ids=lambda p: p.name)
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json"))
+                         + sorted(CONFIG_DIR.glob("acceptance/*.json")),
+                         ids=lambda p: p.relative_to(CONFIG_DIR).as_posix())
 def test_shipped_config_loads(path):
-    """Each shipped config passes validation and its file name names its
-    kind; with every param of the kind spelled out at its default it passes
-    too, so no default breaks its own checks."""
+    """Each shipped and acceptance config passes validation, and a shipped
+    config's file name names its kind; with every param of the kind spelled
+    out at its default it passes too, so no default breaks its own checks."""
     cfg = ExperimentConfig.from_file(path)
-    assert cfg.kind == path.stem.replace("_", "-")
+    if path.parent == CONFIG_DIR:
+        assert cfg.kind == path.stem.replace("_", "-")
     doc = json.loads(path.read_text())
     doc["params"] = dict(harness._PARAMS[cfg.kind])
     ExperimentConfig.from_dict(doc)
@@ -167,6 +171,25 @@ def test_cli_config_not_an_object_exits_2(text, tmp_path, capsys):
     assert main(["maximal", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,out,named", [
+    pytest.param("missing.json", "o", "missing.json", id="config-missing"),
+    pytest.param("dir", "o", "dir", id="config-is-a-directory"),
+    pytest.param("latin1.json", "o", "latin1.json", id="config-not-utf8"),
+    pytest.param("cfg.json", "file", "--out", id="out-is-a-file"),
+    pytest.param("cfg.json", "file/sub", "--out", id="out-inside-a-file"),
+])
+def test_cli_unusable_path_exits_2(config, out, named, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "\xff"}')
+    (tmp_path / "cfg.json").write_text(json.dumps(base_doc()))
+    (tmp_path / "file").write_text("kept")
+    assert main(["maximal", "--config", str(tmp_path / config),
+                 "--out", str(tmp_path / out)]) == 2
+    assert named in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == "kept"
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +457,37 @@ def test_maximal_propagates_unexpected_quotient_errors(monkeypatch, tmp_path):
     monkeypatch.setattr(maximal, "weak_type_quotient", broken)
     with pytest.raises(RuntimeError):
         run_experiment(small_config("maximal"), tmp_path)
+
+
+@pytest.mark.parametrize("faulty_split,excess", [
+    pytest.param([[0, 1], [2]], lambda mid, prod: prod * (1 + 1e-6),
+                 id="second-split"),
+    # within 1e-9 of the sup, so only a pointwise rule sees it
+    pytest.param([[0], [1, 2]], lambda mid, prod: np.where(
+        prod == prod.min(), prod + 1e-10 * prod.max(), mid),
+                 id="far-below-sup"),
+])
+def test_holder_sandwich_fails_on_planted_excess(faulty_split, excess,
+                                                 monkeypatch, tmp_path):
+    """A partitioned maximal function above the Hoelder product on one
+    split fails the sandwich, wherever the excess sits."""
+    real = maximal.partitioned_maximal
+
+    def planted(inputs, ps, rs, partition):
+        out = real(inputs, ps, rs, partition)
+        if partition == faulty_split:
+            product = maximal.holder_dominator(inputs, ps, rs).values[:, 0]
+            out = GridFunction(out.spec, excess(out.values[:, 0], product))
+        return out
+
+    cfg = ExperimentConfig.from_dict(base_doc(
+        ps=[1.0, 1.5, 2.0], rs=[4.0, 4.0, 2.0], components=3))
+    assert run_experiment(cfg, tmp_path / "clean") == 0
+    monkeypatch.setattr(maximal, "partitioned_maximal", planted)
+    assert run_experiment(cfg, tmp_path / "planted") == 1
+    report = json.loads((tmp_path / "planted" / "report.json").read_text())
+    row = [r for r in report["rows"] if r["id"] == "holder-sandwich"][0]
+    assert row["pass"] is False
 
 
 def test_maximal_skips_vanishing_factor_norm(monkeypatch, tmp_path):

@@ -179,8 +179,8 @@ def _axis_cube_ids(side: int, periodic: bool, level: int, digit: int):
     return ids, n_ids
 
 
-@lru_cache(maxsize=4096)
-def _cube_maps(d: int, levels: int, periodic: bool, shift: int, level: int):
+def _build_cube_map(d: int, levels: int, periodic: bool, shift: int,
+                    level: int):
     """Flat map cell -> cube id for one shift/level, plus cell counts per cube.
 
     Every cell belongs to exactly one cube of each shifted lattice at each
@@ -205,9 +205,59 @@ def _cube_maps(d: int, levels: int, periodic: bool, shift: int, level: int):
     return cell_ids, counts, n_cubes
 
 
+_cube_maps = lru_cache(maxsize=4096)(_build_cube_map)
+
+
 def cell_to_cube_map(spec: GridSpec, shift: int, level: int):
     """Public accessor for the (cell -> cube id, counts, n_cubes) map."""
     return _cube_maps(spec.d, spec.levels, spec.periodic, shift, level)
+
+
+@lru_cache(maxsize=64)
+def _stacked_maps(d: int, levels: int, periodic: bool, shifts: str):
+    """Every distinct (level, shift) map of one grid and shift policy, stacked.
+
+    ids has one row per lattice, level-major and shifts in shift_list order,
+    each row the cell -> cube id map of that lattice with its ids moved past
+    those of all earlier rows; counts holds the cells per stacked id.  The
+    rows of level j are rows[j]:rows[j + 1] and its ids starts[j]:starts[j +
+    1].  A shift whose map repeats one already stacked at its level is
+    skipped: at level 0 every shift is the unit-cell lattice, and on periodic
+    grids every shift of the top level is the whole torus.  The per-level
+    maps are built uncached, so they are not kept alive beside the stack.
+    """
+    spec = GridSpec(d, levels, periodic)
+    stacked, counts, starts, rows = [], [], [], []
+    offset = 0
+    for level in range(levels + 1):
+        starts.append(offset)
+        rows.append(len(stacked))
+        seen = []
+        for shift in shift_list(spec, shifts):
+            cell_ids, cube_counts, n_cubes = _build_cube_map(
+                d, levels, periodic, shift, level)
+            if any(np.array_equal(cell_ids, other) for other in seen):
+                continue
+            seen.append(cell_ids)
+            stacked.append(cell_ids + offset)
+            counts.append(cube_counts)
+            offset += n_cubes
+    starts.append(offset)
+    rows.append(len(stacked))
+    ids = np.stack(stacked)
+    counts = np.concatenate(counts)
+    for a in (ids, counts):
+        a.setflags(write=False)
+    return ids, counts, tuple(starts), tuple(rows)
+
+
+def stacked_cube_map(spec: GridSpec, shifts: str):
+    """Public accessor for the (ids, counts, id starts, row starts) stack.
+
+    The levels lo..hi are the rows rows[lo]:rows[hi + 1] of ids, and their
+    cube ids the contiguous range starts[lo]:starts[hi + 1].
+    """
+    return _stacked_maps(spec.d, spec.levels, spec.periodic, shifts)
 
 
 def enumerate_cubes(spec: GridSpec, shifts: str = "canonical",

@@ -1,14 +1,21 @@
 """Maximal operators on dyadic grids.
 
-Everything here reduces to one primitive: for each shifted lattice and each
-level inside a truncation window, compute per-cube power means of each input
-component, form the product over input slots, scatter back to cells, and keep
-a running pointwise maximum.  The l^r aggregate over components is applied at
-the end.  The power means of one array, exponent and shift share one
-normalized power |g/max g|^p; each level sums it per cube with one bincount.
-Truncation windows are half-open side-length intervals (s, t]: a cube of side
-2^j participates iff s < 2^j <= t, so (0, 2^K] is the full untruncated
-operator and the one-cell truncation floor corresponds to any s < 1.
+Everything here reduces to one primitive, component_sup: the supremum, per
+cell and component, of the product over input slots of per-cube power
+means, taken over every cube of the 3^d shifted lattices (or the canonical
+one) inside a truncation window.  The cell -> cube maps of every distinct
+(level, shift) lattice of a grid are stacked into one id space, level-major,
+so a window is one contiguous slice of the stack.  Each slot and component is
+normalized by its maximum and raised to the power p once; one bincount of
+that power, tiled over the slice, gives every cube sum, the means of all
+slots multiply into one product per cube, and a single gather and max over
+the lattices scatters the products back to cells.  The l^r aggregate over
+components is applied at the end.  Truncation windows are half-open
+side-length intervals (s, t]: a cube of side 2^j participates iff
+s < 2^j <= t, so (0, 2^K] is the full untruncated operator and the
+one-cell truncation floor corresponds to any s < 1.  cube_averages, the
+one-shift power means with a caller's list of levels, serves the weight
+characteristics.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .lattice import (
     cube_cells,
     holder_aggregate,
     lr_norm_rows,
-    shift_list,
+    stacked_cube_map,
 )
 
 
@@ -107,26 +114,39 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
                   shifts: str = "all", window=None) -> np.ndarray:
     """sup over admissible cubes of prod_j <f^j_k>_{p_j,Q}, per cell and component.
 
-    Shape (ncells, N).  This is the inner supremum of the vector-valued
-    multilinear maximal function before the l^r aggregation.
+    Shape (ncells, N), C-contiguous.  This is the inner supremum of the
+    vector-valued multilinear maximal function before the l^r aggregation.
+    One bincount per slot and component sums |f^j_k / max f^j_k|^p_j over
+    every cube of the window's (level, shift) lattices at once, on the
+    stacked cell -> cube map; each bin adds its cells in increasing cell
+    order, so every mean has the bits of a one-lattice computation.  The
+    means multiply into one product per stacked cube, slot by slot, and one
+    gather back to cells with a max over the lattices finishes the
+    supremum.  An all-zero component keeps scale 1, giving +0.0 means.
     """
     spec, n_comp = _check_common_spec(inputs)
     _check_ps(ps)
     if len(ps) != len(inputs):
         raise SpecMismatchError("one exponent per input slot required")
     levels = _window_levels(spec, window)
-    best = np.zeros((spec.ncells, n_comp))
-    for shift in shift_list(spec, shifts):
-        means = [[cube_averages(spec, f.values[:, k], p, shift, levels)
-                  for k in range(n_comp)] for f, p in zip(inputs, ps)]
-        for i, level in enumerate(levels):
-            ids, _, n_cubes = cell_to_cube_map(spec, shift, level)
-            prod = np.ones((n_cubes, n_comp))
-            for slot in means:
-                for k in range(n_comp):
-                    prod[:, k] *= slot[k][i]
-            np.maximum(best, prod[ids, :], out=best)
-    return best
+    lo, hi = levels[0], levels[-1] + 1
+    stacked, counts, starts, rows = stacked_cube_map(spec, shifts)
+    ids = stacked[rows[lo]:rows[hi]]
+    first, end = starts[lo], starts[hi]
+    counts = counts[first:end]
+    prod = np.ones((n_comp, end))    # entries below first are never gathered
+    for f, p in zip(inputs, ps):
+        a = np.abs(f.values)
+        for k in range(n_comp):
+            scale = float(a[:, k].max()) or 1.0
+            powered = np.tile((a[:, k] / scale) ** p, len(ids))
+            sums = np.bincount(ids.ravel(), weights=powered,
+                               minlength=end)[first:]
+            prod[k, first:] *= scale * (sums / counts) ** (1.0 / p)
+    out = np.empty((spec.ncells, n_comp))
+    for k in range(n_comp):
+        out[:, k] = prod[k].take(ids).max(axis=0)
+    return out
 
 
 def vector_maximal(inputs: Sequence[GridFunction], ps: Sequence[float],

@@ -463,7 +463,7 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
             majors.append(cells_q)
             nodes.append(StoppingNode(q, None, 0, 0, size_q, 0.0, 0.0, 0.0,
                                       0))
-            return
+            return a_loc
 
         c = c0
         for doublings in range(_MAX_DOUBLINGS + 1):
@@ -473,7 +473,8 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
                 mask |= arr >= th
             exc_count = int(np.count_nonzero(mask[cells_q]))
             kids = _stopping_children(spec, q, mask)
-            kid_measure = sum(len(cube_cells(spec, L)) for L in kids)
+            # shift-0 subcubes of a shift-0 node lie inside the domain
+            kid_measure = sum(L.side ** spec.d for L in kids)
             if kid_measure <= child_budget * size_q and \
                     exc_count <= exc_budget * size_q:
                 break
@@ -494,18 +495,23 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
                                   ratios[0], ratios[1], ratios[2], len(kids)))
         for kid in kids:
             recurse(kid)
+        return a_loc
 
     root = DyadicCube(shift=0, level=spec.levels,
                       corner=(0,) * spec.d)
-    recurse(root)
+    # the root's localized maximal functions are the full ones, so they give
+    # lhs: the Hoelder majorant (variant 1) or the form's maximal function
+    a_root = recurse(root)
 
     collection = SparseCollection(spec, cubes, majors)
     collection.validate()
     if variant == 1:
-        lhs = float(np.sum(maximal.holder_dominator(
-            list(inputs), ps, rs).values[:, 0]))
+        dominator = np.ones(spec.ncells)
+        for a in a_root:
+            dominator *= a
+        lhs = float(np.sum(dominator))
     else:
-        lhs = integral_of_form(inputs, ps, r=r_agg)
+        lhs = float(np.sum(a_root[0]))
     rhs = sparse_form(spec, cubes, inputs, form_exps, rs)
     return ConstructionReport(collection, nodes, lhs, rhs)
 

@@ -19,6 +19,8 @@ from sparsedom.errors import (
     ZeroInputError,
 )
 from sparsedom.lattice import (
+    _cube_maps,
+    _stacked_maps,
     cell_to_cube_map,
     cube_cells,
     cube_size,
@@ -28,7 +30,7 @@ from sparsedom.lattice import (
     power_mean,
     shift_list,
 )
-from sparsedom.maximal import cube_averages
+from sparsedom.maximal import component_sup, cube_averages
 
 
 def brute_maximal(inputs, ps, r, shifts="all", window=None):
@@ -135,6 +137,70 @@ def test_cube_averages_exponent_errors():
         for p in (-0.5, -2.0):
             with pytest.raises(ValueError):
                 cube_averages(spec, zeros, p, 0, levels)
+
+
+def component_sup_per_level(inputs, ps, shifts="all", window=None):
+    """Reference inner supremum: a cube_averages call per slot, component
+    and shift, then a gather of the slot product per level into a running
+    maximum."""
+    spec = inputs[0].spec
+    n_comp = inputs[0].n_components
+    s, t = (0, spec.side) if window is None else window
+    levels = [j for j in range(spec.levels + 1) if s < 2 ** j <= t]
+    best = np.zeros((spec.ncells, n_comp))
+    for shift in shift_list(spec, shifts):
+        means = [[cube_averages(spec, f.values[:, k], p, shift, levels)
+                  for k in range(n_comp)] for f, p in zip(inputs, ps)]
+        for i, level in enumerate(levels):
+            ids, _, n_cubes = cell_to_cube_map(spec, shift, level)
+            prod = np.ones((n_cubes, n_comp))
+            for slot in means:
+                for k in range(n_comp):
+                    prod[:, k] *= slot[k][i]
+            np.maximum(best, prod[ids, :], out=best)
+    return best
+
+
+@pytest.mark.parametrize("d,levels,periodic", [(1, 5, False), (1, 5, True),
+                                               (2, 3, False), (2, 3, True)])
+def test_component_sup_matches_per_level_oracle(d, levels, periodic):
+    """One bincount per slot and component over the stacked lattices gives
+    the bits of the per-shift, per-level computation, also for an all-zero
+    component."""
+    spec = GridSpec(d, levels, periodic)
+    rng = np.random.default_rng(41 + 10 * d + periodic)
+    ps = (1.0, 2.5)
+    for n_comp in (1, 3):
+        f, g = random_inputs(spec, 2, n_comp, rng, nonneg=False)
+        zeroed = g.values.copy()
+        zeroed[:, -1] = 0.0
+        cases = [[f, g]] + ([[f, GridFunction(spec, zeroed)]]
+                            if n_comp > 1 else [])
+        for fs in cases:
+            for shifts in ("all", "canonical"):
+                for window in (None, (0, 2), (1, 4), (2, spec.side)):
+                    got = component_sup(fs, ps, shifts=shifts, window=window)
+                    want = component_sup_per_level(fs, ps, shifts, window)
+                    assert got.flags.c_contiguous
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_component_sup_windows_share_one_stacked_map():
+    """Every window of one grid and shift policy slices the same cached
+    stacked map, and no per-level map is cached beside it; a cache entry
+    per window, or the per-level maps kept alive too, would raise the peak
+    memory of every construction."""
+    spec = GridSpec(1, 6, periodic=True)
+    fs = random_inputs(spec, 2, 2, np.random.default_rng(12))
+    _stacked_maps.cache_clear()
+    level_maps = _cube_maps.cache_info()
+    for window in (None, (0, 2), (1, 4), (2, 8), (4, spec.side)):
+        component_sup(fs, (1.0, 2.0), window=window)
+    info = _stacked_maps.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    assert _cube_maps.cache_info() == level_maps
 
 
 def test_spike_maximal_hand_value():

@@ -17,6 +17,8 @@ from sparsedom import (
     SparseCollection,
     build_sparse_collection,
     generate_corpus,
+    holder_dominator,
+    integral_of_form,
     localized_maximal,
     lower_direction_check,
     sparse_form,
@@ -571,6 +573,52 @@ def test_node_ratios_match_per_child_oracle():
                     parents += node.n_children > 0
                     mixed_sides |= len(sides) >= 2
     assert parents >= 4 and mixed_sides
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stopping_children_lie_inside_the_domain(periodic):
+    """Every selected child has side^d cells, the measure the calibration
+    loop counts instead of building each child's cell array, and the
+    nodes' child measures add up to the cells of all non-root cubes."""
+    ps, rs = (1.0, 1.0), (2.0, 2.0)
+    kids = 0
+    for d, levels, seed in ((1, 8, 1), (2, 4, 2)):
+        spec = GridSpec(d, levels, periodic)
+        for fs in generate_corpus("mixed", seed, 4, spec, n_slots=2,
+                                  n_components=2):
+            for variant, eps in ((1, 0.5), (2, None)):
+                rep = build_sparse_collection(list(fs), ps, rs, eps=eps,
+                                              variant=variant,
+                                              child_budget=0.25, c0=1.0)
+                below_root = rep.collection.cubes[1:]
+                for kid in below_root:
+                    assert kid.side ** d == len(cube_cells(spec, kid))
+                assert sum(n.child_measure for n in rep.nodes) == sum(
+                    len(cube_cells(spec, kid)) for kid in below_root)
+                kids += len(below_root)
+    assert kids > 0
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_construction_lhs_is_the_full_maximal_integral(periodic):
+    """lhs is formed from the root's localized maximal functions, which are
+    the full ones: it keeps the bits of the Hoelder majorant's integral
+    (variant 1) and of the form's maximal integral (variant 2)."""
+    ps, rs = (1.0, 1.0), (2.0, 2.0)
+    for d, levels in ((1, 6), (2, 3)):
+        spec = GridSpec(d, levels, periodic)
+        for fs in generate_corpus("mixed", 5, 3, spec, n_slots=2,
+                                  n_components=2):
+            fs = list(fs)
+            dominator = float(np.sum(
+                holder_dominator(fs, ps, rs).values[:, 0]))
+            integral = integral_of_form(fs, ps, r=holder_aggregate(rs))
+            for knobs in ({}, {"c0": 1.0, "child_budget": 0.25}):
+                v1 = build_sparse_collection(fs, ps, rs, eps=0.5, variant=1,
+                                             **knobs)
+                v2 = build_sparse_collection(fs, ps, rs, variant=2, **knobs)
+                assert v1.lhs == dominator
+                assert v2.lhs == integral
 
 
 def test_constructor_validation():

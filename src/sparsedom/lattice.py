@@ -162,7 +162,6 @@ def shift_list(spec: GridSpec, shifts: str) -> list:
     raise ValueError("shifts must be 'canonical' or 'all'")
 
 
-@lru_cache(maxsize=4096)
 def _axis_cube_ids(side: int, periodic: bool, level: int, digit: int):
     """Per-axis map coordinate -> normalized cube id, and the number of ids."""
     o = shift_offset(level, digit)
@@ -175,7 +174,6 @@ def _axis_cube_ids(side: int, periodic: bool, level: int, digit: int):
         lo = raw.min()
         ids = raw - lo
         n_ids = int(raw.max() - lo + 1)
-    ids.setflags(write=False)
     return ids, n_ids
 
 
@@ -188,29 +186,16 @@ def _build_cube_map(d: int, levels: int, periodic: bool, shift: int,
     """
     spec = GridSpec(d, levels, periodic)
     digits = _shift_digits(shift, d)
-    axis_ids = []
-    n_ids = []
+    coords = spec.cell_coords(np.arange(spec.ncells))
+    cell_ids = np.zeros(spec.ncells, dtype=np.int64)
+    n_cubes = 1
     for axis in range(d):
         ids, n = _axis_cube_ids(spec.side, periodic, level, digits[axis])
-        axis_ids.append(ids)
-        n_ids.append(n)
-    cell_ids = np.zeros(spec.ncells, dtype=np.int64)
-    coords = spec.cell_coords(np.arange(spec.ncells))
-    for axis in range(d):
-        cell_ids = cell_ids * n_ids[axis] + axis_ids[axis][coords[:, axis]]
-    n_cubes = int(np.prod(n_ids))
+        cell_ids *= n
+        cell_ids += ids[coords[:, axis]]
+        n_cubes *= n
     counts = np.bincount(cell_ids, minlength=n_cubes)
-    cell_ids.setflags(write=False)
-    counts.setflags(write=False)
     return cell_ids, counts, n_cubes
-
-
-_cube_maps = lru_cache(maxsize=4096)(_build_cube_map)
-
-
-def cell_to_cube_map(spec: GridSpec, shift: int, level: int):
-    """Public accessor for the (cell -> cube id, counts, n_cubes) map."""
-    return _cube_maps(spec.d, spec.levels, spec.periodic, shift, level)
 
 
 @lru_cache(maxsize=64)
@@ -221,34 +206,38 @@ def _stacked_maps(d: int, levels: int, periodic: bool, shifts: str):
     each row the cell -> cube id map of that lattice with its ids moved past
     those of all earlier rows; counts holds the cells per stacked id.  The
     rows of level j are rows[j]:rows[j + 1] and its ids starts[j]:starts[j +
-    1].  A shift whose map repeats one already stacked at its level is
-    skipped: at level 0 every shift is the unit-cell lattice, and on periodic
-    grids every shift of the top level is the whole torus.  The per-level
-    maps are built uncached, so they are not kept alive beside the stack.
+    1].  A shift whose per-axis maps repeat those of one already listed at its
+    level is skipped: at level 0 every shift is the unit-cell lattice, and on
+    periodic grids every shift of the top level is the whole torus.  The
+    distinct lattices are listed first, so ids is allocated once and each row
+    written in place; this stack is the only cache of cell -> cube maps, and
+    no per-level or per-axis map is kept beside it.
     """
     spec = GridSpec(d, levels, periodic)
-    stacked, counts, starts, rows = [], [], [], []
-    offset = 0
+    lattices, rows = [], []
     for level in range(levels + 1):
-        starts.append(offset)
-        rows.append(len(stacked))
+        rows.append(len(lattices))
         seen = []
         for shift in shift_list(spec, shifts):
-            cell_ids, cube_counts, n_cubes = _build_cube_map(
-                d, levels, periodic, shift, level)
-            if any(np.array_equal(cell_ids, other) for other in seen):
+            axes = [_axis_cube_ids(spec.side, periodic, level, digit)[0]
+                    for digit in _shift_digits(shift, d)]
+            if any(all(map(np.array_equal, axes, kept)) for kept in seen):
                 continue
-            seen.append(cell_ids)
-            stacked.append(cell_ids + offset)
-            counts.append(cube_counts)
-            offset += n_cubes
-    starts.append(offset)
-    rows.append(len(stacked))
-    ids = np.stack(stacked)
+            seen.append(axes)
+            lattices.append((level, shift))
+    rows.append(len(lattices))
+    ids = np.empty((len(lattices), spec.ncells), dtype=np.int64)
+    counts, offsets = [], [0]
+    for row, (level, shift) in zip(ids, lattices):
+        cell_ids, cube_counts, n_cubes = _build_cube_map(
+            d, levels, periodic, shift, level)
+        np.add(cell_ids, offsets[-1], out=row)
+        counts.append(cube_counts)
+        offsets.append(offsets[-1] + n_cubes)
     counts = np.concatenate(counts)
     for a in (ids, counts):
         a.setflags(write=False)
-    return ids, counts, tuple(starts), tuple(rows)
+    return ids, counts, tuple(offsets[r] for r in rows), tuple(rows)
 
 
 def stacked_cube_map(spec: GridSpec, shifts: str):

@@ -14,8 +14,8 @@ components is applied at the end.  Truncation windows are half-open
 side-length intervals (s, t]: a cube of side 2^j participates iff
 s < 2^j <= t, so (0, 2^K] is the full untruncated operator and the
 one-cell truncation floor corresponds to any s < 1.  cube_averages, the
-one-shift power means with a caller's list of levels, serves the weight
-characteristics.
+power means over every cube of the canonical lattices, returned in the same
+stacked id space, serves the weight characteristics.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .lattice import (
     DyadicCube,
     GridFunction,
     GridSpec,
-    cell_to_cube_map,
     cube_cells,
     holder_aggregate,
     lr_norm_rows,
@@ -60,26 +59,24 @@ def _check_ps(ps: Sequence[float]):
                 f"integrability exponents must lie in [1, inf), got {p}")
 
 
-def cube_averages(spec: GridSpec, g: np.ndarray, p: float, shift: int,
-                  levels: Sequence[int]) -> list:
-    """Power means of |g| over every cube of one shift; g has shape (ncells,).
+def cube_averages(spec: GridSpec, g: np.ndarray, p: float) -> np.ndarray:
+    """Power means of |g| over every dyadic cube; g has shape (ncells,).
 
-    Returns one array per entry of levels, holding one value per cube id of
-    that (shift, level) lattice.  |g| / max|g| is raised to the power p once,
-    then summed per cube with one bincount per level; since the scale does
-    not depend on the level, every mean is the one a single-level call gives.
-    Negative and infinite exponents are supported (negative ones require
-    g > 0).
+    Returns one value per stacked id of the canonical (shift-0) lattices of
+    stacked_cube_map(spec, "canonical"): level j is the slice starts[j]:
+    starts[j + 1].  |g| / max|g| is raised to the power p once, then summed
+    per cube with one bincount per level, each level's ids moved to start at
+    0 in one buffer all levels share; since the scale does not depend on the
+    level, every mean is the one a single-level computation gives.  Negative
+    and infinite exponents are supported (negative ones require g > 0).
     """
-    maps = [cell_to_cube_map(spec, shift, level) for level in levels]
+    ids, counts, starts, _ = stacked_cube_map(spec, "canonical")
     a = np.abs(np.asarray(g, dtype=np.float64))
     if p in (np.inf, -np.inf):
         reduce, fill = (np.maximum, 0.0) if p > 0 else (np.minimum, np.inf)
-        out = []
-        for ids, _, n_cubes in maps:
-            m = np.full(n_cubes, fill)
-            reduce.at(m, ids, a)
-            out.append(m)
+        out = np.full(starts[-1], fill)
+        for row in ids:
+            reduce.at(out, row, a)
         return out
     if p == 0:
         raise ExponentDomainError("exponent 0 is not supported")
@@ -87,13 +84,20 @@ def cube_averages(spec: GridSpec, g: np.ndarray, p: float, shift: int,
     if scale == 0.0:
         if p < 0:
             raise ValueError("negative-exponent averages need positive values")
-        return [np.zeros(n_cubes) for _, _, n_cubes in maps]
+        return np.zeros(starts[-1])
     if p < 0 and np.any(a == 0.0):
         raise ValueError("negative-exponent averages need positive values")
-    powered = (a / scale) ** p
-    return [scale * (np.bincount(ids, weights=powered, minlength=n_cubes)
-                     / counts) ** (1.0 / p)
-            for ids, counts, n_cubes in maps]
+    a /= scale    # a is a fresh array, so the power is taken in place
+    a **= p
+    out = np.empty(starts[-1])
+    local = np.empty(spec.ncells, dtype=np.int64)
+    for row, lo, hi in zip(ids, starts, starts[1:]):
+        np.subtract(row, lo, out=local)
+        out[lo:hi] = np.bincount(local, weights=a, minlength=hi - lo)
+    out /= counts
+    out **= 1.0 / p
+    out *= scale
+    return out
 
 
 def _window_levels(spec: GridSpec, window) -> list:

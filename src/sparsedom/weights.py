@@ -86,11 +86,9 @@ class WeightVector:
 
 def _ratio_sweep(w: Weight, num, den) -> float:
     """sup over dyadic cubes of <w>_num / <w>_den for a pair of exponents."""
-    spec = w.spec
-    levels = range(spec.levels + 1)
-    his = maximal.cube_averages(spec, w.values, num, 0, levels)
-    los = maximal.cube_averages(spec, w.values, den, 0, levels)
-    return max(float(np.max(hi / lo)) for hi, lo in zip(his, los))
+    his = maximal.cube_averages(w.spec, w.values, num)
+    los = maximal.cube_averages(w.spec, w.values, den)
+    return float(np.max(his / los))
 
 
 def rc_characteristic(w: Weight, alpha: float, beta: float) -> float:
@@ -150,15 +148,11 @@ def multilinear_characteristic(wv: WeightVector, ts: Sequence[float]) -> float:
     """sup_Q <v>^{1/q}_{s,Q} prod_j <v_j^{-1}>^{1/q_j}_{s_j,Q} (the mwc sup)."""
     inner, outer, q = multilinear_exponents(wv.qs, ts)
     spec = wv.spec
-    inv = [w.inverse() for w in wv.components]
-    levels = range(spec.levels + 1)
-    terms = [m ** (1.0 / q) for m in maximal.cube_averages(
-        spec, wv.v.values, outer, 0, levels)]
-    for w, sj, qj in zip(inv, inner, wv.qs):
-        for t, m in zip(terms, maximal.cube_averages(
-                spec, w.values, sj, 0, levels)):
-            t *= m ** (1.0 / qj)
-    return max(float(np.max(term)) for term in terms)
+    terms = maximal.cube_averages(spec, wv.v.values, outer) ** (1.0 / q)
+    for w, sj, qj in zip(wv.components, inner, wv.qs):
+        means = maximal.cube_averages(spec, w.inverse().values, sj)
+        terms *= means ** (1.0 / qj)
+    return float(np.max(terms))
 
 
 def make_power_weight(spec: GridSpec, a: float, center="center") -> Weight:

@@ -1,6 +1,7 @@
 """Grids, cubes, shifted lattices, power means and serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,13 @@ from sparsedom.errors import (
     NonpositiveValueError,
 )
 from sparsedom.lattice import (
-    cell_to_cube_map,
+    _build_cube_map,
+    _stacked_maps,
     children,
     lr_norm_rows,
     shift_list,
     shift_offset,
+    stacked_cube_map,
 )
 
 
@@ -101,11 +104,69 @@ def test_shift_nesting_is_laminar_per_shift():
     spec = GridSpec(1, 5, periodic=True)
     for shift in shift_list(spec, "all"):
         for level in range(spec.levels):
-            fine, _, _ = cell_to_cube_map(spec, shift, level)
-            coarse, _, _ = cell_to_cube_map(spec, shift, level + 1)
+            fine, _, _ = _build_cube_map(spec.d, spec.levels, spec.periodic,
+                                         shift, level)
+            coarse, _, _ = _build_cube_map(spec.d, spec.levels, spec.periodic,
+                                           shift, level + 1)
             for cube_id in np.unique(fine):
                 parents = np.unique(coarse[fine == cube_id])
                 assert len(parents) == 1
+
+
+def stacked_maps_by_rows(spec, shifts):
+    """Reference stack: every (level, shift) map built in turn, one equal to
+    a map already kept at its level skipped, the kept rows stacked at the
+    end."""
+    stacked, counts, starts, rows = [], [], [], []
+    offset = 0
+    for level in range(spec.levels + 1):
+        starts.append(offset)
+        rows.append(len(stacked))
+        seen = []
+        for shift in shift_list(spec, shifts):
+            cell_ids, cube_counts, n_cubes = _build_cube_map(
+                spec.d, spec.levels, spec.periodic, shift, level)
+            if any(np.array_equal(cell_ids, other) for other in seen):
+                continue
+            seen.append(cell_ids)
+            stacked.append(cell_ids + offset)
+            counts.append(cube_counts)
+            offset += n_cubes
+    starts.append(offset)
+    rows.append(len(stacked))
+    return (np.stack(stacked), np.concatenate(counts), tuple(starts),
+            tuple(rows))
+
+
+@pytest.mark.parametrize("d,max_levels", [(1, 12), (2, 8)])
+def test_stacked_maps_match_row_by_row_stack(d, max_levels):
+    """Listing the distinct lattices by their per-axis maps and writing each
+    row in place gives the stack of the row-by-row build."""
+    for levels in range(1, max_levels + 1):
+        for periodic in (False, True):
+            for shifts in ("canonical", "all"):
+                got = _stacked_maps.__wrapped__(d, levels, periodic, shifts)
+                want = stacked_maps_by_rows(GridSpec(d, levels, periodic),
+                                            shifts)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("d,levels,shifts", [(2, 6, "all"),
+                                             (1, 14, "canonical")])
+def test_stacked_map_build_peak_memory(d, levels, shifts):
+    """The stack is allocated once and its rows written in place, so the
+    traced peak of a build stays below twice the stack; keeping a list of
+    rows and stacking them holds every row twice."""
+    _stacked_maps.cache_clear()
+    tracemalloc.start()
+    try:
+        ids = stacked_cube_map(GridSpec(d, levels), shifts)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ids.nbytes
 
 
 def test_each_shift_level_partitions_periodic_domain():

@@ -19,9 +19,8 @@ from sparsedom.errors import (
     ZeroInputError,
 )
 from sparsedom.lattice import (
-    _cube_maps,
+    _build_cube_map,
     _stacked_maps,
-    cell_to_cube_map,
     cube_cells,
     cube_size,
     dilate,
@@ -29,8 +28,16 @@ from sparsedom.lattice import (
     lr_norm_rows,
     power_mean,
     shift_list,
+    stacked_cube_map,
 )
 from sparsedom.maximal import component_sup, cube_averages
+from sparsedom.weights import (
+    Weight,
+    WeightVector,
+    muckenhoupt_characteristic,
+    multilinear_characteristic,
+    rc_characteristic,
+)
 
 
 def brute_maximal(inputs, ps, r, shifts="all", window=None):
@@ -71,7 +78,8 @@ def random_inputs(spec, n_slots, n_comp, rng, nonneg=True):
 def cube_averages_one_level(spec, g, p, shift, level):
     """Reference power means of one (shift, level) lattice: |g|, its scale
     and its power recomputed from scratch for the single level."""
-    ids, counts, n_cubes = cell_to_cube_map(spec, shift, level)
+    ids, counts, n_cubes = _build_cube_map(spec.d, spec.levels, spec.periodic,
+                                           shift, level)
     a = np.abs(np.asarray(g, dtype=np.float64))
     if p == np.inf:
         out = np.zeros(n_cubes)
@@ -100,8 +108,9 @@ AVERAGE_EXPONENTS = (-np.inf, -2.0, -0.5, 0.4, 1.0, 2.0, 3.0, np.inf)
 @pytest.mark.parametrize("d,levels,periodic", [(1, 5, False), (1, 5, True),
                                                (2, 3, False), (2, 3, True)])
 def test_cube_averages_match_single_level_oracle(d, levels, periodic):
-    """One normalized power per array, exponent and shift gives, at every
-    level, the bits of a per-level computation."""
+    """One normalized power per array and exponent gives, in each level's
+    slice of the canonical stacked ids, the bits of a per-level
+    computation."""
     spec = GridSpec(d, levels, periodic)
     rng = np.random.default_rng(31 + 10 * d + levels + periodic)
     positive = [rng.uniform(0.05, 4.0, spec.ncells),
@@ -112,51 +121,48 @@ def test_cube_averages_match_single_level_oracle(d, levels, periodic):
                            rng.uniform(0.1, 3.0, spec.ncells)),
                   np.eye(1, spec.ncells, spec.ncells - 1)[0] * 7.5,
                   np.zeros(spec.ncells)]
-    level_sets = [range(spec.levels + 1), [spec.levels, 0, 2]]
+    starts = stacked_cube_map(spec, "canonical")[2]
     for p in AVERAGE_EXPONENTS:
         arrays = positive + (with_zeros if p > 0 else [])
         for g in arrays:
-            for shift in shift_list(spec, "all"):
-                for lv in level_sets:
-                    got = cube_averages(spec, g, p, shift, lv)
-                    assert len(got) == len(lv)
-                    for level, means in zip(lv, got):
-                        want = cube_averages_one_level(spec, g, p, shift,
-                                                       level)
-                        assert np.array_equal(means, want)
+            got = cube_averages(spec, g, p)
+            assert got.shape == (starts[-1],)
+            for level in range(spec.levels + 1):
+                want = cube_averages_one_level(spec, g, p, 0, level)
+                means = got[starts[level]:starts[level + 1]]
+                assert np.array_equal(means, want)
 
 
 def test_cube_averages_exponent_errors():
     spec = GridSpec(1, 4, False)
-    levels = range(spec.levels + 1)
     g = np.linspace(0.5, 2.0, spec.ncells)
     with pytest.raises(ExponentDomainError):
-        cube_averages(spec, g, 0.0, 0, levels)
+        cube_averages(spec, g, 0.0)
     for zeros in (np.where(np.arange(spec.ncells) == 3, 0.0, g),
                   np.zeros(spec.ncells)):
         for p in (-0.5, -2.0):
             with pytest.raises(ValueError):
-                cube_averages(spec, zeros, p, 0, levels)
+                cube_averages(spec, zeros, p)
 
 
 def component_sup_per_level(inputs, ps, shifts="all", window=None):
-    """Reference inner supremum: a cube_averages call per slot, component
-    and shift, then a gather of the slot product per level into a running
-    maximum."""
+    """Reference inner supremum: the one-level means per shift, level, slot
+    and component, and a gather of the slot product per level into a
+    running maximum."""
     spec = inputs[0].spec
     n_comp = inputs[0].n_components
     s, t = (0, spec.side) if window is None else window
     levels = [j for j in range(spec.levels + 1) if s < 2 ** j <= t]
     best = np.zeros((spec.ncells, n_comp))
     for shift in shift_list(spec, shifts):
-        means = [[cube_averages(spec, f.values[:, k], p, shift, levels)
-                  for k in range(n_comp)] for f, p in zip(inputs, ps)]
-        for i, level in enumerate(levels):
-            ids, _, n_cubes = cell_to_cube_map(spec, shift, level)
+        for level in levels:
+            ids, _, n_cubes = _build_cube_map(spec.d, spec.levels,
+                                              spec.periodic, shift, level)
             prod = np.ones((n_cubes, n_comp))
-            for slot in means:
+            for f, p in zip(inputs, ps):
                 for k in range(n_comp):
-                    prod[:, k] *= slot[k][i]
+                    prod[:, k] *= cube_averages_one_level(
+                        spec, f.values[:, k], p, shift, level)
             np.maximum(best, prod[ids, :], out=best)
     return best
 
@@ -189,18 +195,26 @@ def test_component_sup_matches_per_level_oracle(d, levels, periodic):
 
 def test_component_sup_windows_share_one_stacked_map():
     """Every window of one grid and shift policy slices the same cached
-    stacked map, and no per-level map is cached beside it; a cache entry
-    per window, or the per-level maps kept alive too, would raise the peak
-    memory of every construction."""
+    stacked map, and the weight characteristics and a canonical supremum
+    share one canonical stack; a cache entry per window or per caller would
+    raise the peak memory of every construction."""
     spec = GridSpec(1, 6, periodic=True)
     fs = random_inputs(spec, 2, 2, np.random.default_rng(12))
     _stacked_maps.cache_clear()
-    level_maps = _cube_maps.cache_info()
     for window in (None, (0, 2), (1, 4), (2, 8), (4, spec.side)):
         component_sup(fs, (1.0, 2.0), window=window)
     info = _stacked_maps.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
-    assert _cube_maps.cache_info() == level_maps
+    w, v = (Weight(spec, f.values[:, 0] + 0.5) for f in fs)
+    rc_characteristic(w, 1.0, 2.0)
+    muckenhoupt_characteristic(w, 1.0)
+    muckenhoupt_characteristic(w, 2.0)
+    multilinear_characteristic(WeightVector([w, v], (2.0, 3.0)),
+                               (1.0, 1.5, 2.0))
+    info = _stacked_maps.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+    component_sup(fs, (1.0, 2.0), shifts="canonical")
+    assert _stacked_maps.cache_info().misses == 2
 
 
 def test_spike_maximal_hand_value():

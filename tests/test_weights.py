@@ -23,6 +23,7 @@ from sparsedom.errors import (
     NonpositiveValueError,
     SpecMismatchError,
 )
+from sparsedom.lattice import cube_cells, enumerate_cubes, power_mean
 from sparsedom.weights import (
     FINITE,
     INCONCLUSIVE,
@@ -90,6 +91,53 @@ def test_constant_weight_is_extremal():
     w = Weight(spec, np.full(8, 3.7))
     assert rc_characteristic(w, 1.0, 2.0) == pytest.approx(1.0)
     assert muckenhoupt_characteristic(w, 1.0) == pytest.approx(1.0)
+
+
+def sup_over_cubes(spec, expression):
+    """Reference sweep: an expression of a cube's cells, maximized by a loop
+    over every cube of the canonical lattice."""
+    return max(expression(cube_cells(spec, cube))
+               for cube in enumerate_cubes(spec, "canonical"))
+
+
+@pytest.mark.parametrize("d,levels,periodic", [(1, 5, False), (1, 5, True),
+                                               (2, 3, False), (2, 3, True)])
+def test_characteristics_match_cube_loop(d, levels, periodic):
+    """Each characteristic is the supremum a loop over the dyadic cubes takes
+    of its power-mean expression."""
+    spec = GridSpec(d, levels, periodic)
+    rng = np.random.default_rng(27 + 10 * d + periodic)
+    w, u = (Weight(spec, np.exp(rng.normal(0.0, 1.0, spec.ncells)))
+            for _ in range(2))
+
+    def ratio(beta, alpha):
+        return sup_over_cubes(spec, lambda c: power_mean(w.values[c], beta)
+                              / power_mean(w.values[c], alpha))
+
+    def mwc(components, qs, ts):
+        inner, outer, q = multilinear_exponents(qs, ts)
+        v = WeightVector(components, qs).v
+
+        def term(c):
+            out = power_mean(v.values[c], outer) ** (1.0 / q)
+            for wj, sj, qj in zip(components, inner, qs):
+                out *= power_mean(1.0 / wj.values[c], sj) ** (1.0 / qj)
+            return out
+        return sup_over_cubes(spec, term)
+
+    cases = [
+        (rc_characteristic(w, 1.0, np.inf), ratio(np.inf, 1.0)),
+        (rc_characteristic(w, -0.5, 2.0), ratio(2.0, -0.5)),
+        (muckenhoupt_characteristic(w, 1.0), ratio(1.0, -np.inf)),
+        (reverse_holder_characteristic(w, 2.5), ratio(2.5, 1.0)),
+        (multilinear_characteristic(WeightVector([w], (2.0,)), (1.0, 1.5)),
+         mwc([w], (2.0,), (1.0, 1.5))),
+        (multilinear_characteristic(WeightVector([w, u], (2.0, 3.0)),
+                                    (1.0, 1.5, 2.0)),
+         mwc([w, u], (2.0, 3.0), (1.0, 1.5, 2.0))),
+    ]
+    for got, want in cases:
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

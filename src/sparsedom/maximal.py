@@ -14,8 +14,10 @@ components is applied at the end.  Truncation windows are half-open
 side-length intervals (s, t]: a cube of side 2^j participates iff
 s < 2^j <= t, so (0, 2^K] is the full untruncated operator and the
 one-cell truncation floor corresponds to any s < 1.  cube_averages, the
-power means over every cube of the canonical lattices, returned in the same
-stacked id space, serves the weight characteristics.
+power means over every cube of the canonical lattices in the order of their
+stacked ids, serves the weight characteristics; it reads no map, since the
+canonical lattices form a full 2^d-ary tree whose level sums it adds up
+pairwise from the level below.
 """
 
 from __future__ import annotations
@@ -62,41 +64,47 @@ def _check_ps(ps: Sequence[float]):
 def cube_averages(spec: GridSpec, g: np.ndarray, p: float) -> np.ndarray:
     """Power means of |g| over every dyadic cube; g has shape (ncells,).
 
-    Returns one value per stacked id of the canonical (shift-0) lattices of
-    stacked_cube_map(spec, "canonical"): level j is the slice starts[j]:
-    starts[j + 1].  |g| / max|g| is raised to the power p once, then summed
-    per cube with one bincount per level, each level's ids moved to start at
-    0 in one buffer all levels share; since the scale does not depend on the
-    level, every mean is the one a single-level computation gives.  Negative
+    Returns one value per canonical (shift-0) cube, level-major and
+    row-major within a level, which is the order of the canonical stacked
+    ids of stacked_cube_map(spec, "canonical"): level j holds (2^(K-j))^d
+    means.  The canonical lattices of a 2^K grid form a full 2^d-ary tree,
+    clipped or periodic alike, so a level-j cube holds exactly 2^(jd) cells
+    and its sum is the sum of its 2^d children.  |g| / max|g| is raised to
+    the power p once; each level is then summed from the one below by
+    strided pairwise adds along each axis (max or min for p = +-inf, which
+    is exact) and multiplied by the exact power of two 2^(-jd).  Negative
     and infinite exponents are supported (negative ones require g > 0).
     """
-    ids, counts, starts, _ = stacked_cube_map(spec, "canonical")
-    a = np.abs(np.asarray(g, dtype=np.float64))
-    if p in (np.inf, -np.inf):
-        reduce, fill = (np.maximum, 0.0) if p > 0 else (np.minimum, np.inf)
-        out = np.full(starts[-1], fill)
-        for row in ids:
-            reduce.at(out, row, a)
-        return out
     if p == 0:
         raise ExponentDomainError("exponent 0 is not supported")
-    scale = float(a.max())
-    if scale == 0.0:
-        if p < 0:
-            raise ValueError("negative-exponent averages need positive values")
-        return np.zeros(starts[-1])
-    if p < 0 and np.any(a == 0.0):
-        raise ValueError("negative-exponent averages need positive values")
-    a /= scale    # a is a fresh array, so the power is taken in place
-    a **= p
+    d, side = spec.d, spec.side
+    starts = np.cumsum([0] + [(side >> j) ** d
+                              for j in range(spec.levels + 1)])
     out = np.empty(starts[-1])
-    local = np.empty(spec.ncells, dtype=np.int64)
-    for row, lo, hi in zip(ids, starts, starts[1:]):
-        np.subtract(row, lo, out=local)
-        out[lo:hi] = np.bincount(local, weights=a, minlength=hi - lo)
-    out /= counts
-    out **= 1.0 / p
-    out *= scale
+    a = np.abs(np.asarray(g, dtype=np.float64), out=out[:spec.ncells])
+    finite = p not in (np.inf, -np.inf)
+    if finite:
+        if p < 0 and np.any(a == 0.0):
+            raise ValueError("negative-exponent averages need positive values")
+        scale = float(a.max())
+        if scale == 0.0:
+            return np.zeros(starts[-1])
+        a /= scale
+        a **= p
+    reduce = np.add if finite else (np.maximum if p > 0 else np.minimum)
+    for j in range(1, spec.levels + 1):
+        block = out[starts[j - 1]:starts[j]].reshape((side >> (j - 1),) * d)
+        level = out[starts[j]:starts[j + 1]].reshape((side >> j,) * d)
+        for axis in range(d):
+            keep = (slice(None),) * axis
+            block = reduce(block[keep + (slice(0, None, 2),)],
+                           block[keep + (slice(1, None, 2),)],
+                           out=level if axis == d - 1 else None)
+    if finite:
+        for j in range(1, spec.levels + 1):
+            out[starts[j]:starts[j + 1]] *= 1.0 / (1 << j * d)
+        out **= 1.0 / p
+        out *= scale
     return out
 
 

@@ -268,6 +268,23 @@ def test_weights_builds_each_power_weight_once(monkeypatch, tmp_path):
                 wv, (4.0 / 3.0, 4.0 / 3.0, 1.0))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_weights_constant_weight_characteristics_are_one(d, periodic):
+    """The a = 0 power weight is constant, so each of the six
+    characteristics run_weights computes reads exactly 1.0 at every K."""
+    cfg = ExperimentConfig.from_dict({
+        "kind": "weights",
+        "grid": {"d": d, "levels": 4, "periodic": periodic},
+        "corpus": {"kind": "mixed", "size": 0, "seed": 5},
+        "params": {"levels": [3, 4], "panel": [0.0]},
+    })
+    rows = harness.run_weights(cfg).tables["characteristics"][1]
+    assert len({row[2] for row in rows}) == 6
+    for row in rows:
+        assert row[4:] == [1.0, 1.0]
+
+
 def test_reports_deterministic_across_runs(tmp_path):
     cfg = small_config("maximal")
     run_experiment(cfg, tmp_path / "a")

@@ -1,15 +1,22 @@
 """Vector-valued multilinear maximal functions: oracles and inequalities."""
 
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sparsedom import (
+    ExperimentConfig,
     GridFunction,
     GridSpec,
     holder_dominator,
     localized_maximal,
+    maximal,
     mixed_norm,
     partitioned_maximal,
+    run_experiment,
     vector_maximal,
     weak_type_quotient,
 )
@@ -106,11 +113,14 @@ AVERAGE_EXPONENTS = (-np.inf, -2.0, -0.5, 0.4, 1.0, 2.0, 3.0, np.inf)
 
 
 @pytest.mark.parametrize("d,levels,periodic", [(1, 5, False), (1, 5, True),
-                                               (2, 3, False), (2, 3, True)])
+                                               (2, 3, False), (2, 3, True),
+                                               (1, 12, False), (2, 6, True)])
 def test_cube_averages_match_single_level_oracle(d, levels, periodic):
-    """One normalized power per array and exponent gives, in each level's
-    slice of the canonical stacked ids, the bits of a per-level
-    computation."""
+    """Each level's slice of the canonical stacked ids holds the means of a
+    sequential per-level computation: the same bits for p = +-inf, and
+    within 1e-12 relative for finite p, where the pyramid adds the cells of
+    a cube pairwise instead of in increasing order (4e-14 is the largest
+    deviation measured on d = 1, K <= 16 and d = 2, K <= 8)."""
     spec = GridSpec(d, levels, periodic)
     rng = np.random.default_rng(31 + 10 * d + levels + periodic)
     positive = [rng.uniform(0.05, 4.0, spec.ncells),
@@ -130,7 +140,56 @@ def test_cube_averages_match_single_level_oracle(d, levels, periodic):
             for level in range(spec.levels + 1):
                 want = cube_averages_one_level(spec, g, p, 0, level)
                 means = got[starts[level]:starts[level + 1]]
-                assert np.array_equal(means, want)
+                if np.isinf(p):
+                    assert np.array_equal(means, want)
+                else:
+                    np.testing.assert_allclose(means, want, rtol=1e-12,
+                                               atol=0)
+
+
+@pytest.mark.parametrize("d,levels", [(1, 7), (2, 4)])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_cube_averages_of_constant_are_exact(d, levels, periodic):
+    """A constant array has the mean c bit for bit on every cube and for
+    every exponent: its normalized power is 1.0, a cube's sum 2^(jd) and
+    the scaling by 2^(-jd) exact."""
+    spec = GridSpec(d, levels, periodic)
+    for c in (1.0, 3.7, 1e-3):
+        for p in AVERAGE_EXPONENTS:
+            got = cube_averages(spec, np.full(spec.ncells, c), p)
+            assert np.array_equal(got, np.full(len(got), c))
+
+
+def test_weights_report_matches_sequential_oracle(monkeypatch, tmp_path):
+    """The shipped weights experiment run on the pairwise pyramid and on a
+    stack of sequential per-level means writes the same report and the same
+    verdicts, with every characteristic within 1e-12 relative: no verdict
+    sits close enough to the 1.25 and 2 growth thresholds to flip."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "weights.json"
+    cfg = ExperimentConfig.from_file(path)
+
+    def sequential(spec, g, p):
+        return np.concatenate([cube_averages_one_level(spec, g, p, 0, level)
+                               for level in range(spec.levels + 1)])
+
+    def run(name):
+        out = tmp_path / name
+        assert run_experiment(cfg, out) == 0
+        with open(out / "characteristics.csv", newline="",
+                  encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        return json.loads((out / "report.json").read_text()), rows
+
+    report, rows = run("pyramid")
+    monkeypatch.setattr(maximal, "cube_averages", sequential)
+    want_report, want_rows = run("sequential")
+    assert report == want_report
+    assert rows[0] == want_rows[0] and len(rows) == len(want_rows) > 1
+    for got, want in zip(rows[1:], want_rows[1:]):
+        assert got[:4] == want[:4]
+        np.testing.assert_allclose([float(v) for v in got[4:]],
+                                   [float(v) for v in want[4:]],
+                                   rtol=1e-12, atol=0)
 
 
 def test_cube_averages_exponent_errors():
@@ -195,9 +254,9 @@ def test_component_sup_matches_per_level_oracle(d, levels, periodic):
 
 def test_component_sup_windows_share_one_stacked_map():
     """Every window of one grid and shift policy slices the same cached
-    stacked map, and the weight characteristics and a canonical supremum
-    share one canonical stack; a cache entry per window or per caller would
-    raise the peak memory of every construction."""
+    stacked map, and the weight characteristics build no cell -> cube map
+    at all; a cache entry per window or per caller would raise the peak
+    memory of every construction."""
     spec = GridSpec(1, 6, periodic=True)
     fs = random_inputs(spec, 2, 2, np.random.default_rng(12))
     _stacked_maps.cache_clear()
@@ -205,16 +264,14 @@ def test_component_sup_windows_share_one_stacked_map():
         component_sup(fs, (1.0, 2.0), window=window)
     info = _stacked_maps.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
+    _stacked_maps.cache_clear()
     w, v = (Weight(spec, f.values[:, 0] + 0.5) for f in fs)
     rc_characteristic(w, 1.0, 2.0)
     muckenhoupt_characteristic(w, 1.0)
     muckenhoupt_characteristic(w, 2.0)
     multilinear_characteristic(WeightVector([w, v], (2.0, 3.0)),
                                (1.0, 1.5, 2.0))
-    info = _stacked_maps.cache_info()
-    assert (info.currsize, info.misses) == (2, 2)
-    component_sup(fs, (1.0, 2.0), shifts="canonical")
-    assert _stacked_maps.cache_info().misses == 2
+    assert _stacked_maps.cache_info().currsize == 0
 
 
 def test_spike_maximal_hand_value():

@@ -604,65 +604,54 @@ def run_weights(cfg: ExperimentConfig) -> ReportBuilder:
     characteristic at (2,2) with t=(4/3, 4/3, 1) against the window class
     RC(-2, 2/5) of each component and the Muckenhoupt class A_3 of the
     geometric-mean weight.
+
+    Levels are the outer loop: one weight per (exponent, centre, K) serves
+    all six classes and is then dropped.  The classes run in an order in
+    which consecutive ones share a power mean, so the weight's two-entry
+    memo (Weight.means) computes each of its 7 distinct means once.
     """
     rep = ReportBuilder("weights", cfg)
     levels = tuple(cfg.param("levels"))
-    d = cfg.grid.d
-    periodic = cfg.grid.periodic
+    q, t1, t2 = 2.0, 4.0 / 3.0, 4.0 / 3.0                # check 1
+    qs2, ts2 = (2.0, 2.0), (4.0 / 3.0, 4.0 / 3.0, 1.0)   # check 2
+    classes = {
+        "bilinear": lambda w: weights_mod.multilinear_characteristic(
+            weights_mod.WeightVector([w, w], qs2), ts2),
+        "multilinear^q": lambda w: weights_mod.multilinear_characteristic(
+            weights_mod.WeightVector([w], (q,)), (t1, t2)) ** q,
+        "RH_2": lambda w: weights_mod.reverse_holder_characteristic(
+            w, t2 / (q - (q - 1.0) * t2)),
+        "A_3": lambda w: weights_mod.muckenhoupt_characteristic(w, 3.0),
+        "A_3/2": lambda w: weights_mod.muckenhoupt_characteristic(w, q / t1),
+        "RC(-2,2/5)": lambda w: weights_mod.rc_characteristic(w, -2.0, 0.4),
+    }
+    panel = _panel(cfg)
+    values = [{name: [] for name in classes} for _ in panel]
+    for k in levels:
+        spec = GridSpec(cfg.grid.d, k, cfg.grid.periodic)
+        for (a, center), vals in zip(panel, values):
+            w = weights_mod.make_power_weight(spec, a, center)
+            for name, characteristic in classes.items():
+                vals[name].append(characteristic(w))
+            del w   # its means go before the next weight is built
     table_rows = []
     disagreements = []
-
-    def spec_at(k):
-        return GridSpec(d, k, periodic)
-
-    for a, center in _panel(cfg):
+    for (a, center), vals in zip(panel, values):
         wid = f"a={a:g}@{center}"
-
-        w_at = {k: weights_mod.make_power_weight(spec_at(k), a, center)
-                for k in levels}.__getitem__
-
-        # check 1: n=1 factorization (q=2, t1=t2=4/3)
-        q, t1, t2 = 2.0, 4.0 / 3.0, 4.0 / 3.0
-        multi = weights_mod.refinement_protocol(
-            lambda k: weights_mod.WeightVector([w_at(k)], (q,)),
-            lambda wv: weights_mod.multilinear_characteristic(
-                wv, (t1, t2)) ** q,
-            levels=levels)
-        muck = weights_mod.refinement_protocol(
-            w_at, lambda w: weights_mod.muckenhoupt_characteristic(w, q / t1),
-            levels=levels)
-        rh = weights_mod.refinement_protocol(
-            w_at, lambda w: weights_mod.reverse_holder_characteristic(
-                w, t2 / (q - (q - 1.0) * t2)),
-            levels=levels)
-        factored = _combine_verdicts([muck.verdict, rh.verdict])
-        if _disagree(multi.verdict, factored):
+        verdict = {name: weights_mod.classify_growth(vals[name])
+                   for name in classes}
+        factored = _combine_verdicts([verdict["A_3/2"], verdict["RH_2"]])
+        if _disagree(verdict["multilinear^q"], factored):
             disagreements.append(("factorization", wid))
-        for name, verdict in (("multilinear^q", multi), ("A_3/2", muck),
-                              ("RH_2", rh)):
-            table_rows.append([wid, "n1-factorization", name,
-                               verdict.verdict] + list(verdict.values))
-
-        # check 2: two-weight diagonal identity, q=1, s=3/2
-        qs2 = (2.0, 2.0)
-        ts2 = (4.0 / 3.0, 4.0 / 3.0, 1.0)
-        multi2 = weights_mod.refinement_protocol(
-            lambda k: weights_mod.WeightVector([w_at(k), w_at(k)], qs2),
-            lambda wv: weights_mod.multilinear_characteristic(wv, ts2),
-            levels=levels)
-        rc = weights_mod.refinement_protocol(
-            w_at, lambda w: weights_mod.rc_characteristic(w, -2.0, 0.4),
-            levels=levels)
-        a3 = weights_mod.refinement_protocol(
-            w_at, lambda w: weights_mod.muckenhoupt_characteristic(w, 3.0),
-            levels=levels)
-        rhs = _combine_verdicts([rc.verdict, a3.verdict])
-        if _disagree(multi2.verdict, rhs):
+        rhs = _combine_verdicts([verdict["RC(-2,2/5)"], verdict["A_3"]])
+        if _disagree(verdict["bilinear"], rhs):
             disagreements.append(("two-weight-diagonal", wid))
-        for name, verdict in (("bilinear", multi2), ("RC(-2,2/5)", rc),
-                              ("A_3", a3)):
-            table_rows.append([wid, "diagonal-identity", name,
-                               verdict.verdict] + list(verdict.values))
+        for check, names in (
+                ("n1-factorization", ("multilinear^q", "A_3/2", "RH_2")),
+                ("diagonal-identity", ("bilinear", "RC(-2,2/5)", "A_3"))):
+            for name in names:
+                table_rows.append([wid, check, name, verdict[name]]
+                                  + vals[name])
 
     rep.asserted("finiteness-agreement", not disagreements,
                  disagreements=disagreements)

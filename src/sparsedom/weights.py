@@ -6,7 +6,10 @@ are uniformly controlled by its alpha-power means over cubes, and the
 characteristic is the supremum of that ratio.  Muckenhoupt A_t is
 RC(1/(1-t), 1) (with alpha = -inf when t = 1) and reverse Hoelder RH_t is
 RC(1, t), so one ratio sweep serves all three.  Every characteristic sweeps
-the dyadic cubes, the shift-0 lattice, at every level.
+the dyadic cubes, the shift-0 lattice, at every level, and reads its power
+means through Weight.means, which keeps a weight's two most recently used
+results: a characteristic is a ratio or product of two means, so a caller
+that orders its characteristics to share a mean computes each once.
 
 Finiteness of a characteristic is an asymptotic statement; on a finite grid
 it is operationalized by a refinement protocol: sample the same weight
@@ -44,12 +47,28 @@ class Weight:
         self.spec = spec
         self.values = values
         self.values.setflags(write=False)
+        self._means = {}
+        self._inverse = None
+
+    def means(self, p: float) -> np.ndarray:
+        """maximal.cube_averages of the weight, read-only; the two most
+        recently used exponents are kept."""
+        out = self._means.pop(p, None)
+        if out is None:
+            out = maximal.cube_averages(self.spec, self.values, p)
+            out.setflags(write=False)
+            if len(self._means) == 2:
+                del self._means[next(iter(self._means))]
+        self._means[p] = out
+        return out
 
     def power(self, e: float) -> "Weight":
         return Weight(self.spec, self.values ** e)
 
     def inverse(self) -> "Weight":
-        return self.power(-1.0)
+        if self._inverse is None:
+            self._inverse = self.power(-1.0)
+        return self._inverse
 
     def __repr__(self):
         return f"Weight(spec={self.spec}, min={self.values.min():.3g}, " \
@@ -74,21 +93,18 @@ class WeightVector:
                 raise SpecMismatchError("weight components on different grids")
         self.qs = tuple(float(q) for q in self.qs)
         self.q = holder_aggregate(self.qs)
+        if len(self.components) == 1:   # v_1^{q/q_1} = v_1, bit for bit
+            self.v = self.components[0]
+            return
         prod = np.ones(spec.ncells)
         for w, qj in zip(self.components, self.qs):
             prod *= w.values ** (self.q / qj)
         self.v = Weight(spec, prod)
 
-    @property
-    def spec(self) -> GridSpec:
-        return self.components[0].spec
-
 
 def _ratio_sweep(w: Weight, num, den) -> float:
     """sup over dyadic cubes of <w>_num / <w>_den for a pair of exponents."""
-    his = maximal.cube_averages(w.spec, w.values, num)
-    los = maximal.cube_averages(w.spec, w.values, den)
-    return float(np.max(his / los))
+    return float(np.max(w.means(num) / w.means(den)))
 
 
 def rc_characteristic(w: Weight, alpha: float, beta: float) -> float:
@@ -147,11 +163,9 @@ def multilinear_exponents(qs: Sequence[float], ts: Sequence[float]):
 def multilinear_characteristic(wv: WeightVector, ts: Sequence[float]) -> float:
     """sup_Q <v>^{1/q}_{s,Q} prod_j <v_j^{-1}>^{1/q_j}_{s_j,Q} (the mwc sup)."""
     inner, outer, q = multilinear_exponents(wv.qs, ts)
-    spec = wv.spec
-    terms = maximal.cube_averages(spec, wv.v.values, outer) ** (1.0 / q)
+    terms = wv.v.means(outer) ** (1.0 / q)
     for w, sj, qj in zip(wv.components, inner, wv.qs):
-        means = maximal.cube_averages(spec, w.inverse().values, sj)
-        terms *= means ** (1.0 / qj)
+        terms *= w.inverse().means(sj) ** (1.0 / qj)
     return float(np.max(terms))
 
 
@@ -169,9 +183,10 @@ def make_power_weight(spec: GridSpec, a: float, center="center") -> Weight:
         point = np.asarray(center, dtype=np.float64)
         if point.shape != (spec.d,):
             raise SpecMismatchError("center must have one coordinate per axis")
-    coords = spec.cell_coords(np.arange(spec.ncells)) + 0.5
-    dist = np.sqrt(np.sum((coords - point) ** 2, axis=1))
-    return Weight(spec, (dist + 0.5) ** a)
+    sq = (np.arange(spec.side) + 0.5 - point[0]) ** 2
+    for x in point[1:]:
+        sq = np.add.outer(sq, (np.arange(spec.side) + 0.5 - x) ** 2)
+    return Weight(spec, (np.sqrt(sq.reshape(-1)) + 0.5) ** a)
 
 
 # ---------------------------------------------------------------------------

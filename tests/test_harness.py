@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,65 @@ def test_weights_constant_weight_characteristics_are_one(d, periodic):
     assert len({row[2] for row in rows}) == 6
     for row in rows:
         assert row[4:] == [1.0, 1.0]
+
+
+def test_weights_computes_each_mean_once_per_weight(monkeypatch):
+    """run_weights makes 7 cube_averages calls per (exponent, centre, K),
+    one per distinct (array, exponent): the bilinear product weight at 1,
+    1/w at 2, then w at 2, 1, -1/2, -2 and 2/5.  A second run makes as
+    many again, so no mean outlives the weight it belongs to."""
+    cfg = small_config("weights")
+    original = maximal.cube_averages
+    calls = []
+
+    def counted(spec, g, p):
+        calls.append(p)
+        return original(spec, g, p)
+
+    monkeypatch.setattr(maximal, "cube_averages", counted)
+    s = (4.0 / 3.0) / (2.0 - 4.0 / 3.0)
+    per_weight = [1.0, s, s, 1.0, -0.5, -2.0, 0.4]
+    per_run = len(per_weight) * len(cfg.params["panel"]) * 2 \
+        * len(cfg.params["levels"])     # two default centres
+    for run in (1, 2):
+        harness.run_weights(cfg)
+        assert len(calls) == run * per_run
+    assert calls[:len(per_weight)] == per_weight
+
+
+def test_weights_report_matches_unmemoized_means(monkeypatch, tmp_path):
+    """With Weight.means recomputing on every call, the oracle of its memo,
+    the shipped weights config writes the same report and table bytes."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "weights.json"
+    cfg = ExperimentConfig.from_file(path)
+    assert run_experiment(cfg, tmp_path / "memo") == 0
+    monkeypatch.setattr(weights.Weight, "means", lambda self, p:
+                        maximal.cube_averages(self.spec, self.values, p))
+    assert run_experiment(cfg, tmp_path / "oracle") == 0
+    _, mismatch, errors = filecmp.cmpfiles(
+        tmp_path / "memo", tmp_path / "oracle",
+        ["report.json", "characteristics.csv"], shallow=False)
+    assert not mismatch and not errors
+
+
+def test_weights_peak_memory_stays_flat():
+    """Levels run outermost and a weight keeps at most two of its means, so
+    the traced peak of run_weights on 1-d K = 12, 14, 16 stays within a few
+    arrays of the finest grid: 5.5 MiB, against 4.7 MiB when every class
+    computed its own means and 8.0 MiB when a weight kept all of them."""
+    cfg = ExperimentConfig.from_dict({
+        "kind": "weights",
+        "grid": {"d": 1, "levels": 12, "periodic": False},
+        "corpus": {"kind": "mixed", "size": 0, "seed": 5},
+        "params": {"levels": [12, 14, 16], "panel": [0.0, -0.5, 0.5, 1.5]},
+    })
+    tracemalloc.start()
+    try:
+        harness.run_weights(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20
 
 
 def test_reports_deterministic_across_runs(tmp_path):

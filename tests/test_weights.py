@@ -10,6 +10,7 @@ from sparsedom import (
     GridSpec,
     classify_growth,
     make_power_weight,
+    maximal,
     mixed_norm,
     muckenhoupt_characteristic,
     multilinear_characteristic,
@@ -184,6 +185,41 @@ def test_single_weight_factorization():
         assert multi >= max(a_char, rh_char) * (1 - 1e-12)
 
 
+def test_weight_means_keep_the_two_latest(monkeypatch):
+    """Weight.means is cube_averages, read-only; it keeps the two most
+    recently used exponents and recomputes an evicted one.  The inverse
+    is built once."""
+    spec = GridSpec(2, 3, False)
+    w = random_weight(spec, np.random.default_rng(4))
+    want = maximal.cube_averages(spec, w.values, 2.0)
+    original = maximal.cube_averages
+    calls = []
+
+    def counted(spec, g, p):
+        calls.append(p)
+        return original(spec, g, p)
+
+    monkeypatch.setattr(maximal, "cube_averages", counted)
+    first = w.means(2.0)
+    assert np.array_equal(first, want) and not first.flags.writeable
+    for p in (2.0, -1.0, 2.0, 0.5, 2.0, -1.0):
+        w.means(p)
+    assert calls == [2.0, -1.0, 0.5, -1.0]
+    assert w.means(2.0) is first
+    assert w.inverse() is w.inverse()
+
+
+def test_single_component_weight_vector_is_its_component():
+    """v = v_1^{q/q_1} = v_1: the component itself, and the bits of the
+    product the general case forms."""
+    spec = GridSpec(2, 3, False)
+    w = random_weight(spec, np.random.default_rng(5))
+    wv = WeightVector([w], (2.0,))
+    assert wv.v is w
+    assert np.array_equal(np.ones(spec.ncells) * w.values ** (wv.q / 2.0),
+                          w.values)
+
+
 def test_weighted_norm():
     """The weighted L^q(l^r) norm, taken with a Weight's values as
     weighted_quotient takes it."""
@@ -209,6 +245,21 @@ def test_power_weight_profiles():
     assert np.array_equal(explicit.values, centered.values)
     with pytest.raises(SpecMismatchError):
         make_power_weight(spec, 1.0, center=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("d,levels", [(1, 5), (2, 3), (3, 2)])
+def test_power_weight_matches_cell_coordinates(d, levels):
+    """The per-axis outer sum of squared offsets gives the bits of the
+    distance computed from every cell's coordinates."""
+    spec = GridSpec(d, levels)
+    coords = spec.cell_coords(np.arange(spec.ncells)) + 0.5
+    offset = 1.25 + np.arange(d)
+    for center, point in (("center", np.full(d, spec.side / 2.0)),
+                          ("edge", np.zeros(d)), (tuple(offset), offset)):
+        dist = np.sqrt(np.sum((coords - point) ** 2, axis=1))
+        for a in (-0.9, 0.0, 0.5, 1.5):
+            assert np.array_equal(make_power_weight(spec, a, center).values,
+                                  (dist + 0.5) ** a)
 
 
 def test_classify_growth():

@@ -65,7 +65,6 @@ from .weights import (
     muckenhoupt_characteristic,
     multilinear_characteristic,
     rc_characteristic,
-    refinement_protocol,
     reverse_holder_characteristic,
 )
 from .operators import (
@@ -79,7 +78,6 @@ from .operators import (
     model_sparse_operator,
     theorem11_check,
     vector_form,
-    weighted_bound_check,
     weighted_quotient,
 )
 from .harness import ExperimentConfig, generate_corpus, run_experiment

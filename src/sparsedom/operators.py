@@ -474,40 +474,3 @@ def bht_corner_hypotheses(q: float = 1.0, rh: float = 2.0) -> list:
                     lambda wv: weights_mod.reverse_holder_characteristic(
                         wv.v, rh)))
     return entries
-
-
-def weighted_bound_check(family_at: Callable[[int], OperatorFamily],
-                         wv_at: Callable[[int], weights_mod.WeightVector],
-                         corpus_at: Callable[[int], list],
-                         qs: Sequence[float], rs: Sequence[float],
-                         hypotheses: list,
-                         levels: Sequence[int] = (6, 8, 10)) -> dict:
-    """Weighted vector-valued quotient across grid refinements.
-
-    family_at, wv_at and corpus_at produce the operator family, the weight
-    vector and the list of input tuples at each resolution K.  Records the
-    per-K supremum of the weighted quotient, whether it stays within a
-    factor 2, and the refinement-protocol verdict of each named
-    characteristic in order, up to the first one classified infinite, whose
-    name is returned as violated (None when there is none).
-    """
-    verdicts, violation = {}, None
-    for name, char in hypotheses:
-        verdicts[name] = weights_mod.refinement_protocol(wv_at, char,
-                                                         levels=levels)
-        if verdicts[name].verdict == weights_mod.INFINITE:
-            violation = name
-            break
-    sups = []
-    for k in levels:
-        family = family_at(k)
-        wv = wv_at(k)
-        best = 0.0
-        for inputs in corpus_at(k):
-            quot = weighted_quotient(family, list(inputs), wv, qs, rs)
-            if quot is not None:
-                best = max(best, quot)
-        sups.append(best)
-    stable = bool(sups and min(sups) > 0.0 and max(sups) <= 2.0 * min(sups))
-    return {"sup_quotients": sups, "stable_within_2x": stable,
-            "hypotheses": verdicts, "violated": violation}

@@ -12,16 +12,17 @@ results: a characteristic is a ratio or product of two means, so a caller
 that orders its characteristics to share a mean computes each once.
 
 Finiteness of a characteristic is an asymptotic statement; on a finite grid
-it is operationalized by a refinement protocol: sample the same weight
-profile at increasing resolutions and classify by the growth of the
-characteristic (ratio at the last refinement at most 1.25: finite; at least
-2 across two consecutive refinements: infinite; anything else inconclusive).
+it is operationalized by classify_growth over values the caller samples: the
+characteristic of the same weight profile at increasing resolutions,
+classified by its growth (ratio at the last refinement at most 1.25: finite;
+at least 2 across two consecutive refinements: infinite; anything else
+inconclusive).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -190,7 +191,7 @@ def make_power_weight(spec: GridSpec, a: float, center="center") -> Weight:
 
 
 # ---------------------------------------------------------------------------
-# refinement protocol
+# growth classification across refinements
 
 FINITE, INFINITE, INCONCLUSIVE = "finite", "infinite", "inconclusive"
 
@@ -213,28 +214,3 @@ def classify_growth(values: Sequence[float]) -> str:
     if len(ratios) >= 2 and ratios[-1] >= 2.0 and ratios[-2] >= 2.0:
         return INFINITE
     return INCONCLUSIVE
-
-
-@dataclass
-class RefinementVerdict:
-    verdict: str
-    levels: tuple
-    values: tuple
-
-    def __str__(self):
-        pts = ", ".join(f"K={k}: {v:.4g}" for k, v in
-                        zip(self.levels, self.values))
-        return f"{self.verdict} ({pts})"
-
-
-def refinement_protocol(weight_at: Callable[[int], object],
-                        characteristic: Callable[[object], float],
-                        levels: Sequence[int] = (8, 10, 12)) -> RefinementVerdict:
-    """Run the finiteness protocol: sample at each K and classify the growth.
-
-    weight_at(K) produces the weight data at resolution K (a Weight, a
-    WeightVector, or anything the characteristic callable accepts).
-    """
-    levels = tuple(int(k) for k in levels)
-    values = tuple(characteristic(weight_at(k)) for k in levels)
-    return RefinementVerdict(classify_growth(values), levels, values)

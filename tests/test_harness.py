@@ -15,6 +15,7 @@ from sparsedom import (
     generate_corpus,
     harness,
     maximal,
+    operators,
     run_experiment,
     weights,
 )
@@ -214,6 +215,12 @@ def small_config(kind):
             "corpus": {"kind": "mixed", "size": 0, "seed": 5},
             "params": {"levels": [4, 6], "panel": [0.0, 1.5]},
         },
+        "weighted": {
+            "kind": "weighted",
+            "grid": {"d": 1, "levels": 6, "periodic": True},
+            "corpus": {"kind": "sided-inverse", "size": 1, "seed": 5},
+            "params": {"levels": [6, 8], "panel": [0.0, 0.4, 1.5]},
+        },
     }
     return ExperimentConfig.from_dict(docs[kind])
 
@@ -343,6 +350,73 @@ def test_weights_peak_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 2 ** 20
+
+
+def test_weighted_builds_each_weight_and_family_once_per_level(monkeypatch):
+    """Levels run outermost: one power weight per (exponent, K) serves both
+    components, the hypotheses and the corpus, and the two-member singular
+    family is built once per K."""
+    cfg = small_config("weighted")
+    weight_calls, family_calls = [], []
+    make_weight, make_bht = weights.make_power_weight, operators.discrete_bht
+
+    def counted_weight(spec, a, center="center"):
+        weight_calls.append((spec.levels, a))
+        return make_weight(spec, a, center)
+
+    def counted_bht(spec, truncation, variant="sign"):
+        family_calls.append((spec.levels, variant))
+        return make_bht(spec, truncation, variant)
+
+    monkeypatch.setattr(weights, "make_power_weight", counted_weight)
+    monkeypatch.setattr(operators, "discrete_bht", counted_bht)
+    harness.run_weighted(cfg)
+    levels, panel = cfg.params["levels"], cfg.params["panel"]
+    assert len(weight_calls) == len(panel) * len(levels)
+    assert len(family_calls) == 2 * len(levels)
+
+
+def _planted_quotient_times_side(monkeypatch):
+    real = operators.weighted_quotient
+
+    def planted(family, inputs, wv, qs, rs):
+        quot = real(family, inputs, wv, qs, rs)
+        return None if quot is None else quot * family.spec.side
+
+    monkeypatch.setattr(operators, "weighted_quotient", planted)
+
+
+def _planted_flat_bad_weight(monkeypatch):
+    real = weights.make_power_weight
+
+    def planted(spec, a, center="center"):
+        return real(spec, 0.0 if a == 1.5 else a, center)
+
+    monkeypatch.setattr(weights, "make_power_weight", planted)
+
+
+@pytest.mark.parametrize("plant,flipped", [
+    pytest.param(_planted_quotient_times_side, "good-weights-stable",
+                 id="quotient-times-side"),
+    pytest.param(_planted_flat_bad_weight, "bad-weight-grows",
+                 id="flat-bad-weight"),
+])
+def test_weighted_rows_fail_on_planted_fault(plant, flipped, monkeypatch,
+                                             tmp_path):
+    """Each ASSERTED row of the weighted contrast fails under a fault made
+    for it, and only that row: quotients that grow with the side break the
+    good weights' band; a bad weight with the constant profile stays flat."""
+    doc = json.loads((CONFIG_DIR / "weighted.json").read_text())
+    doc["corpus"]["size"] = 2
+    cfg = ExperimentConfig.from_dict(doc)
+    assert run_experiment(cfg, tmp_path / "clean") == 0
+    plant(monkeypatch)
+    assert run_experiment(cfg, tmp_path / "planted") == 1
+    report = json.loads((tmp_path / "planted" / "report.json").read_text())
+    passed = {r["id"]: r["pass"] for r in report["rows"]
+              if r["status"] == "ASSERTED"}
+    assert passed == {"good-weights-stable": True, "bad-weight-grows": True,
+                      flipped: False}
 
 
 def test_reports_deterministic_across_runs(tmp_path):

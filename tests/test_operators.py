@@ -31,12 +31,9 @@ from sparsedom.errors import (
     TruncationTooLargeError,
 )
 from sparsedom.lattice import enumerate_cubes
-from sparsedom.operators import (
-    _bht_coefficients,
-    bht_corner_hypotheses,
-    weighted_bound_check,
-)
-from sparsedom.weights import Weight, WeightVector, make_power_weight
+from sparsedom.harness import run_weighted
+from sparsedom.operators import _bht_coefficients
+from sparsedom.weights import Weight, WeightVector
 
 
 def random_scalars(spec, count, rng, signed=True):
@@ -495,30 +492,17 @@ def test_weighted_quotient_unweighted_consistency():
                              (2.0, 2.0), (4.0, 4.0, 2.0)) is None
 
 
-def test_corner_hypotheses_verdicts():
-    """Every verdict of an in-class weight; for an out-of-class one, the
-    verdicts stop at the first characteristic classified infinite."""
-    hyps = bht_corner_hypotheses(q=1.0, rh=2.0)
-    assert len(hyps) == 4
-
-    def family_at(k):
-        return OperatorFamily([discrete_bht(GridSpec(1, k, periodic=True), 3)])
-
-    def check(a):
-        def wv_at(k):
-            spec = GridSpec(1, k, periodic=True)
-            w = make_power_weight(spec, a, center="center")
-            return WeightVector([w, w], (2.0, 2.0))
-
-        return weighted_bound_check(family_at, wv_at, lambda k: [],
-                                    (2.0, 2.0), (4.0, 4.0), hyps,
-                                    levels=(6, 8, 10))
-
-    good = check(0.4)
-    assert list(good["hypotheses"]) == [name for name, _ in hyps]
-    assert all(v.verdict == "finite" for v in good["hypotheses"].values())
-    assert good["violated"] is None
-    bad = check(1.5)
-    assert bad["violated"] == hyps[0][0]
-    assert list(bad["hypotheses"]) == [hyps[0][0]]
-    assert bad["hypotheses"][hyps[0][0]].verdict == "infinite"
+def test_weighted_panel_corner_verdicts():
+    """An in-class weight has every corner hypothesis finite; an out-of-class
+    one names the first hypothesis classified infinite as violated."""
+    cfg = ExperimentConfig.from_dict({
+        "kind": "weighted",
+        "grid": {"d": 1, "levels": 6, "periodic": True},
+        "corpus": {"kind": "sided-inverse", "size": 1, "seed": 5},
+        "params": {"levels": [6, 8, 10], "panel": [0.4, 1.5]},
+    })
+    header, rows = run_weighted(cfg).tables["weighted_panel"]
+    panel = {row[0]: dict(zip(header, row)) for row in rows}
+    assert panel["a=0.4"]["classification"] == "in-class"
+    assert panel["a=0.4"]["violated"] is None
+    assert panel["a=1.5"]["violated"] == "v_1 in A_1.5"

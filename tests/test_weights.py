@@ -1,4 +1,4 @@
-"""Weight characteristics, power weights and the refinement protocol."""
+"""Weight characteristics, power weights and growth classification."""
 
 import math
 
@@ -15,7 +15,6 @@ from sparsedom import (
     muckenhoupt_characteristic,
     multilinear_characteristic,
     rc_characteristic,
-    refinement_protocol,
     reverse_holder_characteristic,
 )
 from sparsedom.errors import (
@@ -271,49 +270,33 @@ def test_classify_growth():
         classify_growth([1.0])
 
 
-def test_refinement_protocol_mechanics():
-    calls = []
-
-    def weight_at(k):
-        calls.append(k)
-        return k
-
-    verdict = refinement_protocol(weight_at, lambda k: 1.0 + 0.01 * k,
-                                  levels=(4, 6, 8))
-    assert calls == [4, 6, 8]
-    assert verdict.verdict == FINITE
-    assert verdict.levels == (4, 6, 8)
-    assert len(verdict.values) == 3
-
-
 @pytest.mark.parametrize("a,expected", [(-0.5, FINITE), (0.0, FINITE),
                                         (0.5, FINITE), (1.5, INFINITE),
                                         (-1.5, INFINITE)])
 def test_power_weight_muckenhoupt_membership(a, expected):
     """d = 1: (dist + 1/2)^a is in A_2 exactly for a in (-1, 1)."""
-    verdict = refinement_protocol(
-        lambda k: make_power_weight(GridSpec(1, k, False), a, "center"),
-        lambda w: muckenhoupt_characteristic(w, 2.0), levels=(6, 8, 10))
-    assert verdict.verdict == expected
+    assert classify_growth([
+        muckenhoupt_characteristic(
+            make_power_weight(GridSpec(1, k, False), a, "center"), 2.0)
+        for k in (6, 8, 10)]) == expected
 
 
 @pytest.mark.parametrize("a,expected", [(0.0, FINITE), (1.5, FINITE)])
 def test_power_weight_reverse_holder_membership(a, expected):
     """d = 1: (dist + 1/2)^a is in RH_2 exactly for a > -1/2."""
-    verdict = refinement_protocol(
-        lambda k: make_power_weight(GridSpec(1, k, False), a, "center"),
-        lambda w: reverse_holder_characteristic(w, 2.0), levels=(6, 8, 10))
-    assert verdict.verdict == expected
+    assert classify_growth([
+        reverse_holder_characteristic(
+            make_power_weight(GridSpec(1, k, False), a, "center"), 2.0)
+        for k in (6, 8, 10)]) == expected
 
 
 def test_power_weight_reverse_holder_failure_grows():
     """a = -2 is outside RH_2; the characteristic grows by a factor close to
     2 per refinement step, which sits exactly on the protocol's doubling
     threshold, so the verdict may be inconclusive but never finite."""
-    verdict = refinement_protocol(
-        lambda k: make_power_weight(GridSpec(1, k, False), -2.0, "center"),
-        lambda w: reverse_holder_characteristic(w, 2.0),
-        levels=(6, 8, 10, 12))
-    assert verdict.verdict != FINITE
-    ratios = [b / a for a, b in zip(verdict.values, verdict.values[1:])]
+    values = [reverse_holder_characteristic(
+        make_power_weight(GridSpec(1, k, False), -2.0, "center"), 2.0)
+        for k in (6, 8, 10, 12)]
+    assert classify_growth(values) != FINITE
+    ratios = [b / a for a, b in zip(values, values[1:])]
     assert all(r >= 1.9 for r in ratios)

@@ -29,7 +29,6 @@ from .lattice import (
     GridFunction,
     GridSpec,
     cube_cells,
-    cube_size,
     dilate,
     enumerate_cubes,
     gridfunction_from_csv,

@@ -175,25 +175,37 @@ def _is_center(x, d: int) -> bool:
         isinstance(x, list) and len(x) == d and all(map(_is_real, x)))
 
 
-# numeric experiment params: (is a list, element check, expected shape)
+def _is_positive(x) -> bool:
+    return _is_real(x) and x > 0
+
+
+def _is_finite(x) -> bool:
+    return _is_real(x) and -np.inf < x < np.inf
+
+
+# numeric experiment params: (is a list, element check, expected shape).
+# Entries of rs and qs may be inf (the l^inf and L^inf branches).
 _PARAM_TYPES = {
-    "ps": (True, _is_real, "a nonempty list of numbers"),
-    "rs": (True, _is_real, "a nonempty list of numbers"),
-    "qs": (True, _is_real, "a nonempty list of numbers"),
-    "panel": (True, _is_real, "a nonempty list of numbers"),
+    "ps": (True, lambda x: _is_real(x) and 1 <= x < np.inf,
+           "a nonempty list of numbers in [1, inf)"),
+    "rs": (True, _is_positive, "a nonempty list of positive numbers"),
+    "qs": (True, _is_positive, "a nonempty list of positive numbers"),
+    "panel": (True, _is_finite, "a nonempty list of finite numbers"),
     "levels": (True, _is_positive_int, "a nonempty list of positive integers"),
     "family_sizes": (True, _is_positive_int,
                      "a nonempty list of positive integers"),
-    "eps": (False, _is_real, "a number"),
-    "child_budget": (False, _is_real, "a number"),
-    "bad_exponent": (False, _is_real, "a number"),
+    "eps": (False, lambda x: _is_finite(x) and x > 0,
+            "a positive finite number"),
+    "child_budget": (False, lambda x: _is_real(x) and 0 < x < 0.5,
+                     "a number in (0, 1/2)"),
+    "bad_exponent": (False, _is_finite, "a finite number"),
     "components": (False, _is_positive_int, "a positive integer"),
 }
 
 
 def _check_params(params: dict):
     """Raise ConfigError naming the first numeric param of the wrong type or
-    out of range (exponents and eps positive, child_budget in (0, 1/2))."""
+    out of range."""
     for key, (is_list, ok, shape) in _PARAM_TYPES.items():
         if key not in params:
             continue
@@ -204,14 +216,6 @@ def _check_params(params: dict):
             good = ok(val)
         if not good:
             raise ConfigError(f"must be {shape}", field=f"params.{key}")
-    for key in ("ps", "rs", "qs"):
-        if key in params and not all(x > 0 for x in params[key]):
-            raise ConfigError("entries must be positive",
-                              field=f"params.{key}")
-    if "eps" in params and not params["eps"] > 0:
-        raise ConfigError("must be positive", field="params.eps")
-    if "child_budget" in params and not 0 < params["child_budget"] < 0.5:
-        raise ConfigError("must lie in (0, 1/2)", field="params.child_budget")
 
 
 def _check_keys(obj: dict, accepted, where: str = ""):

@@ -61,13 +61,6 @@ class GridSpec:
             rem = rem // self.side
         return out
 
-    def flat_index(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords)
-        flat = np.zeros(coords.shape[:-1], dtype=np.int64)
-        for axis in range(self.d):
-            flat = flat * self.side + coords[..., axis]
-        return flat
-
 
 class GridFunction:
     """A vector-valued function on a grid: values has shape (ncells, N)."""
@@ -183,44 +176,42 @@ def _build_cube_map(d: int, levels: int, periodic: bool, shift: int,
 
     Every cell belongs to exactly one cube of each shifted lattice at each
     level, so the map is total; `counts` gives |Q ∩ domain| per cube id.
+    Cube ids are laid out like the cells, axis 0 most significant, so both
+    are outer folds of the per-axis ids and per-axis counts.
     """
-    spec = GridSpec(d, levels, periodic)
-    digits = _shift_digits(shift, d)
-    coords = spec.cell_coords(np.arange(spec.ncells))
-    cell_ids = np.zeros(spec.ncells, dtype=np.int64)
-    n_cubes = 1
-    for axis in range(d):
-        ids, n = _axis_cube_ids(spec.side, periodic, level, digits[axis])
-        cell_ids *= n
-        cell_ids += ids[coords[:, axis]]
-        n_cubes *= n
-    counts = np.bincount(cell_ids, minlength=n_cubes)
-    return cell_ids, counts, n_cubes
+    cell_ids = np.zeros(1, dtype=np.int64)
+    counts = np.ones(1, dtype=np.int64)
+    for digit in _shift_digits(shift, d):
+        ids, n = _axis_cube_ids(1 << levels, periodic, level, digit)
+        cell_ids = np.add.outer(cell_ids * n, ids).ravel()
+        counts = np.multiply.outer(counts, np.bincount(ids, minlength=n)).ravel()
+    return cell_ids, counts, len(counts)
 
 
 @lru_cache(maxsize=64)
-def _stacked_maps(d: int, levels: int, periodic: bool, shifts: str):
+def stacked_cube_map(spec: GridSpec, shifts: str):
     """Every distinct (level, shift) map of one grid and shift policy, stacked.
 
-    ids has one row per lattice, level-major and shifts in shift_list order,
-    each row the cell -> cube id map of that lattice with its ids moved past
-    those of all earlier rows; counts holds the cells per stacked id.  The
-    rows of level j are rows[j]:rows[j + 1] and its ids starts[j]:starts[j +
-    1].  A shift whose per-axis maps repeat those of one already listed at its
-    level is skipped: at level 0 every shift is the unit-cell lattice, and on
-    periodic grids every shift of the top level is the whole torus.  The
-    distinct lattices are listed first, so ids is allocated once and each row
-    written in place; this stack is the only cache of cell -> cube maps, and
-    no per-level or per-axis map is kept beside it.
+    Returns (ids, counts, starts, rows).  ids has one row per lattice,
+    level-major and shifts in shift_list order, each row the cell -> cube id
+    map of that lattice with its ids moved past those of all earlier rows;
+    counts holds the cells per stacked id.  The levels lo..hi are the rows
+    rows[lo]:rows[hi + 1] of ids, and their cube ids the contiguous range
+    starts[lo]:starts[hi + 1].  A shift whose per-axis maps repeat those of
+    one already listed at its level is skipped: at level 0 every shift is the
+    unit-cell lattice, and on periodic grids every shift of the top level is
+    the whole torus.  The distinct lattices are listed first, so ids is
+    allocated once and each row written in place; this stack is the only
+    cache of cell -> cube maps, and no per-level or per-axis map is kept
+    beside it.
     """
-    spec = GridSpec(d, levels, periodic)
     lattices, rows = [], []
-    for level in range(levels + 1):
+    for level in range(spec.levels + 1):
         rows.append(len(lattices))
         seen = []
         for shift in shift_list(spec, shifts):
-            axes = [_axis_cube_ids(spec.side, periodic, level, digit)[0]
-                    for digit in _shift_digits(shift, d)]
+            axes = [_axis_cube_ids(spec.side, spec.periodic, level, digit)[0]
+                    for digit in _shift_digits(shift, spec.d)]
             if any(all(map(np.array_equal, axes, kept)) for kept in seen):
                 continue
             seen.append(axes)
@@ -230,7 +221,7 @@ def _stacked_maps(d: int, levels: int, periodic: bool, shifts: str):
     counts, offsets = [], [0]
     for row, (level, shift) in zip(ids, lattices):
         cell_ids, cube_counts, n_cubes = _build_cube_map(
-            d, levels, periodic, shift, level)
+            spec.d, spec.levels, spec.periodic, shift, level)
         np.add(cell_ids, offsets[-1], out=row)
         counts.append(cube_counts)
         offsets.append(offsets[-1] + n_cubes)
@@ -238,15 +229,6 @@ def _stacked_maps(d: int, levels: int, periodic: bool, shifts: str):
     for a in (ids, counts):
         a.setflags(write=False)
     return ids, counts, tuple(offsets[r] for r in rows), tuple(rows)
-
-
-def stacked_cube_map(spec: GridSpec, shifts: str):
-    """Public accessor for the (ids, counts, id starts, row starts) stack.
-
-    The levels lo..hi are the rows rows[lo]:rows[hi + 1] of ids, and their
-    cube ids the contiguous range starts[lo]:starts[hi + 1].
-    """
-    return _stacked_maps(spec.d, spec.levels, spec.periodic, shifts)
 
 
 def enumerate_cubes(spec: GridSpec, shifts: str = "canonical",
@@ -283,31 +265,18 @@ def cube_cells(spec: GridSpec, cube: DyadicCube) -> np.ndarray:
 
 
 def _cells_of_box(spec: GridSpec, corner: Sequence[int], side: int) -> np.ndarray:
-    axis_ranges = []
-    for axis in range(spec.d):
-        c = corner[axis]
+    """Sorted flat indices of a box, folded axis by axis as the grid lays out
+    its cells (axis 0 most significant)."""
+    flat = np.zeros(1, dtype=np.int64)
+    for c in corner:
         if spec.periodic:
-            if side >= spec.side:
-                rng = np.arange(spec.side, dtype=np.int64)
-            else:
-                rng = (c + np.arange(side, dtype=np.int64)) % spec.side
+            part = (c + np.arange(min(side, spec.side), dtype=np.int64)) \
+                % spec.side
         else:
-            lo = max(c, 0)
-            hi = min(c + side, spec.side)
-            rng = np.arange(lo, hi, dtype=np.int64)
-        axis_ranges.append(rng)
-    if any(len(r) == 0 for r in axis_ranges):
-        return np.empty(0, dtype=np.int64)
-    if spec.d == 1:
-        return np.sort(axis_ranges[0])
-    grids = np.meshgrid(*axis_ranges, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=-1)
-    return np.sort(spec.flat_index(coords))
-
-
-def cube_size(spec: GridSpec, cube: DyadicCube) -> int:
-    """|Q ∩ domain| in cells (exact integer)."""
-    return len(cube_cells(spec, cube))
+            part = np.arange(max(c, 0), min(c + side, spec.side),
+                             dtype=np.int64)
+        flat = np.add.outer(flat * spec.side, part).ravel()
+    return np.sort(flat)
 
 
 def dilate(spec: GridSpec, cube: DyadicCube, factor: int) -> np.ndarray:
@@ -330,7 +299,7 @@ def children(spec: GridSpec, cube: DyadicCube) -> list:
         corner = tuple((c + off) % spec.side if spec.periodic else c + off
                        for c, off in zip(cube.corner, offs))
         child = DyadicCube(shift=cube.shift, level=cube.level - 1, corner=corner)
-        if spec.periodic or cube_size(spec, child) > 0:
+        if spec.periodic or len(cube_cells(spec, child)) > 0:
             out.append(child)
     return out
 

@@ -388,6 +388,7 @@ def theorem11_check(family: OperatorFamily, inputs: Sequence[GridFunction],
     lhs = abs(vector_form(family, inputs))
     report = sparse.build_sparse_collection(list(inputs), list(ps), list(rs),
                                             variant=2)
+    report.collection.validate()
     rhs = sparse.sparse_form(family.spec, report.collection.cubes,
                              list(inputs), list(ps), rs=list(rs))
     c_emp = None if rhs == 0.0 else lhs / (cert * rhs)

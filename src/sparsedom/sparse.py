@@ -85,13 +85,17 @@ class SparseCollection:
         return len(self.cubes)
 
     def validate(self) -> None:
-        """Exact integer check of the three sparsity invariants."""
+        """Exact integer check of the sparsity invariants: each major set
+        holds distinct cells of its cube, more than half of them, and meets
+        no other major set."""
         seen = np.zeros(self.spec.ncells, dtype=bool)
         for cube, major in zip(self.cubes, self.major_sets):
             cells = cube_cells(self.spec, cube)
             size = len(cells)
             if not np.all(np.isin(major, cells)):
                 raise InfeasibleCollectionError("major set not inside its cube")
+            if len(np.unique(major)) < len(major):
+                raise InfeasibleCollectionError("major set repeats a cell")
             if 2 * len(major) <= size:
                 raise InfeasibleCollectionError(
                     f"|E_Q| = {len(major)} <= |Q|/2 = {size}/2")
@@ -413,6 +417,8 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
     exceptional set and the total stopping-child measure meet their budgets
     (children: child_budget * |Q|; exceptional set: 9^d/2 * child_budget * |Q|,
     the slack accounting for the 9-fold dilation in the child selection).
+    The collection is not validated here: callers decide its sparsity with
+    `SparseCollection.is_valid` or `validate`.
     """
     if variant == 1:
         if eps is None or eps <= 0:
@@ -504,7 +510,6 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
     a_root = recurse(root)
 
     collection = SparseCollection(spec, cubes, majors)
-    collection.validate()
     if variant == 1:
         dominator = np.ones(spec.ncells)
         for a in a_root:

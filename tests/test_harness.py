@@ -17,6 +17,7 @@ from sparsedom import (
     maximal,
     operators,
     run_experiment,
+    sparse,
     weights,
 )
 from sparsedom.cli import build_parser, main
@@ -501,6 +502,25 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                  id="nonpositive-ps"),
     pytest.param(lambda d: d.update(kind="build-sparse", params={"eps": -1}),
                  "params.eps", id="nonpositive-eps"),
+    pytest.param(lambda d: d["params"].update(ps=[0.5, 1.0]), "params.ps",
+                 id="maximal-ps-below-one"),
+    pytest.param(lambda d: d.update(kind="lemma1",
+                                    params={"ps": [1.0, 0.5, 1.0]}),
+                 "params.ps", id="lemma1-ps-below-one"),
+    pytest.param(lambda d: d["params"].update(ps=[1.0, float("inf")]),
+                 "params.ps", id="maximal-infinite-ps"),
+    pytest.param(lambda d: d.update(kind="build-sparse",
+                                    params={"eps": float("inf")}),
+                 "params.eps", id="build-sparse-infinite-eps"),
+    pytest.param(lambda d: d.update(kind="weights",
+                                    params={"panel": [0.0, float("nan")]}),
+                 "params.panel", id="weights-nan-panel"),
+    pytest.param(lambda d: d.update(kind="weighted", params={
+        "panel": [0.0, float("inf")], "bad_exponent": float("inf")}),
+                 "params.panel", id="weighted-infinite-panel"),
+    pytest.param(lambda d: d.update(kind="weighted",
+                                    params={"bad_exponent": float("nan")}),
+                 "params.bad_exponent", id="weighted-nan-bad-exponent"),
     pytest.param(lambda d: d.update(kind="build-sparse",
                                     params={"child_budget": 0.75}),
                  "params.child_budget", id="child-budget-above-half"),
@@ -587,6 +607,17 @@ def test_cli_config_value_errors_exit_2(mutate, field, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_infinite_rs_and_qs_stay_legal(tmp_path):
+    """inf entries of rs and qs select the l^inf and L^inf branches."""
+    ExperimentConfig.from_dict(base_doc(
+        "weighted", qs=[2.0, float("inf")]))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_doc(rs=[2.0, float("inf")])))
+    assert "Infinity" in path.read_text()
+    assert main(["maximal", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
 def test_weights_config_accepts_empty_corpus():
     """weights reads no corpus, so its configs may leave it empty."""
     doc = base_doc("weights", levels=[4, 6])
@@ -638,6 +669,23 @@ def test_holder_sandwich_fails_on_planted_excess(faulty_split, excess,
     assert run_experiment(cfg, tmp_path / "planted") == 1
     report = json.loads((tmp_path / "planted" / "report.json").read_text())
     row = [r for r in report["rows"] if r["id"] == "holder-sandwich"][0]
+    assert row["pass"] is False
+
+
+def test_sparsity_row_fails_on_planted_minor_sets(monkeypatch, tmp_path):
+    """A builder whose major sets hold at most half of their cubes fails
+    sparsity-exact; the run still writes its report and exits 1."""
+
+    class HalvedMajors(sparse.SparseCollection):
+        def __post_init__(self):
+            super().__post_init__()
+            self.major_sets = [m[:len(m) // 2] for m in self.major_sets]
+
+    cfg = small_config("build-sparse")
+    monkeypatch.setattr(sparse, "SparseCollection", HalvedMajors)
+    assert run_experiment(cfg, tmp_path) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    row = [r for r in report["rows"] if r["id"] == "sparsity-exact"][0]
     assert row["pass"] is False
 
 

@@ -1,5 +1,6 @@
 """Grids, cubes, shifted lattices, power means and serialization."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -11,7 +12,6 @@ from sparsedom import (
     GridFunction,
     GridSpec,
     cube_cells,
-    cube_size,
     dilate,
     enumerate_cubes,
     gridfunction_from_csv,
@@ -26,8 +26,9 @@ from sparsedom.errors import (
     NonpositiveValueError,
 )
 from sparsedom.lattice import (
+    _axis_cube_ids,
     _build_cube_map,
-    _stacked_maps,
+    _cells_of_box,
     children,
     lr_norm_rows,
     shift_list,
@@ -47,7 +48,6 @@ def test_gridspec_basic():
     flat = np.arange(64)
     coords = spec.cell_coords(flat)
     assert coords.shape == (64, 2)
-    assert np.array_equal(spec.flat_index(coords), flat)
 
 
 def test_gridspec_validation():
@@ -144,10 +144,10 @@ def test_stacked_maps_match_row_by_row_stack(d, max_levels):
     row in place gives the stack of the row-by-row build."""
     for levels in range(1, max_levels + 1):
         for periodic in (False, True):
+            spec = GridSpec(d, levels, periodic)
             for shifts in ("canonical", "all"):
-                got = _stacked_maps.__wrapped__(d, levels, periodic, shifts)
-                want = stacked_maps_by_rows(GridSpec(d, levels, periodic),
-                                            shifts)
+                got = stacked_cube_map.__wrapped__(spec, shifts)
+                want = stacked_maps_by_rows(spec, shifts)
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])
                 assert got[2:] == want[2:]
@@ -159,7 +159,7 @@ def test_stacked_map_build_peak_memory(d, levels, shifts):
     """The stack is allocated once and its rows written in place, so the
     traced peak of a build stays below twice the stack; keeping a list of
     rows and stacking them holds every row twice."""
-    _stacked_maps.cache_clear()
+    stacked_cube_map.cache_clear()
     tracemalloc.start()
     try:
         ids = stacked_cube_map(GridSpec(d, levels), shifts)[0]
@@ -169,6 +169,109 @@ def test_stacked_map_build_peak_memory(d, levels, shifts):
     assert peak < 2 * ids.nbytes
 
 
+def cells_of_box_by_meshgrid(spec, corner, side):
+    """Reference box: per-axis ranges, their meshgrid and the flat index of
+    every coordinate row, with separate branches for a whole periodic axis
+    and for d = 1."""
+    axis_ranges = []
+    for axis in range(spec.d):
+        c = corner[axis]
+        if spec.periodic:
+            if side >= spec.side:
+                rng = np.arange(spec.side, dtype=np.int64)
+            else:
+                rng = (c + np.arange(side, dtype=np.int64)) % spec.side
+        else:
+            lo = max(c, 0)
+            hi = min(c + side, spec.side)
+            rng = np.arange(lo, hi, dtype=np.int64)
+        axis_ranges.append(rng)
+    if any(len(r) == 0 for r in axis_ranges):
+        return np.empty(0, dtype=np.int64)
+    if spec.d == 1:
+        return np.sort(axis_ranges[0])
+    grids = np.meshgrid(*axis_ranges, indexing="ij")
+    coords = np.stack([g.ravel() for g in grids], axis=-1)
+    flat = np.zeros(len(coords), dtype=np.int64)
+    for axis in range(spec.d):
+        flat = flat * spec.side + coords[:, axis]
+    return np.sort(flat)
+
+
+def cube_map_by_coords(d, levels, periodic, shift, level):
+    """Reference cell -> cube map: the coordinates of every cell, a gather of
+    each axis's cube ids, and a bincount of the folded ids."""
+    spec = GridSpec(d, levels, periodic)
+    digits = [shift // 3 ** axis % 3 for axis in range(d)]
+    coords = spec.cell_coords(np.arange(spec.ncells))
+    cell_ids = np.zeros(spec.ncells, dtype=np.int64)
+    n_cubes = 1
+    for axis in range(d):
+        ids, n = _axis_cube_ids(spec.side, periodic, level, digits[axis])
+        cell_ids *= n
+        cell_ids += ids[coords[:, axis]]
+        n_cubes *= n
+    counts = np.bincount(cell_ids, minlength=n_cubes)
+    return cell_ids, counts, n_cubes
+
+
+@pytest.mark.parametrize("d,max_levels", [(1, 8), (2, 5)])
+def test_cells_of_box_match_meshgrid_oracle(d, max_levels):
+    """Every box of side 2^j or 3 * 2^j at every corner, from wholly before
+    the domain to wholly after it on clipped grids, has the sorted int64
+    cells of the meshgrid build."""
+    for levels in range(1, max_levels + 1):
+        for periodic in (False, True):
+            spec = GridSpec(d, levels, periodic)
+            for j in range(levels + 1):
+                for side in (1 << j, 3 << j):
+                    axis = range(spec.side) if periodic else \
+                        range(-side, spec.side + 1)
+                    for corner in itertools.product(axis, repeat=d):
+                        got = _cells_of_box(spec, corner, side)
+                        want = cells_of_box_by_meshgrid(spec, corner, side)
+                        assert got.dtype == np.int64
+                        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d,max_levels", [(1, 10), (2, 5)])
+def test_cube_map_matches_coordinate_oracle(d, max_levels):
+    """The outer folds of the per-axis ids and counts give the map, counts
+    and cube count of the per-cell coordinate gather."""
+    for levels in range(1, max_levels + 1):
+        for periodic in (False, True):
+            for shift in range(3 ** d):
+                for level in range(levels + 1):
+                    got = _build_cube_map(d, levels, periodic, shift, level)
+                    want = cube_map_by_coords(d, levels, periodic, shift,
+                                              level)
+                    for a, b in zip(got[:2], want[:2]):
+                        assert a.dtype == np.int64
+                        assert np.array_equal(a, b)
+                    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("d,levels", [(1, 5), (2, 3)])
+def test_cube_map_groups_are_cube_of_cell_cubes(d, levels):
+    """The cells of each cube id are exactly the cells of one cube, the one
+    cube_of_cell names for each of them, and its count is their number."""
+    for periodic in (False, True):
+        spec = GridSpec(d, levels, periodic)
+        for shift in shift_list(spec, "all"):
+            for level in range(levels + 1):
+                ids, counts, n_cubes = _build_cube_map(d, levels, periodic,
+                                                       shift, level)
+                cubes = set()
+                for cube_id in range(n_cubes):
+                    group = np.flatnonzero(ids == cube_id)
+                    assert counts[cube_id] == len(group)
+                    (cube,) = {cube_of_cell(spec, int(x), shift, level)
+                               for x in group}
+                    assert np.array_equal(cube_cells(spec, cube), group)
+                    cubes.add(cube)
+                assert len(cubes) == n_cubes
+
+
 def test_each_shift_level_partitions_periodic_domain():
     spec = GridSpec(2, 3, periodic=True)
     assert len(shift_list(spec, "all")) == 9
@@ -176,7 +279,7 @@ def test_each_shift_level_partitions_periodic_domain():
         for level in range(spec.levels + 1):
             cubes = enumerate_cubes(spec, shifts="all", levels=[level])
             mine = [c for c in cubes if c.shift == shift]
-            counted = sum(cube_size(spec, c) for c in mine)
+            counted = sum(len(cube_cells(spec, c)) for c in mine)
             assert counted == spec.ncells
             all_cells = np.concatenate([cube_cells(spec, c) for c in mine])
             assert len(np.unique(all_cells)) == spec.ncells

@@ -27,9 +27,7 @@ from sparsedom.errors import (
 )
 from sparsedom.lattice import (
     _build_cube_map,
-    _stacked_maps,
     cube_cells,
-    cube_size,
     dilate,
     enumerate_cubes,
     lr_norm_rows,
@@ -259,19 +257,19 @@ def test_component_sup_windows_share_one_stacked_map():
     memory of every construction."""
     spec = GridSpec(1, 6, periodic=True)
     fs = random_inputs(spec, 2, 2, np.random.default_rng(12))
-    _stacked_maps.cache_clear()
+    stacked_cube_map.cache_clear()
     for window in (None, (0, 2), (1, 4), (2, 8), (4, spec.side)):
         component_sup(fs, (1.0, 2.0), window=window)
-    info = _stacked_maps.cache_info()
+    info = stacked_cube_map.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
-    _stacked_maps.cache_clear()
+    stacked_cube_map.cache_clear()
     w, v = (Weight(spec, f.values[:, 0] + 0.5) for f in fs)
     rc_characteristic(w, 1.0, 2.0)
     muckenhoupt_characteristic(w, 1.0)
     muckenhoupt_characteristic(w, 2.0)
     multilinear_characteristic(WeightVector([w, v], (2.0, 3.0)),
                                (1.0, 1.5, 2.0))
-    assert _stacked_maps.cache_info().currsize == 0
+    assert stacked_cube_map.cache_info().currsize == 0
 
 
 def test_spike_maximal_hand_value():

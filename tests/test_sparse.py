@@ -1,6 +1,7 @@
 """Sparse collections: feasibility, forms, optimizers and the constructor."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -117,6 +118,13 @@ def test_explicit_major_sets_validation():
                             [np.array([0, 1]), np.array([1, 2, 3])])
     with pytest.raises(InfeasibleCollectionError):
         coll.validate()
+    # a repeated cell counted towards the majority: 2 of the 4 cells
+    coll = SparseCollection(spec, [q], [[0, 0, 1]])
+    assert not coll.is_valid()
+    # the same set read back from the overlapping runs of its JSON
+    text = coll.to_json()
+    assert json.loads(text)["major_sets"] == [[[0, 1], [0, 2]]]
+    assert not SparseCollection.from_json(text).is_valid()
     # a valid assignment
     coll = SparseCollection(spec, [canonical_cube(1, 0), canonical_cube(1, 2)],
                             [np.array([0, 1]), np.array([2, 3])])

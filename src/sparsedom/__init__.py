@@ -39,7 +39,6 @@ from .lattice import (
 )
 from .maximal import (
     holder_dominator,
-    localized_maximal,
     mixed_norm,
     partitioned_maximal,
     vector_maximal,

@@ -228,22 +228,43 @@ def _check_keys(obj: dict, accepted, where: str = ""):
 
 def _check_kind_params(cfg: ExperimentConfig):
     """Raise ConfigError naming the param whose value, configured or
-    default, does not fit the kind: rs and ps of different lengths where
-    they pair, p_j >= r_j in build-sparse, a refinement level too large for
-    the kind's grids or below 2 for the singular model (truncation side/4),
-    a single level where a refinement protocol runs, a weight centre that
-    is not "center", "edge" or one coordinate per axis, or a bad_exponent
+    default, does not fit the kind: a grid that is not periodic 1-d for
+    the singular model (bht, weighted), slot counts other than 3 ps (bht),
+    2 qs and 2 or more rs (weighted), qs with 3q/2 infinite or below 1,
+    rs and ps of different lengths where they pair, p_j >= r_j in
+    build-sparse and theorem11, a refinement level too large for the
+    kind's grids or below 2 for the singular model (truncation side/4), a
+    single level where a refinement protocol runs, a weight centre that is
+    not "center", "edge" or one coordinate per axis, or a bad_exponent
     missing from the panel."""
     kind, params, accepted = cfg.kind, cfg.params, _PARAMS[cfg.kind]
+    for key, good in (("d", cfg.grid.d == 1), ("periodic", cfg.grid.periodic)):
+        if kind in ("bht", "weighted") and not good:
+            raise ConfigError("the singular model runs on periodic 1-d grids",
+                              field=f"grid.{key}")
+    if kind == "bht" and len(cfg.param("ps")) != 3:
+        raise ConfigError("the singular model has three slots",
+                          field="params.ps")
+    if kind == "weighted":
+        qs, rs = cfg.param("qs"), cfg.param("rs")
+        if len(qs) != 2 or len(rs) < 2:
+            raise ConfigError(
+                "the bilinear model needs 2 qs and 2 or more rs",
+                field="params.rs" if len(qs) == 2 else "params.qs")
+        t = 3.0 * holder_aggregate(qs) / 2.0     # as in bht_corner_hypotheses
+        if not 1 <= t < np.inf:
+            raise ConfigError(f"the corner class A_{{3q/2}} needs a finite "
+                              f"3q/2 >= 1, got {t:g}", field="params.qs")
     if "ps" in accepted and "rs" in accepted:
         ps, rs = cfg.param("ps"), cfg.param("rs")
         where = "params.rs" if "rs" in params else "params.ps"
         if len(rs) != len(ps):
             raise ConfigError(f"needs one r per p ({len(ps)} ps, {len(rs)} "
                               "rs)", field=where)
-        if kind == "build-sparse" and not all(p < r for p, r in zip(ps, rs)):
+        if kind in ("build-sparse", "theorem11") and \
+                not all(p < r for p, r in zip(ps, rs)):
             raise ConfigError("the construction needs p_j < r_j", field=where)
-    d = cfg.grid.d if kind == "weights" else 1
+    d = cfg.grid.d
     if "levels" in accepted:
         levels = cfg.param("levels")
         for k in levels:

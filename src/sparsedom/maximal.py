@@ -33,10 +33,8 @@ from .errors import (
     ZeroInputError,
 )
 from .lattice import (
-    DyadicCube,
     GridFunction,
     GridSpec,
-    cube_cells,
     holder_aggregate,
     lr_norm_rows,
     stacked_cube_map,
@@ -174,20 +172,6 @@ def vector_maximal(inputs: Sequence[GridFunction], ps: Sequence[float],
     sup = component_sup(inputs, ps, shifts=shifts, window=window)
     spec = inputs[0].spec
     return GridFunction(spec, lr_norm_rows(sup, r))
-
-
-def localized_maximal(inputs, ps, r, cube: DyadicCube) -> GridFunction:
-    """1_Q times the maximal function truncated to sides <= side(Q).
-
-    By support considerations this only sees input values on the 3-fold
-    dilate of Q, so restricting the inputs to 3Q first gives the identical
-    result (asserted in the test suite).
-    """
-    spec = inputs[0].spec
-    out = vector_maximal(inputs, ps, r, window=(0, cube.side))
-    mask = np.zeros(spec.ncells)
-    mask[cube_cells(spec, cube)] = 1.0
-    return GridFunction(spec, out.values[:, 0] * mask)
 
 
 def holder_dominator(inputs, ps, rs) -> GridFunction:

@@ -116,23 +116,23 @@ def model_sparse_operator(collection: sparse.SparseCollection,
 
     The sparse norm of this operator is at most 1 by construction, so the
     certificate is exact.  Averages are taken of absolute values, making the
-    form sublinear (additive only when every p_j = 1).
+    form sublinear (additive only when every p_j = 1).  Each cube's cells
+    are built once, here (a valid collection has no empty cube).
     """
     collection.validate()
     spec = collection.spec
     ps = tuple(float(p) for p in ps)
     n = len(ps) - 1
+    cell_sets = [sparse.cube_cells(spec, cube) for cube in collection.cubes]
 
     def evaluator(gs):
-        return sparse.sparse_form(spec, collection.cubes, gs, ps)
+        return sparse._form_of_cells(cell_sets, sparse._scalar_profiles(gs),
+                                     ps)
 
     def apply(gs):
         profiles = [g.values[:, 0] for g in gs]
         out = np.zeros(spec.ncells)
-        for cube in collection.cubes:
-            cells = sparse.cube_cells(spec, cube)
-            if len(cells) == 0:
-                continue
+        for cells in cell_sets:
             out[cells] += sparse._cube_term(1.0, profiles, cells, ps[:-1])
         return out
 
@@ -389,10 +389,8 @@ def theorem11_check(family: OperatorFamily, inputs: Sequence[GridFunction],
     report = sparse.build_sparse_collection(list(inputs), list(ps), list(rs),
                                             variant=2)
     report.collection.validate()
-    rhs = sparse.sparse_form(family.spec, report.collection.cubes,
-                             list(inputs), list(ps), rs=list(rs))
-    c_emp = None if rhs == 0.0 else lhs / (cert * rhs)
-    return {"lhs": lhs, "sparse_form": rhs, "certificate": cert,
+    c_emp = None if report.rhs == 0.0 else lhs / (cert * report.rhs)
+    return {"lhs": lhs, "sparse_form": report.rhs, "certificate": cert,
             "c_emp": c_emp, "collection": report.collection,
             "construction": report}
 

@@ -258,18 +258,24 @@ def _cube_term(term: float, profiles, cells: np.ndarray, ps) -> float:
     return term
 
 
-def sparse_form(spec: GridSpec, cubes: Sequence[DyadicCube],
-                inputs: Sequence[GridFunction], ps: Sequence[float],
-                rs=None) -> float:
-    """sum_Q |Q| prod_j <||f^j||_{l^{r_j}}>_{p_j,Q} (scalar when rs is None)."""
-    profiles = _scalar_profiles(inputs, rs)
+def _form_of_cells(cell_sets, profiles, ps) -> float:
+    """sum_Q |Q| prod_j <g_j>_{p_j,Q} over nonempty cell sets, added left to
+    right in their order (the built-in sum compensates float sums from
+    Python 3.12 on), so equal cubes in equal order give equal bits."""
     total = 0.0
-    for cube in cubes:
-        cells = cube_cells(spec, cube)
+    for cells in cell_sets:
         if len(cells) == 0:
             continue
         total += _cube_term(float(len(cells)), profiles, cells, ps)
     return total
+
+
+def sparse_form(spec: GridSpec, cubes: Sequence[DyadicCube],
+                inputs: Sequence[GridFunction], ps: Sequence[float],
+                rs=None) -> float:
+    """sum_Q |Q| prod_j <||f^j||_{l^{r_j}}>_{p_j,Q} (scalar when rs is None)."""
+    return _form_of_cells((cube_cells(spec, c) for c in cubes),
+                          _scalar_profiles(inputs, rs), ps)
 
 
 def integral_of_form(inputs: Sequence[GridFunction], ps: Sequence[float],
@@ -290,7 +296,8 @@ def lower_direction_check(collection: SparseCollection,
     """
     profiles = _scalar_profiles(inputs, rs)
     scalars = [GridFunction(collection.spec, g) for g in profiles]
-    form = sparse_form(collection.spec, collection.cubes, inputs, ps, rs)
+    form = _form_of_cells((cube_cells(collection.spec, c)
+                           for c in collection.cubes), profiles, ps)
     integral = integral_of_form(scalars, ps, r=1.0)
     ratio = 0.0 if integral == 0.0 else form / integral
     return {"sparse_form": form, "integral": integral, "ratio": ratio,
@@ -445,16 +452,17 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
     else:
         groups = [(list(inputs), ps, r_agg)]
 
-    cubes, majors, nodes = [], [], []
+    cubes, majors, nodes, cell_sets = [], [], [], []
 
-    def recurse(q: DyadicCube):
-        cells_q = cube_cells(spec, q)
+    def recurse(q: DyadicCube, cells_q: np.ndarray, cells_3q: np.ndarray):
         size_q = len(cells_q)
-        cells_3q = dilate(spec, q, 3)
         scales = [power_mean(g[cells_3q], e) if np.any(g[cells_3q]) else 0.0
                   for g, e in zip(profiles, form_exps)]
-        a_loc = [maximal.localized_maximal(fs, es, r, q).values[:, 0]
-                 for fs, es, r in groups]
+        # 1_Q times the maximal function truncated to sides <= side(Q)
+        a_loc = [np.zeros(spec.ncells) for _ in groups]
+        for a, (fs, es, r) in zip(a_loc, groups):
+            a[cells_q] = maximal.vector_maximal(
+                fs, es, r, window=(0, q.side)).values[cells_q, 0]
         if variant == 1:
             group_scales = scales
             exceed_arrays = [maximal.vector_maximal(
@@ -467,6 +475,7 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
             # some input vanishes on 3Q, so the localized operators vanish on Q
             cubes.append(q)
             majors.append(cells_q)
+            cell_sets.append(cells_q)
             nodes.append(StoppingNode(q, None, 0, 0, size_q, 0.0, 0.0, 0.0,
                                       0))
             return a_loc
@@ -489,25 +498,27 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
             raise CalibrationFailureError(
                 f"no threshold below c0 * 2^{_MAX_DOUBLINGS} met the budget")
 
-        kid_cells = [cube_cells(spec, L) for L in kids]
-        ratios = _node_property_ratios(spec, q, cells_q, cells_3q, mask, kids,
-                                       kid_cells, groups, a_loc, thresholds,
-                                       variant)
+        child_cells = [cube_cells(spec, L) for L in kids]
+        child_threes = [dilate(spec, L, 3) for L in kids]
+        ratios = _node_property_ratios(q, cells_q, cells_3q, mask, kids,
+                                       child_cells, child_threes, groups,
+                                       a_loc, thresholds, variant)
         major = cells_q if not kids else np.setdiff1d(
-            cells_q, np.concatenate(kid_cells), assume_unique=False)
+            cells_q, np.concatenate(child_cells), assume_unique=False)
         cubes.append(q)
         majors.append(major)
+        cell_sets.append(cells_q)
         nodes.append(StoppingNode(q, c, doublings, kid_measure, size_q,
                                   ratios[0], ratios[1], ratios[2], len(kids)))
-        for kid in kids:
-            recurse(kid)
+        for kid, cells, three in zip(kids, child_cells, child_threes):
+            recurse(kid, cells, three)
         return a_loc
 
     root = DyadicCube(shift=0, level=spec.levels,
                       corner=(0,) * spec.d)
     # the root's localized maximal functions are the full ones, so they give
     # lhs: the Hoelder majorant (variant 1) or the form's maximal function
-    a_root = recurse(root)
+    a_root = recurse(root, cube_cells(spec, root), dilate(spec, root, 3))
 
     collection = SparseCollection(spec, cubes, majors)
     if variant == 1:
@@ -517,12 +528,12 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
         lhs = float(np.sum(dominator))
     else:
         lhs = float(np.sum(a_root[0]))
-    rhs = sparse_form(spec, cubes, inputs, form_exps, rs)
+    rhs = _form_of_cells(cell_sets, profiles, form_exps)
     return ConstructionReport(collection, nodes, lhs, rhs)
 
 
-def _node_property_ratios(spec, q, cells_q, cells_3q, mask, kids, kid_cells,
-                          groups, a_loc, thresholds, variant):
+def _node_property_ratios(q, cells_q, cells_3q, mask, kids, child_cells,
+                          child_threes, groups, a_loc, thresholds, variant):
     """Scale-free ratios behind the three stopping-node properties.
 
     (i) localized operator off the exceedance set / threshold;
@@ -530,7 +541,8 @@ def _node_property_ratios(spec, q, cells_q, cells_3q, mask, kids, kid_cells,
     (iii) coarse-truncated operator on L, inputs restricted to 3Q.
     All are 0 when vacuous (no off-set cells, no children).  a_loc and
     thresholds hold each slot group's localized maximal function on Q and
-    its threshold.  Children of one side share the window (side(L), side(Q)]
+    its threshold, child_cells and child_threes each child's cells and 3L.
+    Children of one side share the window (side(L), side(Q)]
     of (iii), so it is evaluated once per side and maximized over the union
     of their cells; max and division by a positive threshold commute, so the
     ratio equals the per-child one.
@@ -545,14 +557,13 @@ def _node_property_ratios(spec, q, cells_q, cells_3q, mask, kids, kid_cells,
 
     prop2 = 0.0
     if variant == 1:
-        for kid in kids:
-            three = dilate(spec, kid, 3)
+        for three in child_threes:
             for a, th in per_group:
                 prop2 = max(prop2, float(np.mean(a[three])) / th)
 
     restricted = [[f.restrict(cells_3q) for f in fs] for fs, _, _ in groups]
     by_side = {}
-    for kid, cells in zip(kids, kid_cells):
+    for kid, cells in zip(kids, child_cells):
         by_side.setdefault(kid.side, []).append(cells)
     prop3 = 0.0
     for side, cell_sets in by_side.items():

@@ -589,6 +589,36 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                  "params.levels", id="weights-single-level"),
     pytest.param(lambda d: d.update(kind="weighted", params={"levels": [6]}),
                  "params.levels", id="weighted-single-level"),
+    pytest.param(lambda d: d.update(kind="weighted",
+                                    params={"qs": [2.0, 2.0, 2.0]}),
+                 "params.qs", id="weighted-three-qs"),
+    pytest.param(lambda d: d.update(kind="weighted", params={"rs": [4.0]}),
+                 "params.rs", id="weighted-one-r"),
+    pytest.param(lambda d: d.update(kind="weighted",
+                                    params={"qs": [1.0, 1.0]}),
+                 "params.qs", id="weighted-corner-exponent-below-one"),
+    pytest.param(lambda d: d.update(kind="weighted", params={
+        "qs": [float("inf"), float("inf")]}),
+                 "params.qs", id="weighted-infinite-corner-exponent"),
+    pytest.param(lambda d: d.update(kind="bht", params={"ps": [2.0, 2.0]}),
+                 "params.ps", id="bht-two-ps"),
+    pytest.param(lambda d: d.update(kind="bht", params={"ps": [2.0] * 4}),
+                 "params.ps", id="bht-four-ps"),
+    pytest.param(lambda d: d.update(kind="theorem11",
+                                    params={"rs": [1.0, 1.0, 1.0]}),
+                 "params.rs", id="theorem11-r-not-above-p"),
+    pytest.param(lambda d: d.update(kind="bht", grid={
+        "d": 2, "levels": 4, "periodic": False}),
+                 "grid.d", id="bht-2d-grid"),
+    pytest.param(lambda d: d.update(kind="weighted", grid={
+        "d": 2, "levels": 4, "periodic": False}),
+                 "grid.d", id="weighted-2d-grid"),
+    pytest.param(lambda d: d.update(kind="bht", grid={
+        "d": 1, "levels": 4, "periodic": False}),
+                 "grid.periodic", id="bht-clipped-grid"),
+    pytest.param(lambda d: d.update(kind="weighted", grid={
+        "d": 1, "levels": 4, "periodic": False}),
+                 "grid.periodic", id="weighted-clipped-grid"),
 ] + [
     pytest.param(lambda d, kind=kind: d.update(
         kind=kind, corpus=dict(d["corpus"], size=0)),
@@ -616,6 +646,14 @@ def test_infinite_rs_and_qs_stay_legal(tmp_path):
     assert "Infinity" in path.read_text()
     assert main(["maximal", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 0
+
+
+def test_weighted_corner_exponents_stay_legal():
+    """3q/2 = 1 exactly (qs 4/3, 4/3) and an L^inf slot keep a defined
+    corner class, and a third rs entry is accepted."""
+    for qs in ([4.0 / 3.0, 4.0 / 3.0], [2.0, float("inf")]):
+        ExperimentConfig.from_dict(base_doc("weighted", qs=qs))
+    ExperimentConfig.from_dict(base_doc("weighted", rs=[4.0, 4.0, 2.0]))
 
 
 def test_weights_config_accepts_empty_corpus():

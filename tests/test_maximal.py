@@ -12,7 +12,6 @@ from sparsedom import (
     GridFunction,
     GridSpec,
     holder_dominator,
-    localized_maximal,
     maximal,
     mixed_norm,
     partitioned_maximal,
@@ -64,6 +63,22 @@ def brute_maximal(inputs, ps, r, shifts="all", window=None):
                 term *= power_mean(f.values[cells, k], p)
             best[cells, k] = np.maximum(best[cells, k], term)
     return lr_norm_rows(best, r)
+
+
+def localized_maximal(inputs, ps, r, cube):
+    """1_Q times the maximal function truncated to sides <= side(Q),
+    evaluated on the full grid and masked: the oracle for the stopping-time
+    constructor, which evaluates it on Q's cells only.
+
+    By support considerations this only sees input values on the 3-fold
+    dilate of Q, so restricting the inputs to 3Q first gives the identical
+    result (asserted below).
+    """
+    spec = inputs[0].spec
+    out = vector_maximal(inputs, ps, r, window=(0, cube.side))
+    mask = np.zeros(spec.ncells)
+    mask[cube_cells(spec, cube)] = 1.0
+    return GridFunction(spec, out.values[:, 0] * mask)
 
 
 def random_inputs(spec, n_slots, n_comp, rng, nonneg=True):

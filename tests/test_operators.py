@@ -18,6 +18,7 @@ from sparsedom import (
     model_sparse_operator,
     operators,
     run_experiment,
+    sparse_form,
     theorem11_check,
     vector_form,
     verify_sparsity,
@@ -362,6 +363,8 @@ def test_admissibility_grid():
 
 
 def test_model_operator_form_and_output_agree():
+    """The form agrees with its materialized output, and has the bits of
+    sparse_form over the operator's collection (signed inputs too)."""
     spec = GridSpec(1, 3, periodic=True)
     rng = np.random.default_rng(34)
     coll = feasible_collection(spec, rng)
@@ -369,6 +372,9 @@ def test_model_operator_form_and_output_agree():
     gs = random_scalars(spec, 3, rng, signed=False)
     via_output = float(np.dot(op.output(gs[:2]), gs[2].values[:, 0]))
     assert op.evaluate(gs) == pytest.approx(via_output, rel=1e-12)
+    for inputs in (gs, random_scalars(spec, 3, rng)):
+        assert op.evaluate(inputs) == sparse_form(spec, coll.cubes, inputs,
+                                                  (1.0, 2.0, 1.0))
 
 
 def test_model_operator_is_linear_only_at_p_one():
@@ -451,6 +457,9 @@ def test_theorem11_records_constant():
     result = theorem11_check(family, gs, (1.0, 1.0, 1.0), (4.0, 4.0, 2.0))
     assert result["c_emp"] is not None and result["c_emp"] >= 0.0
     result["collection"].validate()
+    assert result["sparse_form"] == sparse_form(
+        spec, result["collection"].cubes, gs, (1.0, 1.0, 1.0),
+        rs=(4.0, 4.0, 2.0))
 
 
 def test_sparse_norm_lower_bound_respects_factor_two():

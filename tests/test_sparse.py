@@ -20,7 +20,6 @@ from sparsedom import (
     generate_corpus,
     holder_dominator,
     integral_of_form,
-    localized_maximal,
     lower_direction_check,
     sparse_form,
     sup_sparse_form,
@@ -42,6 +41,7 @@ from sparsedom.lattice import (
     power_mean,
 )
 from sparsedom.sparse import _Assignment, _stopping_children
+from test_maximal import localized_maximal
 
 
 def canonical_cube(level, corner):
@@ -583,6 +583,40 @@ def test_node_ratios_match_per_child_oracle():
     assert parents >= 4 and mixed_sides
 
 
+def test_construction_builds_each_cube_once(monkeypatch):
+    """The constructor builds each cube's cells and 3-fold dilate once: a
+    node receives both from its parent (the root builds its own), and rhs
+    is summed from the cell sets of the appended cubes.  Counted on
+    recursing builds of both variants."""
+    calls = {"cube_cells": 0, "dilate": 0}
+
+    def counted(name):
+        original = getattr(sparsedom.sparse, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(sparsedom.sparse, name, counted(name))
+    ps, rs = (1.0, 1.0), (2.0, 2.0)
+    total = 0
+    for d, levels in ((1, 8), (2, 4)):
+        spec = GridSpec(d, levels, periodic=True)
+        for fs in generate_corpus("mixed", 0, 3, spec, n_slots=2,
+                                  n_components=2):
+            for variant, eps in ((1, 0.5), (2, None)):
+                calls.update(cube_cells=0, dilate=0)
+                rep = build_sparse_collection(list(fs), ps, rs, eps=eps,
+                                              variant=variant,
+                                              child_budget=0.25, c0=1.0)
+                n_cubes = len(rep.collection)
+                assert calls == {"cube_cells": n_cubes, "dilate": n_cubes}
+                total += n_cubes
+    assert total == 115
+
+
 @pytest.mark.parametrize("periodic", [False, True])
 def test_stopping_children_lie_inside_the_domain(periodic):
     """Every selected child has side^d cells, the measure the calibration
@@ -653,21 +687,29 @@ def test_zero_input_short_circuits():
 def test_domination_holds_on_constructions():
     """lhs (integral of the dominating maximal form) >= nothing is asserted
     here; what must hold exactly is the factor-2 lower direction for the
-    built collection, and that the recorded lhs/rhs are reproducible."""
+    built collection, and that the recorded rhs has the bits of sparse_form
+    and of the lower-direction check over the built collection.  Default
+    builds are the root alone, so relaxed builds run too, and spiky inputs
+    make them recurse."""
     spec = GridSpec(1, 6, periodic=True)
-    rng = np.random.default_rng(16)
+    rng, spikes = np.random.default_rng(16), np.random.default_rng(161)
+    recursed = False
     for _ in range(3):
-        fs = random_inputs(spec, 2, 2, rng)
-        for variant, eps in ((1, 0.5), (2, None)):
-            rep = build_sparse_collection(fs, (1.0, 1.0), (2.0, 2.0),
-                                          eps=eps, variant=variant)
-            exps = [1.5, 1.5] if variant == 1 else [1.0, 1.0]
-            check = lower_direction_check(rep.collection, fs, exps,
-                                          rs=(2.0, 2.0))
-            assert check["holds"]
-            assert rep.rhs == pytest.approx(
-                sparse_form(spec, rep.collection.cubes, fs, exps,
-                            rs=(2.0, 2.0)))
+        for fs in (random_inputs(spec, 2, 2, rng),
+                   spiky_inputs(spec, 2, spikes)):
+            for variant, eps in ((1, 0.5), (2, None)):
+                for knobs in ({}, {"c0": 1.0, "child_budget": 0.25}):
+                    rep = build_sparse_collection(
+                        fs, (1.0, 1.0), (2.0, 2.0), eps=eps, variant=variant,
+                        **knobs)
+                    exps = [1.5, 1.5] if variant == 1 else [1.0, 1.0]
+                    check = lower_direction_check(rep.collection, fs, exps,
+                                                  rs=(2.0, 2.0))
+                    assert check["holds"]
+                    assert rep.rhs == check["sparse_form"] == sparse_form(
+                        spec, rep.collection.cubes, fs, exps, rs=(2.0, 2.0))
+                    recursed |= len(rep.collection) > 1
+    assert recursed
 
 
 def test_lower_direction_on_adversarial_collections():

@@ -9,7 +9,11 @@ so a window is one contiguous slice of the stack.  Each slot and component is
 normalized by its maximum and raised to the power p once; one bincount of
 that power, tiled over the slice, gives every cube sum, the means of all
 slots multiply into one product per cube, and a single gather and max over
-the lattices scatters the products back to cells.  The l^r aggregate over
+the lattices scatters the products back to cells.  Optional sorted cell
+arrays narrow the sums (support) and the gather (at) to the cells near a
+cube, as the stopping-time constructor's nodes need; the scales stay those
+of the whole inputs, so every cube whose nonzero input cells all lie in
+support keeps the bits of the full-grid sum.  The l^r aggregate over
 components is applied at the end.  Truncation windows are half-open
 side-length intervals (s, t]: a cube of side 2^j participates iff
 s < 2^j <= t, so (0, 2^K] is the full untruncated operator and the
@@ -121,7 +125,8 @@ def _window_levels(spec: GridSpec, window) -> list:
 
 
 def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
-                  shifts: str = "all", window=None) -> np.ndarray:
+                  shifts: str = "all", window=None, support=None,
+                  at=None) -> np.ndarray:
     """sup over admissible cubes of prod_j <f^j_k>_{p_j,Q}, per cell and component.
 
     Shape (ncells, N), C-contiguous.  This is the inner supremum of the
@@ -133,6 +138,15 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
     means multiply into one product per stacked cube, slot by slot, and one
     gather back to cells with a max over the lattices finishes the
     supremum.  An all-zero component keeps scale 1, giving +0.0 means.
+
+    support and at are sorted arrays of distinct cells, or None for every
+    cell: the bincounts sum only the cells of support, and the gather reads
+    only the cells of at, returning shape (len(at), N).  The scales stay
+    the maxima over the whole inputs, so a cube whose cells in support
+    include every cell where the inputs are nonzero gets the bits of the
+    full-grid mean: an omitted cell would have added +0.0.  The result
+    equals the full-grid call's rows at at whenever every cube that meets
+    at is such a cube.
     """
     spec, n_comp = _check_common_spec(inputs)
     _check_ps(ps)
@@ -142,6 +156,11 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
     lo, hi = levels[0], levels[-1] + 1
     stacked, counts, starts, rows = stacked_cube_map(spec, shifts)
     ids = stacked[rows[lo]:rows[hi]]
+    # a cell array covering the grid keeps the stacked map as it is
+    support, at = (None if c is None or len(c) == spec.ncells else c
+                   for c in (support, at))
+    summed = ids if support is None else ids[:, support]
+    gathered = ids if at is None else ids[:, at]
     first, end = starts[lo], starts[hi]
     counts = counts[first:end]
     prod = np.ones((n_comp, end))    # entries below first are never gathered
@@ -149,13 +168,14 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
         a = np.abs(f.values)
         for k in range(n_comp):
             scale = float(a[:, k].max()) or 1.0
-            powered = np.tile((a[:, k] / scale) ** p, len(ids))
-            sums = np.bincount(ids.ravel(), weights=powered,
+            col = a[:, k] if support is None else a[support, k]
+            powered = np.tile((col / scale) ** p, len(ids))
+            sums = np.bincount(summed.ravel(), weights=powered,
                                minlength=end)[first:]
             prod[k, first:] *= scale * (sums / counts) ** (1.0 / p)
-    out = np.empty((spec.ncells, n_comp))
+    out = np.empty((gathered.shape[1], n_comp))
     for k in range(n_comp):
-        out[:, k] = prod[k].take(ids).max(axis=0)
+        out[:, k] = prod[k].take(gathered).max(axis=0)
     return out
 
 

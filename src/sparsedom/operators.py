@@ -119,11 +119,11 @@ def model_sparse_operator(collection: sparse.SparseCollection,
     form sublinear (additive only when every p_j = 1).  Each cube's cells
     are built once, here (a valid collection has no empty cube).
     """
-    collection.validate()
     spec = collection.spec
+    cell_sets = [sparse.cube_cells(spec, cube) for cube in collection.cubes]
+    collection.validate(cell_sets)
     ps = tuple(float(p) for p in ps)
     n = len(ps) - 1
-    cell_sets = [sparse.cube_cells(spec, cube) for cube in collection.cubes]
 
     def evaluator(gs):
         return sparse._form_of_cells(cell_sets, sparse._scalar_profiles(gs),

@@ -84,13 +84,15 @@ class SparseCollection:
     def __len__(self):
         return len(self.cubes)
 
-    def validate(self) -> None:
+    def validate(self, cell_sets=None) -> None:
         """Exact integer check of the sparsity invariants: each major set
         holds distinct cells of its cube, more than half of them, and meets
-        no other major set."""
+        no other major set.  cell_sets, when given, are the cubes' cell
+        arrays in order, which are then not built again."""
+        if cell_sets is None:
+            cell_sets = (cube_cells(self.spec, cube) for cube in self.cubes)
         seen = np.zeros(self.spec.ncells, dtype=bool)
-        for cube, major in zip(self.cubes, self.major_sets):
-            cells = cube_cells(self.spec, cube)
+        for cells, major in zip(cell_sets, self.major_sets):
             size = len(cells)
             if not np.all(np.isin(major, cells)):
                 raise InfeasibleCollectionError("major set not inside its cube")
@@ -453,39 +455,62 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
         groups = [(list(inputs), ps, r_agg)]
 
     cubes, majors, nodes, cell_sets = [], [], [], []
-
-    def recurse(q: DyadicCube, cells_q: np.ndarray, cells_3q: np.ndarray):
+    lhs = 0.0        # also when an input vanishes on the whole grid
+    root = DyadicCube(shift=0, level=spec.levels, corner=(0,) * spec.d)
+    # (cube, its cells, its 3-fold dilate), last in first out with the
+    # children pushed in reverse: a pre-order walk, which fixes the
+    # summation order of rhs
+    stack = [(root, cube_cells(spec, root), dilate(spec, root, 3))]
+    while stack:
+        q, cells_q, cells_3q = stack.pop()
         size_q = len(cells_q)
+        cubes.append(q)
+        cell_sets.append(cells_q)
         scales = [power_mean(g[cells_3q], e) if np.any(g[cells_3q]) else 0.0
                   for g, e in zip(profiles, form_exps)]
-        # 1_Q times the maximal function truncated to sides <= side(Q)
-        a_loc = [np.zeros(spec.ncells) for _ in groups]
-        for a, (fs, es, r) in zip(a_loc, groups):
-            a[cells_q] = maximal.vector_maximal(
-                fs, es, r, window=(0, q.side)).values[cells_q, 0]
-        if variant == 1:
-            group_scales = scales
-            exceed_arrays = [maximal.vector_maximal(
-                [GridFunction(spec, a)], (1.0,)).values[:, 0] for a in a_loc]
-        else:
-            group_scales = [float(np.prod(scales))]
-            exceed_arrays = a_loc
-
         if any(s == 0.0 for s in scales):
-            # some input vanishes on 3Q, so the localized operators vanish on Q
-            cubes.append(q)
+            # some input vanishes on 3Q, so the localized operators vanish
+            # on Q
             majors.append(cells_q)
-            cell_sets.append(cells_q)
             nodes.append(StoppingNode(q, None, 0, 0, size_q, 0.0, 0.0, 0.0,
                                       0))
-            return a_loc
+            continue
+
+        # 1_Q times the maximal function truncated to sides <= side(Q):
+        # every cube of such a side that meets Q lies in 3Q
+        a_loc = []
+        for fs, es, r in groups:
+            a = np.zeros(spec.ncells)
+            a[cells_q] = lr_norm_rows(maximal.component_sup(
+                fs, es, window=(0, q.side), support=cells_3q, at=cells_q), r)
+            a_loc.append(a)
+        if q is root:
+            # the root's localized maximal functions are the full ones, so
+            # they give lhs: the Hoelder majorant (variant 1) or the form's
+            # maximal function
+            dominator = np.ones(spec.ncells)
+            for a in a_loc:
+                dominator *= a
+            lhs = float(np.sum(dominator))
+        # the mask is read on 5Q only: _stopping_children reads +-4 blocks
+        # of side <= side(Q)/2 around Q, the budget and property (i) read Q
+        reach = dilate(spec, q, 5)
+        if variant == 1:
+            group_scales = scales
+            # a vanishes off Q, so the omitted cells would add +0.0
+            exceed_arrays = [lr_norm_rows(maximal.component_sup(
+                [GridFunction(spec, a)], (1.0,), support=cells_q, at=reach),
+                1.0) for a in a_loc]
+        else:
+            group_scales = [float(np.prod(scales))]
+            exceed_arrays = [a[reach] for a in a_loc]
 
         c = c0
         for doublings in range(_MAX_DOUBLINGS + 1):
             thresholds = [c * s for s in group_scales]
             mask = np.zeros(spec.ncells, dtype=bool)
             for arr, th in zip(exceed_arrays, thresholds):
-                mask |= arr >= th
+                mask[reach] |= arr >= th
             exc_count = int(np.count_nonzero(mask[cells_q]))
             kids = _stopping_children(spec, q, mask)
             # shift-0 subcubes of a shift-0 node lie inside the domain
@@ -503,31 +528,13 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
         ratios = _node_property_ratios(q, cells_q, cells_3q, mask, kids,
                                        child_cells, child_threes, groups,
                                        a_loc, thresholds, variant)
-        major = cells_q if not kids else np.setdiff1d(
-            cells_q, np.concatenate(child_cells), assume_unique=False)
-        cubes.append(q)
-        majors.append(major)
-        cell_sets.append(cells_q)
+        majors.append(cells_q if not kids else np.setdiff1d(
+            cells_q, np.concatenate(child_cells), assume_unique=False))
         nodes.append(StoppingNode(q, c, doublings, kid_measure, size_q,
                                   ratios[0], ratios[1], ratios[2], len(kids)))
-        for kid, cells, three in zip(kids, child_cells, child_threes):
-            recurse(kid, cells, three)
-        return a_loc
-
-    root = DyadicCube(shift=0, level=spec.levels,
-                      corner=(0,) * spec.d)
-    # the root's localized maximal functions are the full ones, so they give
-    # lhs: the Hoelder majorant (variant 1) or the form's maximal function
-    a_root = recurse(root, cube_cells(spec, root), dilate(spec, root, 3))
+        stack.extend(reversed(list(zip(kids, child_cells, child_threes))))
 
     collection = SparseCollection(spec, cubes, majors)
-    if variant == 1:
-        dominator = np.ones(spec.ncells)
-        for a in a_root:
-            dominator *= a
-        lhs = float(np.sum(dominator))
-    else:
-        lhs = float(np.sum(a_root[0]))
     rhs = _form_of_cells(cell_sets, profiles, form_exps)
     return ConstructionReport(collection, nodes, lhs, rhs)
 
@@ -567,11 +574,11 @@ def _node_property_ratios(q, cells_q, cells_3q, mask, kids, child_cells,
         by_side.setdefault(kid.side, []).append(cells)
     prop3 = 0.0
     for side, cell_sets in by_side.items():
-        cells = np.concatenate(cell_sets)
+        cells = np.sort(np.concatenate(cell_sets))
         for fs, (_, es, r), th in zip(restricted, groups, thresholds):
-            trunc = maximal.vector_maximal(
-                fs, es, r, window=(side, q.side)).values[:, 0]
-            prop3 = max(prop3, float(trunc[cells].max()) / th)
+            trunc = lr_norm_rows(maximal.component_sup(
+                fs, es, window=(side, q.side), support=cells_3q, at=cells), r)
+            prop3 = max(prop3, float(trunc.max()) / th)
     return prop1, prop2, prop3
 
 

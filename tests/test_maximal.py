@@ -25,6 +25,7 @@ from sparsedom.errors import (
     ZeroInputError,
 )
 from sparsedom.lattice import (
+    DyadicCube,
     _build_cube_map,
     cube_cells,
     dilate,
@@ -263,6 +264,77 @@ def test_component_sup_matches_per_level_oracle(d, levels, periodic):
                     assert got.shape == want.shape
                     assert np.array_equal(got, want)
                     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def shift0_cubes(spec, level, rng, n):
+    """n random shift-0 cubes of one level (the stopping-time nodes)."""
+    m = spec.side >> level
+    return [DyadicCube(0, level, tuple(int(c) << level
+                                       for c in rng.integers(m, size=spec.d)))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("d,levels", [(1, 8), (1, 10), (2, 4), (2, 5)])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("shifts", ["all", "canonical"])
+def test_component_sup_local_matches_full_grid_rows(d, levels, periodic,
+                                                    shifts):
+    """support and at give the full-grid call's rows at at, bit for bit, in
+    the three uses of the stopping-time constructor on a node Q of every
+    level: the localized functions (window (0, side Q], support 3Q, at Q),
+    the exceedance function of an input vanishing off Q (support Q, any
+    at), and the coarse-truncated functions of inputs restricted to 3Q
+    (window (side L, side Q], support 3Q, at subcubes L of Q).  A support
+    missing a cell of Q changes the rows."""
+    spec = GridSpec(d, levels, periodic)
+    rng = np.random.default_rng(7 + 100 * d + levels + 1000 * periodic)
+    ps = (1.5, 2.0)
+    every = np.arange(spec.ncells)
+    for level in range(levels + 1):
+        for q in shift0_cubes(spec, level, rng, 2):
+            cells_q, cells_3q = cube_cells(spec, q), dilate(spec, q, 3)
+            fs = random_inputs(spec, 2, 2, rng)
+            window = (0, q.side)
+            full = component_sup(fs, ps, shifts=shifts, window=window)
+            local = component_sup(fs, ps, shifts=shifts, window=window,
+                                  support=cells_3q, at=cells_q)
+            assert np.array_equal(local, full[cells_q])
+
+            a = np.zeros(spec.ncells)
+            a[cells_q] = rng.uniform(0.0, 3.0, size=len(cells_q))
+            g = [GridFunction(spec, a)]
+            full = component_sup(g, (1.0,), shifts=shifts)
+            for at in (dilate(spec, q, 5), every,
+                       np.flatnonzero(rng.random(spec.ncells) < 0.3)):
+                local = component_sup(g, (1.0,), shifts=shifts,
+                                      support=cells_q, at=at)
+                assert np.array_equal(local, full[at])
+
+            restricted = [f.restrict(cells_3q) for f in fs]
+            for kid_level in range(level):
+                window = (1 << kid_level, q.side)
+                full = component_sup(restricted, ps, shifts=shifts,
+                                     window=window)
+                kids = [DyadicCube(0, kid_level, tuple(
+                    c + (int(o) << kid_level) for c, o in
+                    zip(q.corner, rng.integers(1 << (level - kid_level),
+                                               size=d))))
+                        for _ in range(2)]
+                at = np.unique(np.concatenate([cube_cells(spec, k)
+                                               for k in kids]))
+                local = component_sup(restricted, ps, shifts=shifts,
+                                      window=window, support=cells_3q, at=at)
+                assert np.array_equal(local, full[at])
+
+    # a support that misses one cell of Q changes the rows
+    q = shift0_cubes(spec, 2, rng, 1)[0]
+    cells_q, cells_3q = cube_cells(spec, q), dilate(spec, q, 3)
+    fs = random_inputs(spec, 2, 2, rng)
+    full = component_sup(fs, ps, shifts=shifts, window=(0, q.side))
+    short = component_sup(fs, ps, shifts=shifts, window=(0, q.side),
+                          support=np.setdiff1d(cells_3q, cells_q[:1]),
+                          at=cells_q)
+    assert not np.array_equal(short, full[cells_q])
 
 
 def test_component_sup_windows_share_one_stacked_map():

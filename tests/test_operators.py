@@ -10,14 +10,17 @@ from sparsedom import (
     GridFunction,
     GridSpec,
     OperatorFamily,
+    SparseCollection,
     admissible_sparse_tuple,
     discrete_bht,
     discrete_bht_reference,
     estimate_sparse_norm_lower_bound,
+    lattice,
     lemma1_check,
     model_sparse_operator,
     operators,
     run_experiment,
+    sparse,
     sparse_form,
     theorem11_check,
     vector_form,
@@ -26,12 +29,13 @@ from sparsedom import (
 )
 from sparsedom.errors import (
     ExponentOrderError,
+    InfeasibleCollectionError,
     NoCertificateError,
     RequiresPeriodicError,
     SizeMismatchError,
     TruncationTooLargeError,
 )
-from sparsedom.lattice import enumerate_cubes
+from sparsedom.lattice import DyadicCube, enumerate_cubes
 from sparsedom.harness import run_weighted
 from sparsedom.operators import _bht_coefficients
 from sparsedom.weights import Weight, WeightVector
@@ -375,6 +379,27 @@ def test_model_operator_form_and_output_agree():
     for inputs in (gs, random_scalars(spec, 3, rng)):
         assert op.evaluate(inputs) == sparse_form(spec, coll.cubes, inputs,
                                                   (1.0, 2.0, 1.0))
+
+
+def test_model_operator_builds_each_cube_once(monkeypatch):
+    """The operator validates its collection on the cell sets it keeps, so
+    each cube's cells are built once; an invalid collection still raises."""
+    spec = GridSpec(1, 5)
+    cubes = [DyadicCube(0, 5, (0,)), DyadicCube(0, 1, (0,)),
+             DyadicCube(0, 1, (4,)), DyadicCube(0, 2, (8,))]
+    coll = verify_sparsity(spec, cubes).collection
+    calls = []
+
+    def cube_cells(spec, cube):
+        calls.append(cube)
+        return lattice.cube_cells(spec, cube)
+
+    monkeypatch.setattr(sparse, "cube_cells", cube_cells)
+    model_sparse_operator(coll, (1.0, 1.0, 1.0))
+    assert calls == cubes
+    short = SparseCollection(spec, cubes[1:2], [np.array([0])])
+    with pytest.raises(InfeasibleCollectionError):
+        model_sparse_operator(short, (1.0, 1.0, 1.0))
 
 
 def test_model_operator_is_linear_only_at_p_one():

@@ -1,10 +1,12 @@
 """Sparse collections: feasibility, forms, optimizers and the constructor."""
 
+import gc
 import itertools
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import networkx as nx
@@ -32,6 +34,7 @@ from sparsedom.errors import (
 )
 from sparsedom.lattice import (
     DyadicCube,
+    _cells_of_box,
     children,
     cube_cells,
     dilate,
@@ -449,6 +452,43 @@ def test_stopping_children_match_walk():
     assert len(sides) >= 2
 
 
+@pytest.mark.parametrize("d,levels", [(1, 8), (2, 5)])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_stopping_children_read_the_mask_on_5q_only(d, levels, periodic):
+    """The children of Q depend on the mask on 5Q only (the constructor
+    fills the mask there alone): +-4 blocks of side at most side(Q)/2
+    around Q.  Re-drawing every cell outside 5Q leaves them unchanged, for
+    nodes of every level; re-drawing the ring just outside 3Q does not."""
+    spec = GridSpec(d, levels, periodic)
+    rng = np.random.default_rng(17 + 10 * d + periodic)
+    found = 0
+    for level in range(1, levels + 1):
+        m = spec.side >> level
+        for _ in range(4):
+            q = DyadicCube(0, level, tuple(
+                int(c) << level for c in rng.integers(m, size=d)))
+            outside = np.setdiff1d(np.arange(spec.ncells), dilate(spec, q, 5))
+            for density in (1.0, 0.999, 0.99, 0.95):
+                mask = rng.random(spec.ncells) < density
+                kids = _stopping_children(spec, q, mask)
+                found += len(kids) > 0
+                redrawn = mask.copy()
+                redrawn[outside] = rng.random(len(outside)) < 0.5
+                assert _stopping_children(spec, q, redrawn) == kids
+    assert found >= 2 * levels
+
+    level = 2
+    q = DyadicCube(0, level, (spec.side // 2,) * d)
+    mask = np.ones(spec.ncells, dtype=bool)
+    kids = _stopping_children(spec, q, mask)
+    ring = np.setdiff1d(_cells_of_box(spec, tuple(c - q.side - 1 for c in
+                                                  q.corner), 3 * q.side + 2),
+                        dilate(spec, q, 3))
+    assert len(np.setdiff1d(ring, dilate(spec, q, 5))) == 0
+    mask[ring] = False
+    assert _stopping_children(spec, q, mask) != kids
+
+
 def test_stopping_children_need_shift_zero_root():
     spec = GridSpec(1, 4, periodic=True)
     mask = np.ones(spec.ncells, dtype=bool)
@@ -557,64 +597,97 @@ def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node):
 
 def test_node_ratios_match_per_child_oracle():
     """Each node's property ratios equal, bit for bit, their per-child
-    evaluation, which the constructor does in one pass per child side.
-    At these sizes only the root has children (on the 2-d K = 4 grid only
-    unit cubes can stop), so each grid runs four corpus items."""
+    evaluation, which the constructor does in one pass per child side,
+    and the children agree with a mask filled on the whole grid.  At these
+    sizes only the root has children (on the 2-d K = 4 grid only unit
+    cubes can stop), so each grid runs four corpus items.  The last build
+    has side-2 nodes whose candidate children see exceedance cells outside
+    3Q, so a mask filled on 3Q alone gives one of them the wrong
+    threshold."""
     ps, rs = (1.0, 1.0), (2.0, 2.0)
-    parents = 0
-    mixed_sides = False
+    builds = []    # (spec, inputs, variant, eps, child budget, c0)
     for d, levels, seed in ((1, 8, 1), (2, 4, 2)):
         spec = GridSpec(d, levels, periodic=True)
         for fs in generate_corpus("mixed", seed, 4, spec, n_slots=2,
                                   n_components=2):
-            for variant, eps in ((1, 0.5), (2, None)):
-                rep = build_sparse_collection(list(fs), ps, rs, eps=eps,
-                                              variant=variant,
-                                              child_budget=0.25, c0=1.0)
-                for node in rep.nodes:
-                    want, sides = node_ratios_oracle(spec, fs, ps, rs, eps,
-                                                     variant, node)
-                    got = (node.off_exceptional_ratio,
-                           node.child_average_ratio,
-                           node.child_truncated_ratio)
-                    assert got == want
-                    parents += node.n_children > 0
-                    mixed_sides |= len(sides) >= 2
+            builds += [(spec, fs, variant, eps, 0.25, 1.0)
+                       for variant, eps in ((1, 0.5), (2, None))]
+    spec = GridSpec(2, 5, periodic=True)
+    fs = generate_corpus("mixed", 1, 2, spec, n_slots=2, n_components=1)[1]
+    builds.append((spec, fs, 1, 0.5, 0.45, 0.25))
+    parents = 0
+    mixed_sides = False
+    for spec, fs, variant, eps, budget, c0 in builds:
+        rep = build_sparse_collection(list(fs), ps, rs, eps=eps,
+                                      variant=variant, child_budget=budget,
+                                      c0=c0)
+        for node in rep.nodes:
+            want, sides = node_ratios_oracle(spec, fs, ps, rs, eps, variant,
+                                             node)
+            got = (node.off_exceptional_ratio, node.child_average_ratio,
+                   node.child_truncated_ratio)
+            assert got == want
+            parents += node.n_children > 0
+            mixed_sides |= len(sides) >= 2
     assert parents >= 4 and mixed_sides
 
 
 def test_construction_builds_each_cube_once(monkeypatch):
     """The constructor builds each cube's cells and 3-fold dilate once: a
     node receives both from its parent (the root builds its own), and rhs
-    is summed from the cell sets of the appended cubes.  Counted on
-    recursing builds of both variants."""
-    calls = {"cube_cells": 0, "dilate": 0}
+    is summed from the cell sets of the appended cubes.  The 5-fold dilate,
+    where a node reads its exceedance mask, is built once per node with
+    data and never on a zero-data node.  Counted on recursing builds of
+    both variants."""
+    calls = {}
 
-    def counted(name):
-        original = getattr(sparsedom.sparse, name)
+    def cube_cells(spec, cube):
+        calls["cube_cells"] = calls.get("cube_cells", 0) + 1
+        return sparsedom.lattice.cube_cells(spec, cube)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
+    def dilate(spec, cube, factor):
+        calls[f"dilate{factor}"] = calls.get(f"dilate{factor}", 0) + 1
+        return sparsedom.lattice.dilate(spec, cube, factor)
 
-    for name in calls:
-        monkeypatch.setattr(sparsedom.sparse, name, counted(name))
+    monkeypatch.setattr(sparsedom.sparse, "cube_cells", cube_cells)
+    monkeypatch.setattr(sparsedom.sparse, "dilate", dilate)
     ps, rs = (1.0, 1.0), (2.0, 2.0)
-    total = 0
+    total = with_data = 0
     for d, levels in ((1, 8), (2, 4)):
         spec = GridSpec(d, levels, periodic=True)
         for fs in generate_corpus("mixed", 0, 3, spec, n_slots=2,
                                   n_components=2):
             for variant, eps in ((1, 0.5), (2, None)):
-                calls.update(cube_cells=0, dilate=0)
+                calls.clear()
                 rep = build_sparse_collection(list(fs), ps, rs, eps=eps,
                                               variant=variant,
                                               child_budget=0.25, c0=1.0)
                 n_cubes = len(rep.collection)
-                assert calls == {"cube_cells": n_cubes, "dilate": n_cubes}
+                n_data = sum(n.threshold is not None for n in rep.nodes)
+                assert calls == {"cube_cells": n_cubes, "dilate3": n_cubes,
+                                 "dilate5": n_data}
                 total += n_cubes
-    assert total == 115
+                with_data += n_data
+    assert (total, with_data) == (115, 108)
+
+
+def test_dropped_report_is_freed_without_gc():
+    """A construction leaves no reference cycle behind: with the cycle
+    collector off, dropping the report frees its nodes at once."""
+    spec = GridSpec(1, 8, periodic=True)
+    fs = generate_corpus("mixed", 0, 2, spec, n_slots=2, n_components=2)[1]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rep = build_sparse_collection(list(fs), (1.0, 1.0), (2.0, 2.0),
+                                      eps=0.5, child_budget=0.25, c0=1.0)
+        assert len(rep.nodes) > 1
+        root = weakref.ref(rep.nodes[0])
+        del rep
+        assert root() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("periodic", [False, True])

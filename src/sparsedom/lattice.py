@@ -266,17 +266,20 @@ def cube_cells(spec: GridSpec, cube: DyadicCube) -> np.ndarray:
 
 def _cells_of_box(spec: GridSpec, corner: Sequence[int], side: int) -> np.ndarray:
     """Sorted flat indices of a box, folded axis by axis as the grid lays out
-    its cells (axis 0 most significant)."""
-    flat = np.zeros(1, dtype=np.int64)
+    its cells (axis 0 most significant).  Each axis's part is sorted and
+    below the side, so the fold of sorted parts is sorted."""
+    flat = None
     for c in corner:
         if spec.periodic:
             part = (c + np.arange(min(side, spec.side), dtype=np.int64)) \
                 % spec.side
+            part.sort()
         else:
             part = np.arange(max(c, 0), min(c + side, spec.side),
                              dtype=np.int64)
-        flat = np.add.outer(flat * spec.side, part).ravel()
-    return np.sort(flat)
+        flat = part if flat is None else \
+            np.add.outer(flat * spec.side, part).ravel()
+    return flat
 
 
 def dilate(spec: GridSpec, cube: DyadicCube, factor: int) -> np.ndarray:
@@ -308,32 +311,41 @@ def children(spec: GridSpec, cube: DyadicCube) -> list:
 # power means and l^r norms
 
 
-def power_mean(vals: np.ndarray, p: float) -> float:
+def power_mean(vals: np.ndarray, p: float) -> float | np.ndarray:
     """Generalized power mean of |vals| with exponent p.
 
     p = inf -> max, p = -inf -> min; p < 0 requires strictly positive values.
+    A 1-d vals gives a float; a 2-d (k, m) vals gives the k row means as an
+    array, each with the bits of the 1-d call on that row: the row's max
+    (p > 0) or min (p < 0) is the scale, the scaled row is raised to p and
+    summed pairwise along the row by numpy, as np.mean sums, and the root
+    and the product with the scale are taken in Python floats.  An all-zero
+    row has mean 0.0 for p > 0.
     """
     vals = np.abs(np.asarray(vals, dtype=np.float64))
     if vals.size == 0:
         raise EmptyCubeError("empty cell set")
+    rows = vals if vals.ndim == 2 else vals.reshape(1, -1)
     if p == np.inf:
-        return float(vals.max())
-    if p == -np.inf:
-        if np.any(vals == 0.0):
-            raise NonpositiveValueError("min-mean needs strictly positive values")
-        return float(vals.min())
-    if p == 0:
+        means = rows.max(axis=1).tolist()
+    elif p == 0:
         raise ExponentDomainError("exponent 0 is not supported")
-    if p > 0:
-        scale = float(vals.max())
-        if scale == 0.0:
-            return 0.0
     else:
-        if np.any(vals == 0.0):
+        scale = rows.max(axis=1) if p > 0 else rows.min(axis=1)
+        if p < 0 and not scale.all():
             raise NonpositiveValueError(
-                "negative-exponent mean needs strictly positive values")
-        scale = float(vals.min())
-    return scale * float(np.mean((vals / scale) ** p)) ** (1.0 / p)
+                "min-mean needs strictly positive values" if p == -np.inf
+                else "negative-exponent mean needs strictly positive values")
+        if p == -np.inf:
+            means = scale.tolist()
+        else:
+            # an all-zero row (p > 0) is divided by 1 instead: its mean is 0
+            divisor = np.where(scale > 0.0, scale, 1.0)
+            inner = np.add.reduce((rows / divisor[:, None]) ** p,
+                                  axis=1) / rows.shape[1]
+            means = [s * m ** (1.0 / p)
+                     for s, m in zip(scale.tolist(), inner.tolist())]
+    return np.array(means) if vals.ndim == 2 else means[0]
 
 
 def lr_norm_rows(values: np.ndarray, r: float) -> np.ndarray:

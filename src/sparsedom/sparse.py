@@ -163,69 +163,104 @@ def _demand(size: int) -> int:
     return size // 2 + 1
 
 
+_RUNS_FROM = 128   # cubes of at least this many cells are read in runs
+
+
 class _Assignment:
     """Disjoint major sets grown one cube at a time by augmenting paths.
 
     owner[x] is the index of the added cube whose major set holds cell x, or
     -1 when x is free.  Every added cube owns exactly its demand of its own
     cells; augmenting paths move cells between cubes but never free one.
+
+    A search visits a cube with one gather of its cells' owners, turned into
+    a Python list; the first free cell and each other owner's first cell
+    are then found by list and dict operations (in, index, dict.fromkeys),
+    which cost less than numpy's per-call overhead on cubes of a few dozen
+    cells.  A cube of _RUNS_FROM cells or more is read in runs of one owner
+    instead, which keeps every first cell and scans far fewer entries.
     """
 
     def __init__(self, ncells: int):
         self.owner = np.full(ncells, -1, dtype=np.int64)
         self.cells = []           # cell array of each added cube
+        self.cell_lists = []      # the same cells as a list, None when
+                                  # the cube is read in runs
 
     def add(self, cells: np.ndarray) -> list | None:
-        """Add a cube with these cells; None on success.
+        """Add a cube with these sorted cells; None on success.
 
-        On failure the cube is not added and the sorted indices of a
-        Hall-violating subfamily (the new cube has index len(self.cells))
-        are returned.
+        The cube takes its first free cells in cell order, then one cell
+        per augmenting path.  On failure the cube is not added and the
+        sorted indices of a Hall-violating subfamily (the new cube has index
+        len(self.cells)) are returned.
         """
         owner = self.owner
         me = len(self.cells)
         self.cells.append(cells)
+        self.cell_lists.append(cells.tolist() if len(cells) < _RUNS_FROM
+                               else None)
         need = _demand(len(cells))
         free = cells[owner[cells] < 0][:need]
         owner[free] = me
         for _ in range(need - len(free)):
             reached = self._augment(me)
             if reached is not None:
-                owner[owner == me] = -1
+                owner[cells[owner[cells] == me]] = -1
                 self.cells.pop()
+                self.cell_lists.pop()
                 return reached
         return None
 
+    def _held(self, u: int):
+        """(owners, cells): the owner of each cell of cube u as a list, and
+        the cells.  A large cube is cut to the first cell of each run of
+        one owner, which keeps every owner's first cell."""
+        cells = self.cells[u]
+        held = self.owner[cells]
+        if len(cells) < _RUNS_FROM:
+            return held.tolist(), self.cell_lists[u]
+        starts = np.flatnonzero(np.concatenate(([True], held[1:] != held[:-1])))
+        return held[starts].tolist(), cells[starts].tolist()
+
     def _augment(self, start: int) -> list | None:
         """Give start one more cell along an alternating path; None on
-        success, else the sorted cubes the search reached."""
+        success, else the sorted cubes the search reached.
+
+        The search pops cubes from a stack.  A popped cube with a free cell
+        takes its first one and the path hands cells back to start;
+        otherwise every other owner among its cells, in increasing order,
+        is reached through the first cell it holds there.  That order fixes
+        which path is found, and so the owners, certificates and major sets.
+        """
         owner = self.owner
         came_from = {start: None}  # cube -> (cube it was reached from, cell)
         stack = [start]
         while stack:
             u = stack.pop()
-            cells = self.cells[u]
-            held = owner[cells]
-            free = cells[held < 0]
-            if len(free):
-                v, x = u, free[0]
+            held, cells = self._held(u)
+            if -1 in held:
+                v, x = u, cells[held.index(-1)]
                 while True:  # each cube on the path takes the next cell
                     owner[x] = v
                     if v == start:
                         return None
                     v, x = came_from[v]
-            elsewhere = held != u
-            others, first = np.unique(held[elsewhere], return_index=True)
-            handed = cells[elsewhere][first]
-            for o, x in zip(others.tolist(), handed.tolist()):
+            # u itself is in came_from, so only other owners are reached
+            for o in sorted(dict.fromkeys(held)):
                 if o not in came_from:
-                    came_from[o] = (u, x)
+                    came_from[o] = (u, cells[held.index(o)])
                     stack.append(o)
         return sorted(came_from)
 
     def majors(self) -> list:
-        """Each added cube's major set, sorted, in the order of addition."""
-        return [np.flatnonzero(self.owner == i) for i in range(len(self.cells))]
+        """Each added cube's major set, sorted, in the order of addition:
+        the owned cells in a stable sort by owner, split by cube."""
+        taken = np.flatnonzero(self.owner >= 0)
+        held = self.owner[taken]
+        counts = np.bincount(held, minlength=len(self.cells))
+        return np.split(taken[np.argsort(held, kind="stable")],
+                        np.cumsum(counts))[:-1]
 
 
 def verify_sparsity(spec: GridSpec,
@@ -248,16 +283,28 @@ def verify_sparsity(spec: GridSpec,
                                                   assignment.majors()), None)
 
 
-def _cube_term(term: float, profiles, cells: np.ndarray, ps) -> float:
-    """term * prod_j <g_j>_{p_j} over one cube's cells.
+def _cube_terms(profiles, cell_sets, ps, sized: bool = True) -> list:
+    """t_Q prod_j <g_j>_{p_j,Q} for each nonempty cell set Q, in order, with
+    t_Q = |Q| (the sparse forms) or 1 (the model operator's cube value).
 
-    The slots multiply in from the left, starting at term (|Q| in the sparse
-    forms, 1 in the model operator's cube value); that order fixes the
-    rounding, so every caller gets the same bits for the same cube.
+    Cell sets of one size are stacked and averaged row-wise, one power_mean
+    call per slot and size.  The slots multiply in from the left, starting
+    at t_Q, in float64 products that round as the Python ones do; that
+    order fixes the rounding, so every caller gets the same bits for the
+    same cube.
     """
-    for g, p in zip(profiles, ps):
-        term *= power_mean(g[cells], p)
-    return term
+    terms = [0.0] * len(cell_sets)
+    by_size = {}
+    for i, cells in enumerate(cell_sets):
+        by_size.setdefault(len(cells), []).append(i)
+    for size, where in by_size.items():
+        stack = np.array([cell_sets[i] for i in where])
+        group = np.full(len(where), float(size) if sized else 1.0)
+        for g, p in zip(profiles, ps):
+            group *= power_mean(g[stack], p)
+        for i, term in zip(where, group.tolist()):
+            terms[i] = term
+    return terms
 
 
 def _form_of_cells(cell_sets, profiles, ps) -> float:
@@ -265,10 +312,8 @@ def _form_of_cells(cell_sets, profiles, ps) -> float:
     right in their order (the built-in sum compensates float sums from
     Python 3.12 on), so equal cubes in equal order give equal bits."""
     total = 0.0
-    for cells in cell_sets:
-        if len(cells) == 0:
-            continue
-        total += _cube_term(float(len(cells)), profiles, cells, ps)
+    for term in _cube_terms(profiles, [c for c in cell_sets if len(c)], ps):
+        total += term
     return total
 
 
@@ -331,6 +376,7 @@ class ConstructionReport:
     nodes: list
     lhs: float
     rhs: float
+    cell_sets: list     # each cube's cell array, for validate(cell_sets=...)
 
     @property
     def depth(self) -> int:
@@ -536,7 +582,7 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
 
     collection = SparseCollection(spec, cubes, majors)
     rhs = _form_of_cells(cell_sets, profiles, form_exps)
-    return ConstructionReport(collection, nodes, lhs, rhs)
+    return ConstructionReport(collection, nodes, lhs, rhs, cell_sets)
 
 
 def _node_property_ratios(q, cells_q, cells_3q, mask, kids, child_cells,
@@ -597,7 +643,12 @@ def sup_sparse_form(inputs: Sequence[GridFunction], ps: Sequence[float],
     subfamily splits into its maximal members; the DP maximizes total weight
     under those counting constraints.  greedy: feasible lower bound by
     descending cube weight; every candidate joins one shared assignment by
-    augmenting paths or is dropped, so each is decided once.
+    augmenting paths or is dropped, so each is decided once.  The weights
+    are scored row-wise, one power_mean call per slot over the stack of all
+    candidates of one size, with the bits of one call per candidate.  The
+    assignment's searches visit cubes in a fixed order (see _Assignment),
+    so the chosen cubes and major sets do not depend on how owners are
+    read.
 
     Returns (value, SparseCollection with assigned major sets).
     """
@@ -605,7 +656,7 @@ def sup_sparse_form(inputs: Sequence[GridFunction], ps: Sequence[float],
     profiles = _scalar_profiles(inputs, None)
 
     def weight(cells):
-        return _cube_term(float(len(cells)), profiles, cells, ps)
+        return _cube_terms(profiles, [cells], ps)[0]
 
     if mode == "bruteforce":
         if spec.ncells > 16:
@@ -622,13 +673,16 @@ def sup_sparse_form(inputs: Sequence[GridFunction], ps: Sequence[float],
         return value, verdict.collection
 
     if mode == "greedy":
-        scored = []
+        cubes, cell_sets = [], []
         for cube in enumerate_cubes(spec, shifts=shifts):
             cells = cube_cells(spec, cube)
-            if len(cells) == 0:
-                continue
-            scored.append((weight(cells), cube, cells))
-        scored.sort(key=lambda t: (-t[0], -t[1].side, t[1].corner, t[1].shift))
+            if len(cells):
+                cubes.append(cube)
+                cell_sets.append(cells)
+        scored = sorted(zip(_cube_terms(profiles, cell_sets, ps), cubes,
+                            cell_sets),
+                        key=lambda t: (-t[0], -t[1].side, t[1].corner,
+                                       t[1].shift))
         assignment = _Assignment(spec.ncells)
         family, value = [], 0.0
         for w, cube, cells in scored:

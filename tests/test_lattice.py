@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,74 @@ def test_power_mean_edge_cases():
     # overflow-safe scaling
     big = np.array([1e200, 2e200])
     assert np.isfinite(power_mean(big, 2.0))
+
+
+def power_mean_1d(vals, p):
+    """Oracle: the one-row power mean as it was before row-wise means."""
+    vals = np.abs(np.asarray(vals, dtype=np.float64))
+    if vals.size == 0:
+        raise EmptyCubeError("empty cell set")
+    if p == np.inf:
+        return float(vals.max())
+    if p == -np.inf:
+        if np.any(vals == 0.0):
+            raise NonpositiveValueError("min-mean needs strictly positive values")
+        return float(vals.min())
+    if p == 0:
+        raise ExponentDomainError("exponent 0 is not supported")
+    if p > 0:
+        scale = float(vals.max())
+        if scale == 0.0:
+            return 0.0
+    else:
+        if np.any(vals == 0.0):
+            raise NonpositiveValueError(
+                "negative-exponent mean needs strictly positive values")
+        scale = float(vals.min())
+    return scale * float(np.mean((vals / scale) ** p)) ** (1.0 / p)
+
+
+MEAN_EXPONENTS = (1.0, 1.5, 2.0, 3.0, 0.4, -0.5, -2.0, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("p", MEAN_EXPONENTS)
+def test_row_power_means_equal_one_row_calls(p):
+    """A (k, m) stack gives, bit for bit, the 1-d mean of each row, and the
+    1-d call gives the oracle's bits, for m = 1..64 cells and for rows long
+    enough that numpy's pairwise sum splits (it does above 128 terms)."""
+    rng = np.random.default_rng([17, MEAN_EXPONENTS.index(p)])
+    for m in [*range(1, 65), 127, 128, 129, 200, 256, 1000, 4096]:
+        rows = rng.uniform(0.05, 3.0, size=(5, m)) * \
+            rng.choice([1.0, 1e-3, 1e3], size=(5, 1))
+        got = power_mean(rows, p)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        want = [power_mean_1d(row, p) for row in rows]
+        assert np.array_equal(got, want)
+        assert [power_mean(row, p) for row in rows] == want
+        # a column slice of a larger array, as g[stack] is not
+        assert np.array_equal(power_mean(rows[:, ::-1], p),
+                              [power_mean_1d(row[::-1], p) for row in rows])
+
+
+def test_row_power_means_of_zero_rows_and_errors():
+    """All-zero rows mean 0.0 for p > 0 without a warning, beside rows that
+    keep their bits; empty and nonpositive rows raise the 1-d errors."""
+    rows = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 4.0], [0.0, 0.0, 0.0]])
+    for p in (1.0, 1.5, 0.4, np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = power_mean(rows, p)
+        assert np.array_equal(got, [0.0, power_mean_1d(rows[1], p), 0.0])
+    for p in MEAN_EXPONENTS:
+        with pytest.raises(EmptyCubeError):
+            power_mean(np.empty((3, 0)), p)
+    for p in (-0.5, -2.0, -np.inf):
+        with pytest.raises(NonpositiveValueError):
+            power_mean(rows[:2], p)
+        with pytest.raises(NonpositiveValueError):
+            power_mean_1d(rows[0], p)
+    with pytest.raises(ExponentDomainError):
+        power_mean(rows, 0.0)
 
 
 def test_lr_norm():

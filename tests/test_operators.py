@@ -1,6 +1,7 @@
 """Model operators: singular sums, vector transfer, weighted quotients."""
 
 import filecmp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,6 +486,31 @@ def test_theorem11_records_constant():
     assert result["sparse_form"] == sparse_form(
         spec, result["collection"].cubes, gs, (1.0, 1.0, 1.0),
         rs=(4.0, 4.0, 2.0))
+
+
+def test_theorem11_validates_on_the_constructor_cell_sets(monkeypatch,
+                                                         tmp_path):
+    """On the shipped theorem11 config, each check builds every cube's
+    cells once, in the constructor, and validates on those: one cube_cells
+    call per cube (a second build per cube in validate doubled it)."""
+    calls, cubes = [0], [0]
+    check = operators.theorem11_check
+
+    def cube_cells(spec, cube):
+        calls[0] += 1
+        return lattice.cube_cells(spec, cube)
+
+    def counted_check(*args):
+        with monkeypatch.context() as patch:
+            patch.setattr(sparse, "cube_cells", cube_cells)
+            result = check(*args)
+        cubes[0] += len(result["collection"])
+        return result
+
+    monkeypatch.setattr(operators, "theorem11_check", counted_check)
+    config = Path(__file__).resolve().parents[1] / "configs" / "theorem11.json"
+    run_experiment(ExperimentConfig.from_file(config), tmp_path)
+    assert (calls[0], cubes[0]) == (90, 90)
 
 
 def test_sparse_norm_lower_bound_respects_factor_two():

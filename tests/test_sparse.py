@@ -44,6 +44,7 @@ from sparsedom.lattice import (
     power_mean,
 )
 from sparsedom.sparse import _Assignment, _stopping_children
+from test_lattice import power_mean_1d
 from test_maximal import localized_maximal
 
 
@@ -260,6 +261,121 @@ def test_long_alternating_path_needs_no_recursion():
     assert majors[n - 1].tolist() == [2 * n - 1, 2 * n]
 
 
+class NumpyAssignment:
+    """Oracle: the assignment as it was with numpy reads on every visit
+    (np.unique for the other owners), the order the fast one must keep."""
+
+    def __init__(self, ncells):
+        self.owner = np.full(ncells, -1, dtype=np.int64)
+        self.cells = []
+
+    def add(self, cells):
+        owner = self.owner
+        me = len(self.cells)
+        self.cells.append(cells)
+        need = len(cells) // 2 + 1
+        free = cells[owner[cells] < 0][:need]
+        owner[free] = me
+        for _ in range(need - len(free)):
+            reached = self._augment(me)
+            if reached is not None:
+                owner[owner == me] = -1
+                self.cells.pop()
+                return reached
+        return None
+
+    def _augment(self, start):
+        owner = self.owner
+        came_from = {start: None}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            cells = self.cells[u]
+            held = owner[cells]
+            free = cells[held < 0]
+            if len(free):
+                v, x = u, free[0]
+                while True:
+                    owner[x] = v
+                    if v == start:
+                        return None
+                    v, x = came_from[v]
+            elsewhere = held != u
+            others, first = np.unique(held[elsewhere], return_index=True)
+            handed = cells[elsewhere][first]
+            for o, x in zip(others.tolist(), handed.tolist()):
+                if o not in came_from:
+                    came_from[o] = (u, x)
+                    stack.append(o)
+        return sorted(came_from)
+
+    def majors(self):
+        return [np.flatnonzero(self.owner == i) for i in range(len(self.cells))]
+
+
+def assert_same_majors(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d, levels, periodic, shifts", ORACLE_GRIDS)
+def test_assignment_matches_numpy_oracle(d, levels, periodic, shifts):
+    """Every cube of a random family is added, also after a failed add:
+    the owners after each add, each Hall certificate and the major sets
+    equal the numpy oracle's."""
+    spec = GridSpec(d, levels, periodic)
+    seed = 2000 * d + 10 * levels + 2 * periodic + (shifts == "all")
+    failed = 0
+    for cubes in _random_families(spec, shifts, seed, 30, (1, 24)):
+        fast, oracle = _Assignment(spec.ncells), NumpyAssignment(spec.ncells)
+        for cube in cubes:
+            cells = cube_cells(spec, cube)
+            got = fast.add(cells)
+            assert got == oracle.add(cells)
+            assert np.array_equal(fast.owner, oracle.owner)
+            failed += got is not None
+        assert_same_majors(fast.majors(), oracle.majors())
+    assert failed > 0
+
+
+def test_assignment_matches_numpy_oracle_on_large_cubes():
+    """Cubes of at least 128 cells are read in runs of one owner; families
+    of large overlapping cubes give the oracle's owners, certificates and
+    major sets, with failed adds among them."""
+    failed = 0
+    for spec in (GridSpec(1, 10, False), GridSpec(1, 10, True),
+                 GridSpec(2, 6, True)):
+        # the top four levels: 64 to 512 cells in 1-d, 16 to 1024 in 2-d
+        pool = [c for c in enumerate_cubes(spec, shifts="all")
+                if c.level >= spec.levels - 4]
+        rng = np.random.default_rng([spec.d, spec.levels, spec.periodic])
+        for _ in range(6):
+            pick = rng.choice(len(pool), size=8, replace=False)
+            fast = _Assignment(spec.ncells)
+            oracle = NumpyAssignment(spec.ncells)
+            for i in pick:
+                cells = cube_cells(spec, pool[i])
+                got = fast.add(cells)
+                assert got == oracle.add(cells)
+                assert np.array_equal(fast.owner, oracle.owner)
+                failed += got is not None
+            assert_same_majors(fast.majors(), oracle.majors())
+    assert failed > 0
+
+
+def test_long_chain_matches_numpy_oracle():
+    """The chain of test_long_alternating_path_needs_no_recursion gives the
+    oracle's owners after every add."""
+    n = 300
+    fast, oracle = _Assignment(2 * n + 1), NumpyAssignment(2 * n + 1)
+    chain = [np.arange(2 * i, 2 * i + 3) for i in range(n)]
+    for cells in chain + [np.array([0], dtype=np.int64)]:
+        assert fast.add(cells) is None and oracle.add(cells) is None
+        assert np.array_equal(fast.owner, oracle.owner)
+    assert_same_majors(fast.majors(), oracle.majors())
+
+
 def test_import_does_not_load_networkx():
     """networkx is a test-only dependency: the package never imports it."""
     src = str(Path(sparsedom.__file__).resolve().parents[1])
@@ -390,6 +506,60 @@ def test_greedy_matches_per_candidate_reverify(d, levels, periodic):
         assert coll.cubes == family
         assert value == want
         coll.validate()
+
+
+def greedy_oracle(inputs, ps, shifts):
+    """Oracle: the greedy loop as it was, one 1-d power mean per slot and
+    candidate and the numpy assignment."""
+    spec = inputs[0].spec
+    profiles = [np.abs(f.values[:, 0]) for f in inputs]
+    scored = []
+    for cube in enumerate_cubes(spec, shifts=shifts):
+        cells = cube_cells(spec, cube)
+        if len(cells) == 0:
+            continue
+        term = float(len(cells))
+        for g, p in zip(profiles, ps):
+            term *= power_mean_1d(g[cells], p)
+        scored.append((term, cube, cells))
+    scored.sort(key=lambda t: (-t[0], -t[1].side, t[1].corner, t[1].shift))
+    assignment = NumpyAssignment(spec.ncells)
+    family, value = [], 0.0
+    for w, cube, cells in scored:
+        if w <= 0.0:
+            break
+        if assignment.add(cells) is None:
+            family.append(cube)
+            value += w
+    return value, family, assignment.majors()
+
+
+GREEDY_EXPONENTS = (1.0, 1.5, 2.0, 3.0, 0.4, -0.5, -2.0, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("d, levels, periodic", GREEDY_GRIDS)
+def test_greedy_matches_per_cube_oracle(d, levels, periodic):
+    """Row-wise scoring by cube size and the fast assignment give the old
+    loop's value, cubes and major sets exactly, for every exponent in
+    either slot; inputs with zero stretches (positive exponents only) stop
+    the loop at a zero weight."""
+    spec = GridSpec(d, levels, periodic)
+    rng = np.random.default_rng([d, levels, periodic, 5])
+    positive = [GridFunction(spec, rng.uniform(0.1, 1.0, size=spec.ncells))
+                for _ in range(2)]
+    gaps = [GridFunction(spec, f.values[:, 0] * (rng.random(spec.ncells)
+                                                 < 0.4)) for f in positive]
+    for i, p in enumerate(GREEDY_EXPONENTS):
+        ps = (p, GREEDY_EXPONENTS[(i + 3) % len(GREEDY_EXPONENTS)])
+        cases = [positive] + ([gaps] if min(ps) > 0 else [])
+        for fs in cases:
+            for shifts in ("canonical", "all"):
+                value, coll = sup_sparse_form(fs, ps, mode="greedy",
+                                              shifts=shifts)
+                want, cubes, majors = greedy_oracle(fs, ps, shifts)
+                assert value == want
+                assert coll.cubes == cubes
+                assert_same_majors(coll.major_sets, majors)
 
 
 def test_bruteforce_rejects_large_instances():

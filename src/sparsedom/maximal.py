@@ -18,10 +18,10 @@ components is applied at the end.  Truncation windows are half-open
 side-length intervals (s, t]: a cube of side 2^j participates iff
 s < 2^j <= t, so (0, 2^K] is the full untruncated operator and the
 one-cell truncation floor corresponds to any s < 1.  cube_averages, the
-power means over every cube of the canonical lattices in the order of their
-stacked ids, serves the weight characteristics; it reads no map, since the
-canonical lattices form a full 2^d-ary tree whose level sums it adds up
-pairwise from the level below.
+power means over every canonical cube of levels 1..K (side >= 2) in the
+order of their stacked ids, serves the weight characteristics; it reads no
+map, since the canonical lattices form a full 2^d-ary tree whose level sums
+it adds up pairwise from the level below.
 """
 
 from __future__ import annotations
@@ -64,26 +64,30 @@ def _check_ps(ps: Sequence[float]):
 
 
 def cube_averages(spec: GridSpec, g: np.ndarray, p: float) -> np.ndarray:
-    """Power means of |g| over every dyadic cube; g has shape (ncells,).
+    """Power means of |g| over every dyadic cube of side >= 2; g has shape
+    (ncells,).
 
-    Returns one value per canonical (shift-0) cube, level-major and
-    row-major within a level, which is the order of the canonical stacked
-    ids of stacked_cube_map(spec, "canonical"): level j holds (2^(K-j))^d
-    means.  The canonical lattices of a 2^K grid form a full 2^d-ary tree,
-    clipped or periodic alike, so a level-j cube holds exactly 2^(jd) cells
-    and its sum is the sum of its 2^d children.  |g| / max|g| is raised to
-    the power p once; each level is then summed from the one below by
-    strided pairwise adds along each axis (max or min for p = +-inf, which
-    is exact) and multiplied by the exact power of two 2^(-jd).  Negative
-    and infinite exponents are supported (negative ones require g > 0).
+    Returns one value per canonical (shift-0) cube of levels 1..K,
+    level-major and row-major within a level, which is the order of the
+    canonical stacked ids of stacked_cube_map(spec, "canonical") past the
+    ncells unit cubes: level j holds (2^(K-j))^d means, from offset
+    sum_{0<i<j} (2^(K-i))^d.  Unit cubes are left out because a
+    power mean over one cell is that cell's value, so no characteristic
+    needs them.  The canonical lattices of a 2^K grid form a full 2^d-ary
+    tree, clipped or periodic alike, so a level-j cube holds exactly
+    2^(jd) cells and its sum is the sum of its 2^d children.  |g| / max|g|
+    is raised to the power p once, in a scratch array of ncells; each level
+    is then summed from the one below by strided pairwise adds along each
+    axis (max or min for p = +-inf, which is exact) and multiplied by the
+    exact power of two 2^(-jd).  Negative and infinite exponents are
+    supported (negative ones require g > 0).
     """
     if p == 0:
         raise ExponentDomainError("exponent 0 is not supported")
     d, side = spec.d, spec.side
     starts = np.cumsum([0] + [(side >> j) ** d
-                              for j in range(spec.levels + 1)])
-    out = np.empty(starts[-1])
-    a = np.abs(np.asarray(g, dtype=np.float64), out=out[:spec.ncells])
+                              for j in range(1, spec.levels + 1)])
+    a = np.abs(np.asarray(g, dtype=np.float64))
     finite = p not in (np.inf, -np.inf)
     if finite:
         if p < 0 and np.any(a == 0.0):
@@ -94,9 +98,10 @@ def cube_averages(spec: GridSpec, g: np.ndarray, p: float) -> np.ndarray:
         a /= scale
         a **= p
     reduce = np.add if finite else (np.maximum if p > 0 else np.minimum)
+    out = np.empty(starts[-1])
+    block = a.reshape((side,) * d)
     for j in range(1, spec.levels + 1):
-        block = out[starts[j - 1]:starts[j]].reshape((side >> (j - 1),) * d)
-        level = out[starts[j]:starts[j + 1]].reshape((side >> j,) * d)
+        level = out[starts[j - 1]:starts[j]].reshape((side >> j,) * d)
         for axis in range(d):
             keep = (slice(None),) * axis
             block = reduce(block[keep + (slice(0, None, 2),)],
@@ -104,7 +109,7 @@ def cube_averages(spec: GridSpec, g: np.ndarray, p: float) -> np.ndarray:
                            out=level if axis == d - 1 else None)
     if finite:
         for j in range(1, spec.levels + 1):
-            out[starts[j]:starts[j + 1]] *= 1.0 / (1 << j * d)
+            out[starts[j - 1]:starts[j]] *= 1.0 / (1 << j * d)
         out **= 1.0 / p
         out *= scale
     return out

@@ -6,10 +6,16 @@ are uniformly controlled by its alpha-power means over cubes, and the
 characteristic is the supremum of that ratio.  Muckenhoupt A_t is
 RC(1/(1-t), 1) (with alpha = -inf when t = 1) and reverse Hoelder RH_t is
 RC(1, t), so one ratio sweep serves all three.  Every characteristic sweeps
-the dyadic cubes, the shift-0 lattice, at every level, and reads its power
-means through Weight.means, which keeps a weight's two most recently used
-results: a characteristic is a ratio or product of two means, so a caller
-that orders its characteristics to share a mean computes each once.
+the dyadic cubes of the shift-0 lattice at levels 1..K, the cubes of side
+>= 2, and reads its power means through Weight.means, which keeps a weight's
+two most recently used results: a characteristic is a ratio or product of
+two means, so a caller that orders its characteristics to share a mean
+computes each once.  Unit cubes cannot change a supremum: on one cell every
+power mean of w is w(x), so each ratio and each multilinear product
+v^{1/q} prod_j v_j^{-1/q_j} there is exactly 1, while on every cube each is
+at least 1, by power-mean monotonicity for the ratios and by the
+generalized Hoelder bound 1 = <prod_i g_i>_rho <= prod_i <g_i>_{r_i} for
+the products.
 
 Finiteness of a characteristic is an asymptotic statement; on a finite grid
 it is operationalized by classify_growth over values the caller samples: the
@@ -40,7 +46,9 @@ class Weight:
     """Strictly positive scalar function on a grid."""
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        # a private copy: no later write by the caller reaches the values,
+        # their positivity check or the memoized means
+        values = np.array(values, dtype=np.float64).reshape(-1)
         if values.shape[0] != spec.ncells:
             raise SpecMismatchError("weight size does not match the grid")
         if not np.all(np.isfinite(values)) or values.min() <= 0.0:
@@ -104,7 +112,8 @@ class WeightVector:
 
 
 def _ratio_sweep(w: Weight, num, den) -> float:
-    """sup over dyadic cubes of <w>_num / <w>_den for a pair of exponents."""
+    """sup over dyadic cubes of side >= 2 of <w>_num / <w>_den for a pair
+    of exponents."""
     return float(np.max(w.means(num) / w.means(den)))
 
 

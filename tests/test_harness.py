@@ -24,6 +24,7 @@ from sparsedom.cli import build_parser, main
 from sparsedom.errors import ConfigError
 from sparsedom.harness import EXPERIMENT_KINDS
 from sparsedom.weights import make_power_weight
+from test_maximal import cube_averages_all_levels
 
 
 def base_doc(kind="maximal", **params):
@@ -333,11 +334,39 @@ def test_weights_report_matches_unmemoized_means(monkeypatch, tmp_path):
     assert not mismatch and not errors
 
 
+WEIGHTS_2D = {
+    "kind": "weights",
+    "grid": {"d": 2, "levels": 3, "periodic": False},
+    "corpus": {"kind": "mixed", "size": 0, "seed": 5},
+    "params": {"levels": [3, 4, 5]},
+}
+
+
+@pytest.mark.parametrize("doc", ["weights.json", WEIGHTS_2D],
+                         ids=["config", "2d"])
+def test_weights_report_matches_all_levels_oracle(monkeypatch, tmp_path,
+                                                  doc):
+    """With the all-levels oracle's means in place of cube_averages, unit
+    cubes included, the weights experiment writes the same report and
+    table bytes: leaving the unit cubes out changes no characteristic."""
+    cfg = (ExperimentConfig.from_dict(doc) if isinstance(doc, dict) else
+           ExperimentConfig.from_file(
+               Path(__file__).resolve().parents[1] / "configs" / doc))
+    assert run_experiment(cfg, tmp_path / "levels-1-K") == 0
+    monkeypatch.setattr(maximal, "cube_averages", cube_averages_all_levels)
+    assert run_experiment(cfg, tmp_path / "oracle") == 0
+    _, mismatch, errors = filecmp.cmpfiles(
+        tmp_path / "levels-1-K", tmp_path / "oracle",
+        ["report.json", "characteristics.csv"], shallow=False)
+    assert not mismatch and not errors
+
+
 def test_weights_peak_memory_stays_flat():
-    """Levels run outermost and a weight keeps at most two of its means, so
-    the traced peak of run_weights on 1-d K = 12, 14, 16 stays within a few
-    arrays of the finest grid: 5.5 MiB, against 4.7 MiB when every class
-    computed its own means and 8.0 MiB when a weight kept all of them."""
+    """Levels run outermost, a weight keeps at most two of its means and
+    the means leave out the unit cubes, so the traced peak of run_weights
+    on 1-d K = 12, 14, 16 stays within a few arrays of the finest grid:
+    3.5 MiB, against 5.5 MiB when the means held the unit cubes too and
+    8.0 MiB when a weight also kept all of them."""
     cfg = ExperimentConfig.from_dict({
         "kind": "weights",
         "grid": {"d": 1, "levels": 12, "periodic": False},
@@ -350,7 +379,7 @@ def test_weights_peak_memory_stays_flat():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 2 ** 20
+    assert peak <= 4 * 2 ** 20
 
 
 def test_weighted_builds_each_weight_and_family_once_per_level(monkeypatch):

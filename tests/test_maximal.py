@@ -123,6 +123,44 @@ def cube_averages_one_level(spec, g, p, shift, level):
     return scale * (sums / counts) ** (1.0 / p)
 
 
+def cube_averages_all_levels(spec, g, p):
+    """Reference power means over every canonical cube of levels 0..K, unit
+    cubes included: the block pyramid as it stood when it returned level 0
+    too.  Its slice past the ncells unit cubes has the bits of
+    cube_averages, and every characteristic the bits of one taken on it."""
+    if p == 0:
+        raise ExponentDomainError("exponent 0 is not supported")
+    d, side = spec.d, spec.side
+    starts = np.cumsum([0] + [(side >> j) ** d
+                              for j in range(spec.levels + 1)])
+    out = np.empty(starts[-1])
+    a = np.abs(np.asarray(g, dtype=np.float64), out=out[:spec.ncells])
+    finite = p not in (np.inf, -np.inf)
+    if finite:
+        if p < 0 and np.any(a == 0.0):
+            raise ValueError("negative-exponent averages need positive values")
+        scale = float(a.max())
+        if scale == 0.0:
+            return np.zeros(starts[-1])
+        a /= scale
+        a **= p
+    reduce = np.add if finite else (np.maximum if p > 0 else np.minimum)
+    for j in range(1, spec.levels + 1):
+        block = out[starts[j - 1]:starts[j]].reshape((side >> (j - 1),) * d)
+        level = out[starts[j]:starts[j + 1]].reshape((side >> j,) * d)
+        for axis in range(d):
+            keep = (slice(None),) * axis
+            block = reduce(block[keep + (slice(0, None, 2),)],
+                           block[keep + (slice(1, None, 2),)],
+                           out=level if axis == d - 1 else None)
+    if finite:
+        for j in range(1, spec.levels + 1):
+            out[starts[j]:starts[j + 1]] *= 1.0 / (1 << j * d)
+        out **= 1.0 / p
+        out *= scale
+    return out
+
+
 AVERAGE_EXPONENTS = (-np.inf, -2.0, -0.5, 0.4, 1.0, 2.0, 3.0, np.inf)
 
 
@@ -130,7 +168,8 @@ AVERAGE_EXPONENTS = (-np.inf, -2.0, -0.5, 0.4, 1.0, 2.0, 3.0, np.inf)
                                                (2, 3, False), (2, 3, True),
                                                (1, 12, False), (2, 6, True)])
 def test_cube_averages_match_single_level_oracle(d, levels, periodic):
-    """Each level's slice of the canonical stacked ids holds the means of a
+    """The means come in the order of the canonical stacked ids past the
+    ncells unit cubes, and each level j = 1..K holds the means of a
     sequential per-level computation: the same bits for p = +-inf, and
     within 1e-12 relative for finite p, where the pyramid adds the cells of
     a cube pairwise instead of in increasing order (4e-14 is the largest
@@ -150,15 +189,34 @@ def test_cube_averages_match_single_level_oracle(d, levels, periodic):
         arrays = positive + (with_zeros if p > 0 else [])
         for g in arrays:
             got = cube_averages(spec, g, p)
-            assert got.shape == (starts[-1],)
-            for level in range(spec.levels + 1):
+            assert got.shape == (starts[-1] - spec.ncells,)
+            for level in range(1, spec.levels + 1):
                 want = cube_averages_one_level(spec, g, p, 0, level)
-                means = got[starts[level]:starts[level + 1]]
+                means = got[starts[level] - spec.ncells:
+                            starts[level + 1] - spec.ncells]
                 if np.isinf(p):
                     assert np.array_equal(means, want)
                 else:
                     np.testing.assert_allclose(means, want, rtol=1e-12,
                                                atol=0)
+
+
+@pytest.mark.parametrize("d,levels,periodic", [(1, 1, False), (1, 6, True),
+                                               (2, 1, True), (2, 4, False),
+                                               (3, 3, True)])
+def test_cube_averages_are_the_all_levels_oracle_past_unit_cubes(
+        d, levels, periodic):
+    """cube_averages is the all-levels oracle's array past its ncells unit
+    cubes, bit for bit, for every exponent, also on all-zero input."""
+    spec = GridSpec(d, levels, periodic)
+    rng = np.random.default_rng(57 + 10 * d + levels)
+    arrays = [np.exp(rng.normal(0.0, 3.0, spec.ncells)),
+              rng.uniform(-2.0, 2.0, spec.ncells)]
+    for p in AVERAGE_EXPONENTS:
+        for g in arrays + ([np.zeros(spec.ncells)] if p > 0 else []):
+            got = cube_averages(spec, g, p)
+            want = cube_averages_all_levels(spec, g, p)[spec.ncells:]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d,levels", [(1, 7), (2, 4)])
@@ -184,7 +242,7 @@ def test_weights_report_matches_sequential_oracle(monkeypatch, tmp_path):
 
     def sequential(spec, g, p):
         return np.concatenate([cube_averages_one_level(spec, g, p, 0, level)
-                               for level in range(spec.levels + 1)])
+                               for level in range(1, spec.levels + 1)])
 
     def run(name):
         out = tmp_path / name

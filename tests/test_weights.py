@@ -32,6 +32,7 @@ from sparsedom.weights import (
     WeightVector,
     multilinear_exponents,
 )
+from test_maximal import cube_averages_all_levels
 
 
 def random_weight(spec, rng, lo=0.2, hi=5.0):
@@ -140,6 +141,52 @@ def test_characteristics_match_cube_loop(d, levels, periodic):
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def characteristic_bits(spec, w_values, u_values):
+    """The float bits of each class on fresh weights (empty memos) of two
+    arrays: every ratio class, alpha = -inf among them, and the
+    multilinear characteristic with n = 1 and n = 2."""
+    w, u = Weight(spec, w_values), Weight(spec, u_values)
+    values = [
+        rc_characteristic(w, -np.inf, 2.0),
+        rc_characteristic(w, -2.0, 0.4),
+        rc_characteristic(w, 0.5, np.inf),
+        muckenhoupt_characteristic(w, 1.0),
+        muckenhoupt_characteristic(w, 1.5),
+        muckenhoupt_characteristic(w, 3.0),
+        reverse_holder_characteristic(w, 2.0),
+        reverse_holder_characteristic(w, 2.5),
+        multilinear_characteristic(WeightVector([w], (2.0,)), (4/3, 4/3)),
+        multilinear_characteristic(WeightVector([w, w], (2.0, 2.0)),
+                                   (4/3, 4/3, 1.0)),
+        multilinear_characteristic(WeightVector([w, u], (2.0, 3.0)),
+                                   (1.0, 1.5, 2.0)),
+    ]
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("d,levels,periodic", [(1, 1, False), (1, 6, False),
+                                               (1, 6, True), (2, 1, True),
+                                               (2, 3, False), (2, 3, True)])
+def test_characteristics_keep_their_bits_without_unit_cubes(
+        monkeypatch, d, levels, periodic):
+    """Every class reads the same float bits off means of the cubes of
+    side >= 2 as off the all-levels oracle's means, unit cubes included:
+    on a unit cube each ratio and product is 1 up to rounding, and no
+    supremum falls below 1.  Random, power and constant weights."""
+    spec = GridSpec(d, levels, periodic)
+    rng = np.random.default_rng(71 + 10 * d + levels + periodic)
+    arrays = [np.exp(rng.normal(0.0, 1.0, spec.ncells)),
+              rng.uniform(0.2, 5.0, spec.ncells)]
+    arrays += [make_power_weight(spec, a, center).values
+               for a in (-0.9, 0.0, 0.5, 1.5) for center in ("center", "edge")]
+    arrays += [np.full(spec.ncells, 3.7), np.full(spec.ncells, 1e-3)]
+    pairs = [(g, arrays[(i + 1) % len(arrays)]) for i, g in enumerate(arrays)]
+    got = [characteristic_bits(spec, g, h) for g, h in pairs]
+    monkeypatch.setattr(maximal, "cube_averages", cube_averages_all_levels)
+    want = [characteristic_bits(spec, g, h) for g, h in pairs]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # weight vectors and the multilinear characteristic
 
@@ -206,6 +253,23 @@ def test_weight_means_keep_the_two_latest(monkeypatch):
     assert calls == [2.0, -1.0, 0.5, -1.0]
     assert w.means(2.0) is first
     assert w.inverse() is w.inverse()
+
+
+def test_weight_does_not_share_the_callers_array():
+    """A weight keeps a private copy: a later write to the source array
+    changes neither its values nor its memoized means, and cannot get
+    round the positivity check."""
+    spec = GridSpec(1, 4, False)
+    source = np.linspace(1.0, 4.0, spec.ncells)
+    w = Weight(spec, source)
+    values = w.values.copy()
+    means = w.means(1.0).copy()
+    assert not np.shares_memory(w.values, source)
+    source[:] = 100.0
+    source[3] = -1.0
+    assert np.array_equal(w.values, values)
+    assert np.array_equal(w.means(1.0), means)
+    assert np.array_equal(Weight(spec, w.values).means(1.0), means)
 
 
 def test_single_component_weight_vector_is_its_component():

@@ -31,11 +31,8 @@ from .lattice import (
     cube_cells,
     dilate,
     enumerate_cubes,
-    gridfunction_from_csv,
     holder_aggregate,
-    load_gridfunction,
     power_mean,
-    save_gridfunction,
 )
 from .maximal import (
     holder_dominator,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import maximal, operators, sparse, weights as weights_mod
-from .errors import ConfigError, ZeroInputError
+from .errors import ConfigError, NonpositiveValueError, ZeroInputError
 from .lattice import GridFunction, GridSpec, holder_aggregate
 
 EXPERIMENT_KINDS = ("maximal", "build-sparse", "equivalence", "weights",
@@ -170,9 +170,9 @@ def _is_positive_int(x) -> bool:
 
 
 def _is_center(x, d: int) -> bool:
-    """A weight centre: "center", "edge" or a list of d coordinates."""
+    """A weight centre: "center", "edge" or a list of d finite coordinates."""
     return x in ("center", "edge") or (
-        isinstance(x, list) and len(x) == d and all(map(_is_real, x)))
+        isinstance(x, list) and len(x) == d and all(map(_is_finite, x)))
 
 
 def _is_positive(x) -> bool:
@@ -279,14 +279,14 @@ def _check_kind_params(cfg: ExperimentConfig):
             raise ConfigError("the refinement protocol needs two or more "
                               "levels", field="params.levels")
     if "center" in accepted and not _is_center(cfg.param("center"), d):
-        raise ConfigError(f'must be "center", "edge" or a list of {d} number',
-                          field="params.center")
+        raise ConfigError(f'must be "center", "edge" or a list of {d} finite '
+                          "numbers", field="params.center")
     if "centers" in accepted:
         centers = cfg.param("centers")
         if not (isinstance(centers, list) and centers
                 and all(_is_center(c, d) for c in centers)):
             raise ConfigError('must be a nonempty list of "center", "edge" '
-                              f"or lists of {d} numbers",
+                              f"or lists of {d} finite numbers",
                               field="params.centers")
     if "bad_exponent" in accepted:
         bad = cfg.param("bad_exponent")
@@ -392,8 +392,7 @@ class ExperimentConfig:
 class ReportBuilder:
     """Collects ASSERTED/RECORDED rows and CSV tables, then writes them."""
 
-    def __init__(self, kind: str, config: ExperimentConfig | None = None):
-        self.kind = kind
+    def __init__(self, config: ExperimentConfig):
         self.config = config
         self.rows = []
         self.tables = {}
@@ -414,26 +413,23 @@ class ReportBuilder:
                 if r["status"] == "ASSERTED" and not r["pass"]]
 
     def summary(self) -> dict:
-        doc = {
-            "experiment": self.kind,
+        cfg = self.config
+        return {
+            "experiment": cfg.kind,
+            "config": {
+                "kind": cfg.kind,
+                "grid": {"d": cfg.grid.d, "levels": cfg.grid.levels,
+                         "periodic": cfg.grid.periodic},
+                "corpus": {"kind": cfg.corpus_kind, "size": cfg.corpus_size,
+                           "seed": cfg.seed},
+                "params": cfg.params,
+            },
             "rows": self.rows,
             "n_asserted": sum(r["status"] == "ASSERTED" for r in self.rows),
             "n_recorded": sum(r["status"] == "RECORDED" for r in self.rows),
             "failures": self.failures,
             "ok": not self.failures,
         }
-        if self.config is not None:
-            doc["config"] = {
-                "kind": self.config.kind,
-                "grid": {"d": self.config.grid.d,
-                         "levels": self.config.grid.levels,
-                         "periodic": self.config.grid.periodic},
-                "corpus": {"kind": self.config.corpus_kind,
-                           "size": self.config.corpus_size,
-                           "seed": self.config.seed},
-                "params": self.config.params,
-            }
-        return doc
 
     def write(self, out_dir) -> int:
         out = Path(out_dir)
@@ -465,7 +461,7 @@ def _json_default(obj):
 
 def run_maximal(cfg: ExperimentConfig) -> ReportBuilder:
     """Pointwise Hoelder sandwich and weak-type quotients on a corpus."""
-    rep = ReportBuilder("maximal", cfg)
+    rep = ReportBuilder(cfg)
     ps, rs = tuple(cfg.param("ps")), tuple(cfg.param("rs"))
     n_comp = int(cfg.param("components"))
     corpus = generate_corpus(cfg.corpus_kind, cfg.seed, cfg.corpus_size,
@@ -508,7 +504,7 @@ def run_maximal(cfg: ExperimentConfig) -> ReportBuilder:
 
 def run_build_sparse(cfg: ExperimentConfig) -> ReportBuilder:
     """Both stopping-time variants on a corpus: sparsity, budgets, factor 2."""
-    rep = ReportBuilder("build-sparse", cfg)
+    rep = ReportBuilder(cfg)
     ps, rs = list(cfg.param("ps")), list(cfg.param("rs"))
     eps = float(cfg.param("eps"))
     budget = float(cfg.param("child_budget"))
@@ -565,7 +561,7 @@ def run_build_sparse(cfg: ExperimentConfig) -> ReportBuilder:
 
 def run_equivalence(cfg: ExperimentConfig) -> ReportBuilder:
     """Brute-force sparse-form maximization against the maximal integral."""
-    rep = ReportBuilder("equivalence", cfg)
+    rep = ReportBuilder(cfg)
     ps = list(cfg.param("ps"))
     if cfg.grid.ncells > 16:
         raise ConfigError("equivalence experiments need at most 16 cells",
@@ -597,6 +593,17 @@ def run_equivalence(cfg: ExperimentConfig) -> ReportBuilder:
               ["trial", "sup_form", "greedy_form", "integral_M", "c_emp",
                "n_cubes"], rows)
     return rep
+
+
+def _power_weight(spec: GridSpec, a: float, center):
+    """make_power_weight, with a weight that overflows or underflows
+    reported as a config error on the panel exponent that asked for it."""
+    try:
+        return weights_mod.make_power_weight(spec, a, center)
+    except NonpositiveValueError:
+        raise ConfigError(f"exponent {a:g} with centre {center!r} gives a "
+                          f"weight that is not finite and positive at K = "
+                          f"{spec.levels}", field="params.panel") from None
 
 
 def _panel(cfg: ExperimentConfig):
@@ -632,7 +639,7 @@ def run_weights(cfg: ExperimentConfig) -> ReportBuilder:
     which consecutive ones share a power mean, so the weight's two-entry
     memo (Weight.means) computes each of its 7 distinct means once.
     """
-    rep = ReportBuilder("weights", cfg)
+    rep = ReportBuilder(cfg)
     levels = tuple(cfg.param("levels"))
     q, t1, t2 = 2.0, 4.0 / 3.0, 4.0 / 3.0                # check 1
     qs2, ts2 = (2.0, 2.0), (4.0 / 3.0, 4.0 / 3.0, 1.0)   # check 2
@@ -652,7 +659,7 @@ def run_weights(cfg: ExperimentConfig) -> ReportBuilder:
     for k in levels:
         spec = GridSpec(cfg.grid.d, k, cfg.grid.periodic)
         for (a, center), vals in zip(panel, values):
-            w = weights_mod.make_power_weight(spec, a, center)
+            w = _power_weight(spec, a, center)
             for name, characteristic in classes.items():
                 vals[name].append(characteristic(w))
             del w   # its means go before the next weight is built
@@ -703,7 +710,7 @@ def _model_family_pool(spec: GridSpec, seed: int, size: int,
 
 def run_lemma1(cfg: ExperimentConfig) -> ReportBuilder:
     """Vector transfer factor-2 bound over a corpus of model families."""
-    rep = ReportBuilder("lemma1", cfg)
+    rep = ReportBuilder(cfg)
     ps = tuple(cfg.param("ps"))
     n_comp = int(cfg.param("components"))
     pool = _model_family_pool(cfg.grid, cfg.seed + 1, n_comp, ps)
@@ -725,7 +732,7 @@ def run_lemma1(cfg: ExperimentConfig) -> ReportBuilder:
 
 def run_theorem11(cfg: ExperimentConfig) -> ReportBuilder:
     """Scalar-to-vector domination constant across family sizes."""
-    rep = ReportBuilder("theorem11", cfg)
+    rep = ReportBuilder(cfg)
     ps, rs = tuple(cfg.param("ps")), tuple(cfg.param("rs"))
     sizes = tuple(cfg.param("family_sizes"))
     pool = _model_family_pool(cfg.grid, cfg.seed + 1, max(sizes), ps)
@@ -756,7 +763,7 @@ def run_theorem11(cfg: ExperimentConfig) -> ReportBuilder:
 
 def run_bht(cfg: ExperimentConfig) -> ReportBuilder:
     """Singular-sum model: reference match, admissibility, lower bounds in K."""
-    rep = ReportBuilder("bht", cfg)
+    rep = ReportBuilder(cfg)
     seed = cfg.seed
     # reference match on small periodic grids
     worst = 0.0
@@ -808,7 +815,7 @@ def run_weighted(cfg: ExperimentConfig) -> ReportBuilder:
     characteristics and its sided-inverse corpus.  The violated hypothesis
     is the first one, in list order, classified infinite.
     """
-    rep = ReportBuilder("weighted", cfg)
+    rep = ReportBuilder(cfg)
     levels = tuple(cfg.param("levels"))
     qs = tuple(cfg.param("qs"))
     rs = tuple(cfg.param("rs"))
@@ -824,7 +831,7 @@ def run_weighted(cfg: ExperimentConfig) -> ReportBuilder:
             operators.discrete_bht(spec, spec.side // 4, "sign"),
             operators.discrete_bht(spec, spec.side // 4, "smooth")])
         for a, vals, sup in zip(panel, values, sups):
-            w = weights_mod.make_power_weight(spec, a, center)
+            w = _power_weight(spec, a, center)
             wv = weights_mod.WeightVector([w, w], qs)
             for name, characteristic in hypotheses:
                 vals[name].append(characteristic(wv))

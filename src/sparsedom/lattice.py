@@ -11,7 +11,6 @@ intersection with it (non-periodic grids), or wrap around (periodic grids).
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -369,41 +368,3 @@ def holder_aggregate(entries: Sequence[float]) -> float:
     s = sum(0.0 if e == np.inf else 1.0 / e for e in entries)
     return np.inf if s == 0.0 else 1.0 / s
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_HEADER = "# sparsedom gridfunction v1"
-
-
-def save_gridfunction(f: GridFunction, path) -> None:
-    """Textual format: header line, then 'd K N periodic', then one row per cell."""
-    with open(path, "w") as fh:
-        fh.write(_HEADER + "\n")
-        fh.write(f"{f.spec.d} {f.spec.levels} {f.n_components} "
-                 f"{int(f.spec.periodic)}\n")
-        np.savetxt(fh, f.values, fmt="%.17g")
-
-
-def load_gridfunction(path) -> GridFunction:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != _HEADER:
-            raise ValueError(f"not a sparsedom gridfunction file: {path}")
-        d, levels, n, periodic = (int(tok) for tok in fh.readline().split())
-        values = np.loadtxt(fh, ndmin=2)
-    if values.shape != (GridSpec(d, levels).ncells, n):
-        raise ValueError("value block does not match header")
-    return GridFunction(GridSpec(d, levels, bool(periodic)), values)
-
-
-def gridfunction_from_csv(path, periodic: bool = False) -> GridFunction:
-    """Import a 1-d grid function from CSV: one row per cell, one column per component."""
-    with open(path, newline="") as fh:
-        rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-    values = np.asarray(rows)
-    ncells = values.shape[0]
-    levels = int(ncells).bit_length() - 1
-    if 1 << levels != ncells or levels < 1:
-        raise ValueError("CSV must have a power-of-two number of rows (>= 2)")
-    return GridFunction(GridSpec(1, levels, periodic), values)

@@ -31,7 +31,6 @@ appear only with a relaxed budget.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,42 +110,6 @@ class SparseCollection:
         except InfeasibleCollectionError:
             return False
         return True
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "spec": {"d": self.spec.d, "levels": self.spec.levels,
-                     "periodic": self.spec.periodic},
-            "cubes": [{"shift": c.shift, "level": c.level,
-                       "corner": list(c.corner)} for c in self.cubes],
-            "major_sets": [_run_length(m) for m in self.major_sets],
-        }, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparseCollection":
-        doc = json.loads(text)
-        spec = GridSpec(**doc["spec"])
-        cubes = [DyadicCube(c["shift"], c["level"], tuple(c["corner"]))
-                 for c in doc["cubes"]]
-        majors = [_from_run_length(rl) for rl in doc["major_sets"]]
-        return cls(spec, cubes, majors)
-
-
-def _run_length(cells: np.ndarray) -> list:
-    """Sorted cell array -> [[start, length], ...] runs."""
-    cells = np.sort(np.asarray(cells, dtype=np.int64))
-    if len(cells) == 0:
-        return []
-    breaks = np.nonzero(np.diff(cells) != 1)[0]
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [len(cells) - 1]))
-    return [[int(cells[s]), int(cells[e] - cells[s] + 1)]
-            for s, e in zip(starts, ends)]
-
-
-def _from_run_length(runs: list) -> np.ndarray:
-    if not runs:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.arange(s, s + n, dtype=np.int64) for s, n in runs])
 
 
 @dataclass

@@ -609,6 +609,35 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     pytest.param(lambda d: d.update(kind="weights",
                                     params={"centers": ["center", [1, 2]]}),
                  "params.centers", id="weights-center-of-two-coordinates"),
+    pytest.param(lambda d: d.update(kind="weights", params={
+        "centers": ["center", [float("inf")]]}),
+                 "params.centers", id="weights-infinite-center"),
+    pytest.param(lambda d: d.update(kind="weights",
+                                    params={"centers": [[float("nan")]]}),
+                 "params.centers", id="weights-nan-center"),
+    pytest.param(lambda d: d.update(kind="weighted",
+                                    params={"center": [float("inf")]}),
+                 "params.center", id="weighted-infinite-center"),
+    pytest.param(lambda d: d.update(kind="weighted",
+                                    params={"center": [float("nan")]}),
+                 "params.center", id="weighted-nan-center"),
+    # a finite centre or exponent whose weight overflows or underflows
+    pytest.param(lambda d: d.update(kind="weights",
+                                    params={"centers": [[1e308]]}),
+                 "params.panel", id="weights-overflowing-center"),
+    pytest.param(lambda d: d.update(kind="weighted",
+                                    params={"center": [1e308]}),
+                 "params.panel", id="weighted-overflowing-center"),
+    pytest.param(lambda d: d.update(kind="weights", params={"panel": [400]}),
+                 "params.panel", id="weights-overflowing-exponent"),
+    pytest.param(lambda d: d.update(kind="weights", params={"panel": [-400]}),
+                 "params.panel", id="weights-underflowing-exponent"),
+    pytest.param(lambda d: d.update(kind="weighted", params={
+        "panel": [0, 400], "bad_exponent": 400}),
+                 "params.panel", id="weighted-overflowing-exponent"),
+    pytest.param(lambda d: d.update(kind="weighted", params={
+        "panel": [0, -400], "bad_exponent": -400}),
+                 "params.panel", id="weighted-underflowing-exponent"),
     pytest.param(lambda d: d.update(kind="bht", params={"levels": [1, 6]}),
                  "params.levels", id="bht-level-below-two"),
     pytest.param(lambda d: d.update(kind="weighted",
@@ -664,6 +693,16 @@ def test_cli_config_value_errors_exit_2(mutate, field, tmp_path, capsys):
                  "--out", str(tmp_path / "o")] + extra) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_weight_names_exponent_and_center(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(base_doc(
+        "weights", levels=[4, 6], panel=[0.5, 400], centers=[[3.5]])))
+    assert main(["weights", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "params.panel" in err and "exponent 400" in err and "[3.5]" in err
 
 
 def test_infinite_rs_and_qs_stay_legal(tmp_path):

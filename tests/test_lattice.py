@@ -1,4 +1,4 @@
-"""Grids, cubes, shifted lattices, power means and serialization."""
+"""Grids, cubes, shifted lattices and power means."""
 
 import itertools
 import math
@@ -15,11 +15,8 @@ from sparsedom import (
     cube_cells,
     dilate,
     enumerate_cubes,
-    gridfunction_from_csv,
     holder_aggregate,
-    load_gridfunction,
     power_mean,
-    save_gridfunction,
 )
 from sparsedom.errors import (
     EmptyCubeError,
@@ -452,33 +449,3 @@ def test_holder_aggregate():
     assert holder_aggregate([np.inf, 2.0]) == pytest.approx(2.0)
     assert holder_aggregate([np.inf]) == np.inf
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_save_load_roundtrip(tmp_path):
-    spec = GridSpec(2, 2, periodic=True)
-    rng = np.random.default_rng(11)
-    f = GridFunction(spec, rng.normal(size=(16, 3)))
-    path = tmp_path / "f.txt"
-    save_gridfunction(f, path)
-    g = load_gridfunction(path)
-    assert g.spec == spec
-    assert np.array_equal(g.values, f.values)
-
-
-def test_csv_import(tmp_path):
-    path = tmp_path / "f.csv"
-    path.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n7.0,8.0\n")
-    f = gridfunction_from_csv(path)
-    assert f.spec.d == 1 and f.spec.levels == 2
-    assert f.n_components == 2
-    assert f.values[3, 1] == 8.0
-
-
-def test_csv_import_rejects_bad_row_count(tmp_path):
-    path = tmp_path / "f.csv"
-    path.write_text("1.0\n2.0\n3.0\n")
-    with pytest.raises(ValueError):
-        gridfunction_from_csv(path)

@@ -2,7 +2,6 @@
 
 import gc
 import itertools
-import json
 import os
 import subprocess
 import sys
@@ -125,27 +124,10 @@ def test_explicit_major_sets_validation():
     # a repeated cell counted towards the majority: 2 of the 4 cells
     coll = SparseCollection(spec, [q], [[0, 0, 1]])
     assert not coll.is_valid()
-    # the same set read back from the overlapping runs of its JSON
-    text = coll.to_json()
-    assert json.loads(text)["major_sets"] == [[[0, 1], [0, 2]]]
-    assert not SparseCollection.from_json(text).is_valid()
     # a valid assignment
     coll = SparseCollection(spec, [canonical_cube(1, 0), canonical_cube(1, 2)],
                             [np.array([0, 1]), np.array([2, 3])])
     coll.validate()
-
-
-def test_json_roundtrip():
-    spec = GridSpec(2, 2, periodic=True)
-    verdict = verify_sparsity(
-        spec, [DyadicCube(0, 2, (0, 0)), DyadicCube(3, 1, (1, 1))])
-    assert verdict
-    coll = verdict.collection
-    back = SparseCollection.from_json(coll.to_json())
-    assert back.spec == coll.spec
-    assert back.cubes == coll.cubes
-    for a, b in zip(back.major_sets, coll.major_sets):
-        assert np.array_equal(np.sort(a), np.sort(b))
 
 
 def _flow_feasible(spec, cubes):

@@ -235,8 +235,9 @@ def _check_kind_params(cfg: ExperimentConfig):
     build-sparse and theorem11, a refinement level too large for the
     kind's grids or below 2 for the singular model (truncation side/4), a
     single level where a refinement protocol runs, a weight centre that is
-    not "center", "edge" or one coordinate per axis, or a bad_exponent
-    missing from the panel."""
+    not "center", "edge" or one coordinate per axis, a bad_exponent
+    missing from the panel, or a theorem11 corpus kind other than the
+    scaled-mix that run_theorem11 draws."""
     kind, params, accepted = cfg.kind, cfg.params, _PARAMS[cfg.kind]
     for key, good in (("d", cfg.grid.d == 1), ("periodic", cfg.grid.periodic)):
         if kind in ("bht", "weighted") and not good:
@@ -293,6 +294,9 @@ def _check_kind_params(cfg: ExperimentConfig):
         if bad not in cfg.param("panel"):
             raise ConfigError(f"{bad:g} is not an entry of params.panel",
                               field="params.bad_exponent")
+    if kind == "theorem11" and cfg.corpus_kind != "scaled-mix":
+        raise ConfigError(f"theorem11 draws the scaled-mix corpus, not "
+                          f"{cfg.corpus_kind!r}", field="corpus.kind")
 
 
 @dataclass
@@ -339,7 +343,8 @@ class ExperimentConfig:
         if not isinstance(corpus, dict):
             raise ConfigError("must be a JSON object", field="corpus")
         _check_keys(corpus, ("kind", "size", "seed"), "corpus.")
-        corpus_kind = corpus.get("kind", "mixed")
+        corpus_kind = corpus.get(
+            "kind", "scaled-mix" if kind == "theorem11" else "mixed")
         if corpus_kind not in CORPUS_KINDS:
             raise ConfigError(f"unknown corpus kind {corpus_kind!r}",
                               field="corpus.kind")
@@ -839,8 +844,14 @@ def run_weighted(cfg: ExperimentConfig) -> ReportBuilder:
             for inputs in generate_corpus("sided-inverse", cfg.seed,
                                           cfg.corpus_size, spec,
                                           n_components=len(qs), weight=w):
-                quot = operators.weighted_quotient(family, list(inputs), wv,
-                                                   qs, rs)
+                try:
+                    quot = operators.weighted_quotient(family, list(inputs),
+                                                       wv, rs)
+                except FloatingPointError:
+                    raise ConfigError(
+                        f"exponent {a:g} with centre {center!r} gives "
+                        f"inputs whose weighted quotient overflows at K = "
+                        f"{spec.levels}", field="params.panel") from None
                 if quot is not None:
                     best = max(best, quot)
             sup.append(best)

@@ -426,31 +426,32 @@ def estimate_sparse_norm_lower_bound(
 def weighted_quotient(family: OperatorFamily,
                       inputs: Sequence[GridFunction],
                       wv: weights_mod.WeightVector,
-                      qs: Sequence[float], rs: Sequence[float]) -> float | None:
+                      rs: Sequence[float]) -> float | None:
     """|| T(f^1..f^n) ||_{L^q(v; l^r)} / prod_j ||f^j||_{L^{q_j}(v_j; l^{r_j})}.
 
-    The output is materialized per member; the aggregation exponent r comes
-    from the Hoelder relation 1/r = sum_{j<=n} 1/r_j.  Returns None when an
-    input norm vanishes.
+    The exponents q_j and q come from wv.  The output is materialized per
+    member; the aggregation exponent r comes from the Hoelder relation
+    1/r = sum_{j<=n} 1/r_j.  Returns None when an input norm vanishes, and
+    raises FloatingPointError when a norm or the output overflows float64.
     """
     n = family.arity
     if len(inputs) != n:
         raise SizeMismatchError(f"expected {n} input slots")
-    if len(qs) != n or len(rs) < n:
+    if len(wv.qs) != n or len(rs) < n:
         raise SizeMismatchError("need one q and one r per input slot")
-    denom = 1.0
-    for f, qj, rj, w in zip(inputs, qs, rs, wv.components):
-        norm = maximal.mixed_norm(f, qj, rj, weight=w.values)
-        if norm == 0.0:
-            return None
-        denom *= norm
-    out = np.column_stack([
-        op.output([f.component(k) for f in inputs])
-        for k, op in enumerate(family.members)])
-    r = holder_aggregate(list(rs)[:n])
-    q = holder_aggregate(qs)
-    numer = maximal.mixed_norm(GridFunction(family.spec, out), q, r,
-                               weight=wv.v.values)
+    with np.errstate(over="raise"):
+        denom = 1.0
+        for f, qj, rj, w in zip(inputs, wv.qs, rs, wv.components):
+            norm = maximal.mixed_norm(f, qj, rj, weight=w.values)
+            if norm == 0.0:
+                return None
+            denom *= norm
+        out = np.column_stack([
+            op.output([f.component(k) for f in inputs])
+            for k, op in enumerate(family.members)])
+        r = holder_aggregate(list(rs)[:n])
+        numer = maximal.mixed_norm(GridFunction(family.spec, out), wv.q, r,
+                                   weight=wv.v.values)
     return numer / denom
 
 

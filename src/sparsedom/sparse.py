@@ -126,9 +126,6 @@ def _demand(size: int) -> int:
     return size // 2 + 1
 
 
-_RUNS_FROM = 128   # cubes of at least this many cells are read in runs
-
-
 class _Assignment:
     """Disjoint major sets grown one cube at a time by augmenting paths.
 
@@ -136,19 +133,16 @@ class _Assignment:
     -1 when x is free.  Every added cube owns exactly its demand of its own
     cells; augmenting paths move cells between cubes but never free one.
 
-    A search visits a cube with one gather of its cells' owners, turned into
-    a Python list; the first free cell and each other owner's first cell
-    are then found by list and dict operations (in, index, dict.fromkeys),
-    which cost less than numpy's per-call overhead on cubes of a few dozen
-    cells.  A cube of _RUNS_FROM cells or more is read in runs of one owner
-    instead, which keeps every first cell and scans far fewer entries.
+    The owners are a Python list and each added cube's cells are kept once,
+    as a list.  A search reads a cube's owners with one comprehension and
+    finds the first free cell and each other owner's first cell there with
+    list and dict operations (in, index, dict.fromkeys), which cost less
+    than numpy's per-call overhead on cubes of a few dozen cells.
     """
 
     def __init__(self, ncells: int):
-        self.owner = np.full(ncells, -1, dtype=np.int64)
-        self.cells = []           # cell array of each added cube
-        self.cell_lists = []      # the same cells as a list, None when
-                                  # the cube is read in runs
+        self.owner = [-1] * ncells
+        self.cells = []           # cell list of each added cube
 
     def add(self, cells: np.ndarray) -> list | None:
         """Add a cube with these sorted cells; None on success.
@@ -160,31 +154,21 @@ class _Assignment:
         """
         owner = self.owner
         me = len(self.cells)
+        cells = cells.tolist()
         self.cells.append(cells)
-        self.cell_lists.append(cells.tolist() if len(cells) < _RUNS_FROM
-                               else None)
         need = _demand(len(cells))
-        free = cells[owner[cells] < 0][:need]
-        owner[free] = me
+        free = [x for x in cells if owner[x] < 0][:need]
+        for x in free:
+            owner[x] = me
         for _ in range(need - len(free)):
             reached = self._augment(me)
             if reached is not None:
-                owner[cells[owner[cells] == me]] = -1
+                for x in cells:
+                    if owner[x] == me:
+                        owner[x] = -1
                 self.cells.pop()
-                self.cell_lists.pop()
                 return reached
         return None
-
-    def _held(self, u: int):
-        """(owners, cells): the owner of each cell of cube u as a list, and
-        the cells.  A large cube is cut to the first cell of each run of
-        one owner, which keeps every owner's first cell."""
-        cells = self.cells[u]
-        held = self.owner[cells]
-        if len(cells) < _RUNS_FROM:
-            return held.tolist(), self.cell_lists[u]
-        starts = np.flatnonzero(np.concatenate(([True], held[1:] != held[:-1])))
-        return held[starts].tolist(), cells[starts].tolist()
 
     def _augment(self, start: int) -> list | None:
         """Give start one more cell along an alternating path; None on
@@ -201,7 +185,8 @@ class _Assignment:
         stack = [start]
         while stack:
             u = stack.pop()
-            held, cells = self._held(u)
+            cells = self.cells[u]
+            held = [owner[x] for x in cells]
             if -1 in held:
                 v, x = u, cells[held.index(-1)]
                 while True:  # each cube on the path takes the next cell
@@ -218,12 +203,12 @@ class _Assignment:
 
     def majors(self) -> list:
         """Each added cube's major set, sorted, in the order of addition:
-        the owned cells in a stable sort by owner, split by cube."""
-        taken = np.flatnonzero(self.owner >= 0)
-        held = self.owner[taken]
-        counts = np.bincount(held, minlength=len(self.cells))
-        return np.split(taken[np.argsort(held, kind="stable")],
-                        np.cumsum(counts))[:-1]
+        one pass over the owners appends each owned cell to its cube."""
+        held = [[] for _ in self.cells]
+        for x, o in enumerate(self.owner):
+            if o >= 0:
+                held[o].append(x)
+        return [np.array(m, dtype=np.int64) for m in held]
 
 
 def verify_sparsity(spec: GridSpec,

@@ -27,8 +27,8 @@ PARTS = dict(digest.PARTS)
 def pinned(name: str) -> bool:
     """The parts recomputed here: every config but the slow weighted one and
     the construction acceptance corpora; constructions on 1-d K <= 10 and
-    2-d K = 4; sparsity on 1-d K <= 7 (the 128-cell root of K = 7 takes the
-    run read of sparse._Assignment) and 2-d K <= 3."""
+    2-d K = 4; sparsity on 1-d K <= 7 (up to the 128-cell root of K = 7)
+    and 2-d K <= 3."""
     panel, part = name.split("/", 1)
     if panel == "config":
         return part != "weighted" and \

@@ -409,8 +409,8 @@ def test_weighted_builds_each_weight_and_family_once_per_level(monkeypatch):
 def _planted_quotient_times_side(monkeypatch):
     real = operators.weighted_quotient
 
-    def planted(family, inputs, wv, qs, rs):
-        quot = real(family, inputs, wv, qs, rs)
+    def planted(family, inputs, wv, rs):
+        quot = real(family, inputs, wv, rs)
         return None if quot is None else quot * family.spec.side
 
     monkeypatch.setattr(operators, "weighted_quotient", planted)
@@ -638,6 +638,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     pytest.param(lambda d: d.update(kind="weighted", params={
         "panel": [0, -400], "bad_exponent": -400}),
                  "params.panel", id="weighted-underflowing-exponent"),
+    pytest.param(lambda d: d.update(
+        kind="weighted", corpus=dict(d["corpus"], size=2, seed=1),
+        params={"levels": [4, 6], "panel": [0, -150], "bad_exponent": 0}),
+                 "params.panel", id="weighted-overflowing-quotient"),
     pytest.param(lambda d: d.update(kind="bht", params={"levels": [1, 6]}),
                  "params.levels", id="bht-level-below-two"),
     pytest.param(lambda d: d.update(kind="weighted",
@@ -665,6 +669,9 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     pytest.param(lambda d: d.update(kind="theorem11",
                                     params={"rs": [1.0, 1.0, 1.0]}),
                  "params.rs", id="theorem11-r-not-above-p"),
+    pytest.param(lambda d: d.update(kind="theorem11", corpus=dict(
+        d["corpus"], kind="spikes")),
+                 "corpus.kind", id="theorem11-unread-corpus-kind"),
     pytest.param(lambda d: d.update(kind="bht", grid={
         "d": 2, "levels": 4, "periodic": False}),
                  "grid.d", id="bht-2d-grid"),

@@ -539,7 +539,7 @@ def test_weighted_quotient_unweighted_consistency():
     ones = Weight(spec, np.ones(spec.ncells))
     wv = WeightVector([ones, ones], (2.0, 2.0))
     fs = random_scalars(spec, 2, rng)
-    q = weighted_quotient(family, fs, wv, (2.0, 2.0), (4.0, 4.0, 2.0))
+    q = weighted_quotient(family, fs, wv, (4.0, 4.0, 2.0))
     # outer exponent is the Hoelder aggregate of (2, 2), i.e. L^1
     out = op.output(fs)
     expect = float(np.sum(np.abs(out)))
@@ -549,7 +549,7 @@ def test_weighted_quotient_unweighted_consistency():
     assert q == pytest.approx(expect / denom, rel=1e-12)
     zero = GridFunction.constant(spec, 0.0)
     assert weighted_quotient(family, [fs[0], zero], wv,
-                             (2.0, 2.0), (4.0, 4.0, 2.0)) is None
+                             (4.0, 4.0, 2.0)) is None
 
 
 def test_weighted_panel_corner_verdicts():

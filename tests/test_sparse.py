@@ -211,11 +211,11 @@ def test_some_families_need_multi_step_augmenting_paths(monkeypatch):
     search = _Assignment._augment
 
     def counted(self, start):
-        before = self.owner.copy()
+        before = np.array(self.owner)
         reached = search(self, start)
         if reached is None:
             handovers.append(int(np.count_nonzero(
-                (before >= 0) & (before != self.owner))))
+                (before >= 0) & (before != np.array(self.owner)))))
         return reached
 
     monkeypatch.setattr(_Assignment, "_augment", counted)
@@ -322,9 +322,9 @@ def test_assignment_matches_numpy_oracle(d, levels, periodic, shifts):
 
 
 def test_assignment_matches_numpy_oracle_on_large_cubes():
-    """Cubes of at least 128 cells are read in runs of one owner; families
-    of large overlapping cubes give the oracle's owners, certificates and
-    major sets, with failed adds among them."""
+    """Families of large overlapping cubes, up to 1024 cells each, give
+    the oracle's owners, certificates and major sets, with failed adds
+    among them."""
     failed = 0
     for spec in (GridSpec(1, 10, False), GridSpec(1, 10, True),
                  GridSpec(2, 6, True)):

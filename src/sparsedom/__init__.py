@@ -35,7 +35,6 @@ from .lattice import (
     power_mean,
 )
 from .maximal import (
-    holder_dominator,
     mixed_norm,
     partitioned_maximal,
     vector_maximal,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,9 +22,6 @@ import numpy as np
 from . import maximal, operators, sparse, weights as weights_mod
 from .errors import ConfigError, NonpositiveValueError, ZeroInputError
 from .lattice import GridFunction, GridSpec, holder_aggregate
-
-EXPERIMENT_KINDS = ("maximal", "build-sparse", "equivalence", "weights",
-                    "theorem11", "lemma1", "bht", "weighted")
 
 CORPUS_KINDS = ("spikes", "blocks", "bumps", "noise", "mixed", "scaled-mix",
                 "sided-inverse")
@@ -155,6 +153,11 @@ _PARAMS = {
                  "panel": _DEFAULT_PANEL, "center": "center"},
 }
 
+EXPERIMENT_KINDS = tuple(_PARAMS)
+
+# kinds that run on one corpus kind only, which is their default
+_DRAWN_CORPUS = {"theorem11": "scaled-mix", "weighted": "sided-inverse"}
+
 
 def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
@@ -236,8 +239,8 @@ def _check_kind_params(cfg: ExperimentConfig):
     kind's grids or below 2 for the singular model (truncation side/4), a
     single level where a refinement protocol runs, a weight centre that is
     not "center", "edge" or one coordinate per axis, a bad_exponent
-    missing from the panel, or a theorem11 corpus kind other than the
-    scaled-mix that run_theorem11 draws."""
+    missing from the panel, or a theorem11 or weighted corpus kind other
+    than the one its runner draws."""
     kind, params, accepted = cfg.kind, cfg.params, _PARAMS[cfg.kind]
     for key, good in (("d", cfg.grid.d == 1), ("periodic", cfg.grid.periodic)):
         if kind in ("bht", "weighted") and not good:
@@ -294,8 +297,9 @@ def _check_kind_params(cfg: ExperimentConfig):
         if bad not in cfg.param("panel"):
             raise ConfigError(f"{bad:g} is not an entry of params.panel",
                               field="params.bad_exponent")
-    if kind == "theorem11" and cfg.corpus_kind != "scaled-mix":
-        raise ConfigError(f"theorem11 draws the scaled-mix corpus, not "
+    drawn = _DRAWN_CORPUS.get(kind)
+    if drawn is not None and cfg.corpus_kind != drawn:
+        raise ConfigError(f"{kind} draws the {drawn} corpus, not "
                           f"{cfg.corpus_kind!r}", field="corpus.kind")
 
 
@@ -320,7 +324,7 @@ class ExperimentConfig:
         kind = need(doc, "kind", "kind")
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}", field="kind")
-        _check_keys(doc, ("kind", "grid", "corpus", "seed", "params"))
+        _check_keys(doc, ("kind", "grid", "corpus", "params"))
         grid_doc = need(doc, "grid", "grid")
         if not isinstance(grid_doc, dict):
             raise ConfigError("must be a JSON object", field="grid")
@@ -343,8 +347,7 @@ class ExperimentConfig:
         if not isinstance(corpus, dict):
             raise ConfigError("must be a JSON object", field="corpus")
         _check_keys(corpus, ("kind", "size", "seed"), "corpus.")
-        corpus_kind = corpus.get(
-            "kind", "scaled-mix" if kind == "theorem11" else "mixed")
+        corpus_kind = corpus.get("kind", _DRAWN_CORPUS.get(kind, "mixed"))
         if corpus_kind not in CORPUS_KINDS:
             raise ConfigError(f"unknown corpus kind {corpus_kind!r}",
                               field="corpus.kind")
@@ -356,14 +359,10 @@ class ExperimentConfig:
             # every other kind asserts its checks over the corpus
             raise ConfigError(f"must be positive for a {kind!r} experiment",
                               field="corpus.size")
-        if "seed" in corpus:
-            seed, where = corpus["seed"], "corpus.seed"
-        elif "seed" in doc:
-            seed, where = doc["seed"], "seed"
-        else:
-            raise ConfigError("a seed is mandatory", field="corpus.seed")
+        seed = need(corpus, "seed", "corpus.seed")
         if not _is_nonnegative_int(seed):
-            raise ConfigError("must be a nonnegative integer", field=where)
+            raise ConfigError("must be a nonnegative integer",
+                              field="corpus.seed")
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("must be a mapping", field="params")
@@ -476,6 +475,7 @@ def run_maximal(cfg: ExperimentConfig) -> ReportBuilder:
     # its one-block partition is the joint maximal function itself
     splits = [[list(range(s)), list(range(s, n))] for s in range(1, n)] \
         or [[[0]]]
+    singletons = [[j] for j in range(n)]    # the Hoelder majorant
     r = holder_aggregate(rs)
     rows = []
     worst = 0.0
@@ -483,7 +483,8 @@ def run_maximal(cfg: ExperimentConfig) -> ReportBuilder:
     for i, tup in enumerate(corpus):
         inputs = list(tup)
         left = maximal.vector_maximal(inputs, ps, r=r).values[:, 0]
-        right = maximal.holder_dominator(inputs, ps, rs).values[:, 0]
+        right = maximal.partitioned_maximal(inputs, ps, rs,
+                                            singletons).values[:, 0]
         scale = max(float(right.max()), 1e-300)
         for split in splits:
             mid = maximal.partitioned_maximal(inputs, ps, rs,
@@ -580,8 +581,7 @@ def run_equivalence(cfg: ExperimentConfig) -> ReportBuilder:
         inputs = list(tup)
         value, coll = sparse.sup_sparse_form(inputs, ps, mode="bruteforce")
         coll.validate()
-        integral = sparse.integral_of_form(inputs, ps, r=1.0,
-                                           shifts="canonical")
+        integral = sparse.integral_of_form(inputs, ps, shifts="canonical")
         upper_ok &= value <= 2.0 * integral * (1.0 + 1e-9)
         c_emp = integral / value if value > 0 else None
         if c_emp is not None:
@@ -600,15 +600,16 @@ def run_equivalence(cfg: ExperimentConfig) -> ReportBuilder:
     return rep
 
 
-def _power_weight(spec: GridSpec, a: float, center):
-    """make_power_weight, with a weight that overflows or underflows
-    reported as a config error on the panel exponent that asked for it."""
+@contextmanager
+def _panel_step(a: float, center, k: int):
+    """One panel weight's step: a weight that is not finite and positive,
+    or float64 overflow in the step, is a config error on the panel
+    exponent that asked for it."""
     try:
-        return weights_mod.make_power_weight(spec, a, center)
-    except NonpositiveValueError:
-        raise ConfigError(f"exponent {a:g} with centre {center!r} gives a "
-                          f"weight that is not finite and positive at K = "
-                          f"{spec.levels}", field="params.panel") from None
+        yield
+    except (NonpositiveValueError, FloatingPointError) as err:
+        raise ConfigError(f"exponent {a:g} with centre {center!r} at K = "
+                          f"{k}: {err}", field="params.panel") from None
 
 
 def _panel(cfg: ExperimentConfig):
@@ -664,10 +665,11 @@ def run_weights(cfg: ExperimentConfig) -> ReportBuilder:
     for k in levels:
         spec = GridSpec(cfg.grid.d, k, cfg.grid.periodic)
         for (a, center), vals in zip(panel, values):
-            w = _power_weight(spec, a, center)
-            for name, characteristic in classes.items():
-                vals[name].append(characteristic(w))
-            del w   # its means go before the next weight is built
+            with _panel_step(a, center, k):
+                w = weights_mod.make_power_weight(spec, a, center)
+                for name, characteristic in classes.items():
+                    vals[name].append(characteristic(w))
+                del w   # its means go before the next weight is built
     table_rows = []
     disagreements = []
     for (a, center), vals in zip(panel, values):
@@ -745,7 +747,7 @@ def run_theorem11(cfg: ExperimentConfig) -> ReportBuilder:
     c_by_n = {}
     for n_members in sizes:
         family = operators.OperatorFamily(pool[:n_members])
-        corpus = generate_corpus("scaled-mix", cfg.seed, cfg.corpus_size,
+        corpus = generate_corpus(cfg.corpus_kind, cfg.seed, cfg.corpus_size,
                                  cfg.grid, n_slots=len(ps),
                                  n_components=n_members)
         best = 0.0
@@ -836,24 +838,19 @@ def run_weighted(cfg: ExperimentConfig) -> ReportBuilder:
             operators.discrete_bht(spec, spec.side // 4, "sign"),
             operators.discrete_bht(spec, spec.side // 4, "smooth")])
         for a, vals, sup in zip(panel, values, sups):
-            w = _power_weight(spec, a, center)
-            wv = weights_mod.WeightVector([w, w], qs)
-            for name, characteristic in hypotheses:
-                vals[name].append(characteristic(wv))
-            best = 0.0
-            for inputs in generate_corpus("sided-inverse", cfg.seed,
-                                          cfg.corpus_size, spec,
-                                          n_components=len(qs), weight=w):
-                try:
+            with _panel_step(a, center, k):
+                w = weights_mod.make_power_weight(spec, a, center)
+                wv = weights_mod.WeightVector([w, w], qs)
+                for name, characteristic in hypotheses:
+                    vals[name].append(characteristic(wv))
+                best = 0.0
+                for inputs in generate_corpus(cfg.corpus_kind, cfg.seed,
+                                              cfg.corpus_size, spec,
+                                              n_components=len(qs), weight=w):
                     quot = operators.weighted_quotient(family, list(inputs),
                                                        wv, rs)
-                except FloatingPointError:
-                    raise ConfigError(
-                        f"exponent {a:g} with centre {center!r} gives "
-                        f"inputs whose weighted quotient overflows at K = "
-                        f"{spec.levels}", field="params.panel") from None
-                if quot is not None:
-                    best = max(best, quot)
+                    if quot is not None:
+                        best = max(best, quot)
             sup.append(best)
 
     rows = []
@@ -909,10 +906,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir,
     """Execute one experiment and write report.json plus CSV tables.
 
     seed overrides the configured one.  Returns the process exit code:
-    nonzero iff an ASSERTED row failed.
+    nonzero iff an ASSERTED row failed.  The run computes in float64 with
+    overflow, division by zero and invalid operations raised, so a config
+    whose numbers leave float64 is a ConfigError, never an inf or nan in a
+    report; underflow to 0 stays silent.
     """
     if seed is not None:
         cfg = ExperimentConfig(cfg.kind, cfg.grid, cfg.corpus_kind,
                                cfg.corpus_size, int(seed), cfg.params)
-    report = _RUNNERS[cfg.kind](cfg)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            report = _RUNNERS[cfg.kind](cfg)
+        except FloatingPointError as err:
+            raise ConfigError(f"the run leaves float64: {err}",
+                              field="params") from None
     return report.write(out_dir)

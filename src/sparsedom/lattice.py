@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -230,17 +230,16 @@ def stacked_cube_map(spec: GridSpec, shifts: str):
     return ids, counts, tuple(offsets[r] for r in rows), tuple(rows)
 
 
-def enumerate_cubes(spec: GridSpec, shifts: str = "canonical",
-                    levels: Iterable[int] | None = None) -> Iterator[DyadicCube]:
-    """Yield every cube of the requested shifted lattices meeting the domain.
+def enumerate_cubes(spec: GridSpec,
+                    shifts: str = "canonical") -> Iterator[DyadicCube]:
+    """Yield every cube of the requested shifted lattices meeting the domain,
+    shift-major, then level by level from the unit cubes up.
 
     Each cube appears exactly once per (shift, level, corner) triple.
     """
-    if levels is None:
-        levels = range(spec.levels + 1)
     for shift in shift_list(spec, shifts):
         digits = _shift_digits(shift, spec.d)
-        for level in levels:
+        for level in range(spec.levels + 1):
             step = 1 << level
             axis_corners = []
             for axis in range(spec.d):

@@ -199,17 +199,9 @@ def vector_maximal(inputs: Sequence[GridFunction], ps: Sequence[float],
     return GridFunction(spec, lr_norm_rows(sup, r))
 
 
-def holder_dominator(inputs, ps, rs) -> GridFunction:
-    """prod_j M_{p_j, r_j}(f^j), the pointwise Hoelder majorant."""
-    spec, _ = _check_common_spec(inputs)
-    out = np.ones(spec.ncells)
-    for f, p, r in zip(inputs, ps, rs):
-        out *= vector_maximal([f], (p,), r=r).values[:, 0]
-    return GridFunction(spec, out)
-
-
 def partitioned_maximal(inputs, ps, rs, partition) -> GridFunction:
-    """prod over blocks I of M_{p_I, r_I}({f^j}_{j in I}) for a slot partition."""
+    """prod over blocks I of M_{p_I, r_I}({f^j}_{j in I}) for a slot partition;
+    singleton blocks give the pointwise Hoelder majorant."""
     spec, _ = _check_common_spec(inputs)
     out = np.ones(spec.ncells)
     for block in partition:

@@ -366,7 +366,7 @@ def lemma1_check(family: OperatorFamily, inputs: Sequence[GridFunction],
     """
     cert = family.sup_certificate()
     lhs = abs(vector_form(family, inputs))
-    integral = sparse.integral_of_form(list(inputs), list(ps), r=1.0)
+    integral = sparse.integral_of_form(list(inputs), list(ps))
     bound = 2.0 * cert * integral
     ratio = np.inf if bound == 0.0 and lhs > 0.0 else \
         (0.0 if bound == 0.0 else lhs / bound)
@@ -392,8 +392,7 @@ def theorem11_check(family: OperatorFamily, inputs: Sequence[GridFunction],
     report.collection.validate(cell_sets=report.cell_sets)
     c_emp = None if report.rhs == 0.0 else lhs / (cert * report.rhs)
     return {"lhs": lhs, "sparse_form": report.rhs, "certificate": cert,
-            "c_emp": c_emp, "collection": report.collection,
-            "construction": report}
+            "c_emp": c_emp, "construction": report}
 
 
 def estimate_sparse_norm_lower_bound(
@@ -408,7 +407,7 @@ def estimate_sparse_norm_lower_bound(
     best, best_index = 0.0, None
     skipped = 0
     for i, gs in enumerate(corpus):
-        denom = sparse.integral_of_form(list(gs), list(ps), r=1.0)
+        denom = sparse.integral_of_form(list(gs), list(ps))
         if denom == 0.0:
             skipped += 1
             continue
@@ -431,27 +430,25 @@ def weighted_quotient(family: OperatorFamily,
 
     The exponents q_j and q come from wv.  The output is materialized per
     member; the aggregation exponent r comes from the Hoelder relation
-    1/r = sum_{j<=n} 1/r_j.  Returns None when an input norm vanishes, and
-    raises FloatingPointError when a norm or the output overflows float64.
+    1/r = sum_{j<=n} 1/r_j.  Returns None when an input norm vanishes.
     """
     n = family.arity
     if len(inputs) != n:
         raise SizeMismatchError(f"expected {n} input slots")
     if len(wv.qs) != n or len(rs) < n:
         raise SizeMismatchError("need one q and one r per input slot")
-    with np.errstate(over="raise"):
-        denom = 1.0
-        for f, qj, rj, w in zip(inputs, wv.qs, rs, wv.components):
-            norm = maximal.mixed_norm(f, qj, rj, weight=w.values)
-            if norm == 0.0:
-                return None
-            denom *= norm
-        out = np.column_stack([
-            op.output([f.component(k) for f in inputs])
-            for k, op in enumerate(family.members)])
-        r = holder_aggregate(list(rs)[:n])
-        numer = maximal.mixed_norm(GridFunction(family.spec, out), wv.q, r,
-                                   weight=wv.v.values)
+    denom = 1.0
+    for f, qj, rj, w in zip(inputs, wv.qs, rs, wv.components):
+        norm = maximal.mixed_norm(f, qj, rj, weight=w.values)
+        if norm == 0.0:
+            return None
+        denom *= norm
+    out = np.column_stack([
+        op.output([f.component(k) for f in inputs])
+        for k, op in enumerate(family.members)])
+    r = holder_aggregate(list(rs)[:n])
+    numer = maximal.mixed_norm(GridFunction(family.spec, out), wv.q, r,
+                               weight=wv.v.values)
     return numer / denom
 
 

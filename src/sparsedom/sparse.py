@@ -118,9 +118,6 @@ class SparsityVerdict:
     collection: SparseCollection | None = None
     violating: list | None = None  # indices of a Hall-violating subfamily
 
-    def __bool__(self):
-        return self.feasible
-
 
 def _demand(size: int) -> int:
     return size // 2 + 1
@@ -274,9 +271,10 @@ def sparse_form(spec: GridSpec, cubes: Sequence[DyadicCube],
 
 
 def integral_of_form(inputs: Sequence[GridFunction], ps: Sequence[float],
-                     r: float = 1.0, shifts: str = "all") -> float:
-    """Cell sum of the multilinear maximal function."""
-    return float(np.sum(maximal.vector_maximal(list(inputs), ps, r=r,
+                     shifts: str = "all") -> float:
+    """Cell sum of the multilinear maximal function, its components
+    aggregated in l^1."""
+    return float(np.sum(maximal.vector_maximal(list(inputs), ps, r=1.0,
                                                shifts=shifts).values[:, 0]))
 
 
@@ -293,7 +291,7 @@ def lower_direction_check(collection: SparseCollection,
     scalars = [GridFunction(collection.spec, g) for g in profiles]
     form = _form_of_cells((cube_cells(collection.spec, c)
                            for c in collection.cubes), profiles, ps)
-    integral = integral_of_form(scalars, ps, r=1.0)
+    integral = integral_of_form(scalars, ps)
     ratio = 0.0 if integral == 0.0 else form / integral
     return {"sparse_form": form, "integral": integral, "ratio": ratio,
             "holds": form <= 2.0 * integral * (1.0 + 1e-9) + 1e-12}

@@ -28,10 +28,11 @@ from test_maximal import cube_averages_all_levels
 
 
 def base_doc(kind="maximal", **params):
+    corpus_kind = "sided-inverse" if kind == "weighted" else "mixed"
     return {
         "kind": kind,
         "grid": {"d": 1, "levels": 4, "periodic": True},
-        "corpus": {"kind": "mixed", "size": 4, "seed": 5},
+        "corpus": {"kind": corpus_kind, "size": 4, "seed": 5},
         "params": params,
     }
 
@@ -583,8 +584,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
                  id="fractional-seed"),
     pytest.param(lambda d: d["corpus"].update(seed=True), "corpus.seed",
                  id="bool-seed"),
-    pytest.param(lambda d: d.update(seed=-1, corpus={"size": 4}), "seed",
-                 id="negative-top-level-seed"),
+    pytest.param(lambda d: d.update(seed=5), "seed: unknown key",
+                 id="top-level-seed-is-unknown-key"),
     pytest.param(lambda d: ["--seed", "-3"], "--seed",
                  id="negative-seed-option"),
     pytest.param(lambda d: d.update(corpus=[1, 2]), "corpus",
@@ -625,23 +626,35 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     pytest.param(lambda d: d.update(kind="weights",
                                     params={"centers": [[1e308]]}),
                  "params.panel", id="weights-overflowing-center"),
-    pytest.param(lambda d: d.update(kind="weighted",
-                                    params={"center": [1e308]}),
+    pytest.param(lambda d: d.update(base_doc("weighted", center=[1e308])),
                  "params.panel", id="weighted-overflowing-center"),
     pytest.param(lambda d: d.update(kind="weights", params={"panel": [400]}),
                  "params.panel", id="weights-overflowing-exponent"),
     pytest.param(lambda d: d.update(kind="weights", params={"panel": [-400]}),
                  "params.panel", id="weights-underflowing-exponent"),
-    pytest.param(lambda d: d.update(kind="weighted", params={
-        "panel": [0, 400], "bad_exponent": 400}),
+    pytest.param(lambda d: d.update(base_doc(
+        "weighted", panel=[0, 400], bad_exponent=400)),
                  "params.panel", id="weighted-overflowing-exponent"),
-    pytest.param(lambda d: d.update(kind="weighted", params={
-        "panel": [0, -400], "bad_exponent": -400}),
+    pytest.param(lambda d: d.update(base_doc(
+        "weighted", panel=[0, -400], bad_exponent=-400)),
                  "params.panel", id="weighted-underflowing-exponent"),
-    pytest.param(lambda d: d.update(
-        kind="weighted", corpus=dict(d["corpus"], size=2, seed=1),
-        params={"levels": [4, 6], "panel": [0, -150], "bad_exponent": 0}),
+    pytest.param(lambda d: d.update(base_doc(
+        "weighted", levels=[4, 6], panel=[0, -150], bad_exponent=0),
+        corpus={"kind": "sided-inverse", "size": 2, "seed": 1}),
                  "params.panel", id="weighted-overflowing-quotient"),
+    # a finite weight whose characteristics leave float64
+    pytest.param(lambda d: d.update(
+        kind="weights", grid={"d": 1, "levels": 8, "periodic": False},
+        corpus={"kind": "mixed", "size": 0, "seed": 1},
+        params={"levels": [6, 8], "panel": [0, -100],
+                "centers": ["center"]}),
+                 "params.panel: exponent -100 with centre 'center' at K = 8",
+                 id="weights-overflowing-characteristic"),
+    # an l^r aggregate that leaves float64 in a maximal function
+    pytest.param(lambda d: d.update(corpus=dict(d["corpus"], size=2, seed=1),
+                                    params={"rs": [0.001, 0.001]}),
+                 "params: the run leaves float64",
+                 id="maximal-overflowing-aggregate"),
     pytest.param(lambda d: d.update(kind="bht", params={"levels": [1, 6]}),
                  "params.levels", id="bht-level-below-two"),
     pytest.param(lambda d: d.update(kind="weighted",
@@ -672,6 +685,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     pytest.param(lambda d: d.update(kind="theorem11", corpus=dict(
         d["corpus"], kind="spikes")),
                  "corpus.kind", id="theorem11-unread-corpus-kind"),
+    pytest.param(lambda d: d.update(base_doc("weighted", levels=[4, 5, 6]),
+                                    corpus={"kind": "spikes", "size": 2,
+                                            "seed": 3}),
+                 "corpus.kind", id="weighted-unread-corpus-kind"),
     pytest.param(lambda d: d.update(kind="bht", grid={
         "d": 2, "levels": 4, "periodic": False}),
                  "grid.d", id="bht-2d-grid"),
@@ -771,7 +788,7 @@ def test_holder_sandwich_fails_on_planted_excess(faulty_split, excess,
     def planted(inputs, ps, rs, partition):
         out = real(inputs, ps, rs, partition)
         if partition == faulty_split:
-            product = maximal.holder_dominator(inputs, ps, rs).values[:, 0]
+            product = real(inputs, ps, rs, [[0], [1], [2]]).values[:, 0]
             out = GridFunction(out.spec, excess(out.values[:, 0], product))
         return out
 

@@ -88,7 +88,7 @@ def feasible_collection(spec, rng):
         cubes = [c for c in enumerate_cubes(spec, shifts="canonical")
                  if rng.random() < 0.3]
         verdict = verify_sparsity(spec, cubes)
-        if verdict and len(cubes) >= 2:
+        if verdict.feasible and len(cubes) >= 2:
             return verdict.collection
 
 
@@ -482,9 +482,10 @@ def test_theorem11_records_constant():
     gs = random_scalars(spec, 3, rng, signed=False)
     result = theorem11_check(family, gs, (1.0, 1.0, 1.0), (4.0, 4.0, 2.0))
     assert result["c_emp"] is not None and result["c_emp"] >= 0.0
-    result["collection"].validate()
+    collection = result["construction"].collection
+    collection.validate()
     assert result["sparse_form"] == sparse_form(
-        spec, result["collection"].cubes, gs, (1.0, 1.0, 1.0),
+        spec, collection.cubes, gs, (1.0, 1.0, 1.0),
         rs=(4.0, 4.0, 2.0))
 
 
@@ -504,7 +505,7 @@ def test_theorem11_validates_on_the_constructor_cell_sets(monkeypatch,
         with monkeypatch.context() as patch:
             patch.setattr(sparse, "cube_cells", cube_cells)
             result = check(*args)
-        cubes[0] += len(result["collection"])
+        cubes[0] += len(result["construction"].collection)
         return result
 
     monkeypatch.setattr(operators, "theorem11_check", counted_check)

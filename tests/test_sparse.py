@@ -19,9 +19,8 @@ from sparsedom import (
     SparseCollection,
     build_sparse_collection,
     generate_corpus,
-    holder_dominator,
-    integral_of_form,
     lower_direction_check,
+    partitioned_maximal,
     sparse_form,
     sup_sparse_form,
     vector_maximal,
@@ -64,12 +63,12 @@ def random_inputs(spec, n_slots, n_comp, rng):
 def test_single_cube_feasible():
     spec = GridSpec(1, 2)
     verdict = verify_sparsity(spec, [canonical_cube(2, 0)])
-    assert verdict
+    assert verdict.feasible
     coll = verdict.collection
     assert len(coll.major_sets[0]) == 3  # demand |Q|/2 + 1 on 4 cells
     coll.validate()
     empty = verify_sparsity(spec, [])
-    assert empty and empty.collection.major_sets == []
+    assert empty.feasible and empty.collection.major_sets == []
 
 
 def test_parent_plus_child_infeasible():
@@ -77,7 +76,7 @@ def test_parent_plus_child_infeasible():
     spec = GridSpec(1, 2)
     cubes = [canonical_cube(2, 0), canonical_cube(1, 0)]
     verdict = verify_sparsity(spec, cubes)
-    assert not verdict
+    assert not verdict.feasible
     assert verdict.violating is not None
     # the certificate is a subfamily whose union is smaller than its demand
     union = set()
@@ -93,7 +92,7 @@ def test_disjoint_cubes_feasible():
     spec = GridSpec(1, 3)
     verdict = verify_sparsity(spec, [canonical_cube(2, 0),
                                      canonical_cube(2, 4)])
-    assert verdict
+    assert verdict.feasible
     verdict.collection.validate()
 
 
@@ -101,7 +100,7 @@ def test_full_level_plus_parents_infeasible():
     """All four cells as cubes plus the root: every cell is already claimed."""
     spec = GridSpec(1, 2)
     cubes = [canonical_cube(0, c) for c in range(4)] + [canonical_cube(2, 0)]
-    assert not verify_sparsity(spec, cubes)
+    assert not verify_sparsity(spec, cubes).feasible
 
 
 def test_explicit_major_sets_validation():
@@ -424,7 +423,7 @@ def powerset_optimum(spec, fs, ps):
     best = 0.0
     for k in range(1, len(cubes) + 1):
         for sub in itertools.combinations(cubes, k):
-            if verify_sparsity(spec, list(sub)):
+            if verify_sparsity(spec, list(sub)).feasible:
                 best = max(best, sparse_form(spec, list(sub), fs, ps))
     return best
 
@@ -482,7 +481,7 @@ def test_greedy_matches_per_candidate_reverify(d, levels, periodic):
                                    t[1].shift))
         family, want = [], 0.0
         for w, cube in scored:
-            if verify_sparsity(spec, family + [cube]):
+            if verify_sparsity(spec, family + [cube]).feasible:
                 family.append(cube)
                 want += w
         assert coll.cubes == family
@@ -869,17 +868,19 @@ def test_stopping_children_lie_inside_the_domain(periodic):
 @pytest.mark.parametrize("periodic", [False, True])
 def test_construction_lhs_is_the_full_maximal_integral(periodic):
     """lhs is formed from the root's localized maximal functions, which are
-    the full ones: it keeps the bits of the Hoelder majorant's integral
-    (variant 1) and of the form's maximal integral (variant 2)."""
+    the full ones: it keeps the bits of the Hoelder majorant's integral,
+    the singleton partition (variant 1), and of the form's maximal integral
+    with the Hoelder aggregate of the rs (variant 2)."""
     ps, rs = (1.0, 1.0), (2.0, 2.0)
     for d, levels in ((1, 6), (2, 3)):
         spec = GridSpec(d, levels, periodic)
         for fs in generate_corpus("mixed", 5, 3, spec, n_slots=2,
                                   n_components=2):
             fs = list(fs)
-            dominator = float(np.sum(
-                holder_dominator(fs, ps, rs).values[:, 0]))
-            integral = integral_of_form(fs, ps, r=holder_aggregate(rs))
+            dominator = float(np.sum(partitioned_maximal(
+                fs, ps, rs, [[0], [1]]).values[:, 0]))
+            integral = float(np.sum(vector_maximal(
+                fs, ps, r=holder_aggregate(rs)).values[:, 0]))
             for knobs in ({}, {"c0": 1.0, "child_budget": 0.25}):
                 v1 = build_sparse_collection(fs, ps, rs, eps=0.5, variant=1,
                                              **knobs)
@@ -948,11 +949,11 @@ def test_lower_direction_on_adversarial_collections():
         cubes = [c for c in enumerate_cubes(spec, shifts="canonical")
                  if rng.random() < 0.4]
         verdict = verify_sparsity(spec, cubes)
-        if verdict:
+        if verdict.feasible:
             check = lower_direction_check(verdict.collection, fs, (1.0, 2.0))
             assert check["holds"]
             assert check["ratio"] <= 2.0 * (1 + 1e-9)
-        return bool(verdict)
+        return verdict.feasible
 
     rng = np.random.default_rng(17)
     for _ in range(10):

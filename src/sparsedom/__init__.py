@@ -9,19 +9,10 @@ that verifies the structural inequalities tying them together.
 from .errors import (
     CalibrationFailureError,
     ConfigError,
-    EmptyCubeError,
-    EmptyCubeFamilyError,
-    ExponentDomainError,
-    ExponentOrderError,
+    DomainError,
     InfeasibleCollectionError,
-    InstanceTooLargeError,
-    NoCertificateError,
     NonpositiveValueError,
-    RequiresPeriodicError,
-    SizeMismatchError,
     SparsedomError,
-    SpecMismatchError,
-    TruncationTooLargeError,
     ZeroInputError,
 )
 from .lattice import (

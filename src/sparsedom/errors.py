@@ -1,64 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the package raises is a SparsedomError, so the command line
+turns each one into exit status 2.  An argument that, alone or together
+with the others, lies outside what a call supports raises DomainError with
+a message saying which.  Add a class only where some code catches it by
+name, or where it names a failure that is not a bad argument; otherwise
+raise DomainError.
+"""
 
 
 class SparsedomError(Exception):
     """Base class for all package errors."""
-
-
-class EmptyCubeError(SparsedomError):
-    """A cube does not intersect the grid domain."""
-
-
-class NonpositiveValueError(SparsedomError):
-    """A nonpositive value was fed to an operation requiring strict positivity."""
-
-
-class SpecMismatchError(SparsedomError):
-    """Grid functions with incompatible grid specs or component counts."""
-
-
-class EmptyCubeFamilyError(SparsedomError):
-    """A truncation window excludes every cube containing some cell."""
-
-
-class ExponentOrderError(SparsedomError):
-    """Exponents violate a required ordering (e.g. alpha >= beta)."""
-
-
-class ExponentDomainError(SparsedomError):
-    """An exponent combination falls outside the supported domain."""
-
-
-class ZeroInputError(SparsedomError):
-    """An input norm vanishes where a quotient requires it to be positive."""
-
-
-class CalibrationFailureError(SparsedomError):
-    """The stopping-threshold calibration failed to meet the measure budget."""
-
-
-class InfeasibleCollectionError(SparsedomError):
-    """A cube family admits no disjoint major subsets."""
-
-
-class InstanceTooLargeError(SparsedomError):
-    """Brute-force enumeration was requested on a too-large instance."""
-
-
-class RequiresPeriodicError(SparsedomError):
-    """An operator requires a periodic grid."""
-
-
-class TruncationTooLargeError(SparsedomError):
-    """A kernel truncation exceeds half of the periodic domain."""
-
-
-class SizeMismatchError(SparsedomError):
-    """Operator family size and input component count disagree."""
-
-
-class NoCertificateError(SparsedomError):
-    """An operation requires operators carrying an exact sparse-norm certificate."""
 
 
 class ConfigError(SparsedomError):
@@ -67,3 +19,24 @@ class ConfigError(SparsedomError):
     def __init__(self, message, field=None):
         super().__init__(message if field is None else f"{field}: {message}")
         self.field = field
+
+
+class DomainError(SparsedomError, ValueError):
+    """An argument, alone or together with the others, lies outside what
+    the call supports."""
+
+
+class NonpositiveValueError(DomainError):
+    """A nonpositive value was fed to an operation requiring strict positivity."""
+
+
+class ZeroInputError(DomainError):
+    """An input norm vanishes where a quotient requires it to be positive."""
+
+
+class InfeasibleCollectionError(SparsedomError):
+    """A cube family admits no disjoint major subsets."""
+
+
+class CalibrationFailureError(SparsedomError):
+    """The stopping-threshold calibration failed to meet the measure budget."""

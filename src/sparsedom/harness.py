@@ -20,7 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import maximal, operators, sparse, weights as weights_mod
-from .errors import ConfigError, NonpositiveValueError, ZeroInputError
+from .errors import (
+    ConfigError,
+    DomainError,
+    NonpositiveValueError,
+    ZeroInputError,
+)
 from .lattice import GridFunction, GridSpec, holder_aggregate
 
 CORPUS_KINDS = ("spikes", "blocks", "bumps", "noise", "mixed", "scaled-mix",
@@ -274,7 +279,7 @@ def _check_kind_params(cfg: ExperimentConfig):
         for k in levels:
             try:
                 GridSpec(d, k)
-            except ValueError as err:
+            except DomainError as err:
                 raise ConfigError(str(err), field="params.levels") from None
         if kind != "weights" and min(levels) < 2:
             raise ConfigError("the singular model needs levels >= 2",
@@ -341,7 +346,7 @@ class ExperimentConfig:
             raise ConfigError("must be true or false", field="grid.periodic")
         try:
             grid = GridSpec(grid_doc["d"], grid_doc["levels"], periodic)
-        except ValueError as err:
+        except DomainError as err:
             raise ConfigError(str(err), field="grid.levels") from None
         corpus = doc.get("corpus", {})
         if not isinstance(corpus, dict):
@@ -737,6 +742,11 @@ def run_lemma1(cfg: ExperimentConfig) -> ReportBuilder:
     return rep
 
 
+def _within_2x(values) -> bool:
+    """The refinement band: every rung positive and max <= 2 * min."""
+    return bool(values and min(values) > 0 and max(values) <= 2 * min(values))
+
+
 def run_theorem11(cfg: ExperimentConfig) -> ReportBuilder:
     """Scalar-to-vector domination constant across family sizes."""
     rep = ReportBuilder(cfg)
@@ -758,9 +768,8 @@ def run_theorem11(cfg: ExperimentConfig) -> ReportBuilder:
             rows.append([n_members, i, check["lhs"], check["sparse_form"],
                          check["c_emp"]])
         c_by_n[n_members] = best
-    values = [v for v in c_by_n.values() if v > 0]
-    stable = bool(values) and max(values) <= 2.0 * min(values)
-    rep.asserted("c-emp-stable-in-family-size", stable, c_emp=c_by_n)
+    rep.asserted("c-emp-stable-in-family-size",
+                 _within_2x(list(c_by_n.values())), c_emp=c_by_n)
     rep.table("theorem11_trials",
               ["family_size", "trial", "lhs", "sparse_form", "c_emp"], rows)
     rep.table("theorem11_constant", ["family_size", "c_emp"],
@@ -801,10 +810,8 @@ def run_bht(cfg: ExperimentConfig) -> ReportBuilder:
                                  spec, n_slots=3, n_components=1)
         est = operators.estimate_sparse_norm_lower_bound(op, ps, corpus)
         rows.append([int(k), est["value"], est["skipped"]])
-    values = [r[1] for r in rows if r[1] > 0]
     rep.recorded("sparse-norm-lower-bound", by_level=rows,
-                 stable_within_2x=bool(values)
-                 and max(values) <= 2.0 * min(values))
+                 stable_within_2x=_within_2x([r[1] for r in rows]))
     rep.table("bht_lower_bound", ["K", "lower_bound", "skipped"], rows)
     return rep
 
@@ -866,12 +873,12 @@ def run_weighted(cfg: ExperimentConfig) -> ReportBuilder:
             quotient_rows.append([f"a={a:g}", int(k), s])
         if a == bad_exponent:
             monotone = all(b > x for x, b in zip(sup, sup[1:]))
-            breaches = min(sup) > 0 and max(sup) > 2.0 * min(sup)
+            breaches = min(sup) > 0 and not _within_2x(sup)
             bad_grows = monotone and breaches
             rows.append([f"a={a:g}", "out-of-class", violated,
                          monotone, breaches])
         elif all(v == weights_mod.FINITE for v in verdicts):
-            stable = bool(min(sup) > 0.0 and max(sup) <= 2.0 * min(sup))
+            stable = _within_2x(sup)
             n_good += 1
             good_all_stable &= stable
             rows.append([f"a={a:g}", "in-class", None, stable, None])

@@ -18,12 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyCubeError,
-    ExponentDomainError,
-    NonpositiveValueError,
-    SpecMismatchError,
-)
+from .errors import DomainError, NonpositiveValueError
 
 
 @dataclass(frozen=True)
@@ -36,11 +31,11 @@ class GridSpec:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+            raise DomainError("dimension must be >= 1")
         if self.levels < 1:
-            raise ValueError("levels must be >= 1")
+            raise DomainError("levels must be >= 1")
         if self.d * self.levels > 26:
-            raise ValueError("grid too large for desk-scale use")
+            raise DomainError("grid too large for desk-scale use")
 
     @property
     def side(self) -> int:
@@ -69,12 +64,12 @@ class GridFunction:
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != spec.ncells:
-            raise SpecMismatchError(
+            raise DomainError(
                 f"expected {spec.ncells} cells, got {values.shape[0]}")
         if values.shape[1] < 1:
-            raise SpecMismatchError("need at least one component")
+            raise DomainError("need at least one component")
         if not np.all(np.isfinite(values)):
-            raise ValueError("grid function values must be finite")
+            raise DomainError("grid function values must be finite")
         self.spec = spec
         self.values = values
         self.values.setflags(write=False)
@@ -151,7 +146,7 @@ def shift_list(spec: GridSpec, shifts: str) -> list:
         return [0]
     if shifts == "all":
         return list(range(3 ** spec.d))
-    raise ValueError("shifts must be 'canonical' or 'all'")
+    raise DomainError("shifts must be 'canonical' or 'all'")
 
 
 def _axis_cube_ids(side: int, periodic: bool, level: int, digit: int):
@@ -283,7 +278,7 @@ def _cells_of_box(spec: GridSpec, corner: Sequence[int], side: int) -> np.ndarra
 def dilate(spec: GridSpec, cube: DyadicCube, factor: int) -> np.ndarray:
     """Cell set of the concentric dilate (clipped, or wrapped when periodic)."""
     if factor < 1 or factor % 2 == 0:
-        raise ValueError("dilation factor must be odd and positive")
+        raise DomainError("dilation factor must be odd and positive")
     side = cube.side
     new_side = factor * side
     corner = tuple(c - (factor - 1) // 2 * side for c in cube.corner)
@@ -322,12 +317,12 @@ def power_mean(vals: np.ndarray, p: float) -> float | np.ndarray:
     """
     vals = np.abs(np.asarray(vals, dtype=np.float64))
     if vals.size == 0:
-        raise EmptyCubeError("empty cell set")
+        raise DomainError("empty cell set")
     rows = vals if vals.ndim == 2 else vals.reshape(1, -1)
     if p == np.inf:
         means = rows.max(axis=1).tolist()
     elif p == 0:
-        raise ExponentDomainError("exponent 0 is not supported")
+        raise DomainError("exponent 0 is not supported")
     else:
         scale = rows.max(axis=1) if p > 0 else rows.min(axis=1)
         if p < 0 and not scale.all():
@@ -352,7 +347,7 @@ def lr_norm_rows(values: np.ndarray, r: float) -> np.ndarray:
     if r == np.inf:
         return a.max(axis=1)
     if r <= 0:
-        raise ExponentDomainError("l^r exponent must be positive")
+        raise DomainError("l^r exponent must be positive")
     scale = a.max(axis=1)
     out = np.zeros(a.shape[0])
     nz = scale > 0

@@ -30,12 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyCubeFamilyError,
-    ExponentDomainError,
-    SpecMismatchError,
-    ZeroInputError,
-)
+from .errors import DomainError, NonpositiveValueError, ZeroInputError
 from .lattice import (
     GridFunction,
     GridSpec,
@@ -50,16 +45,16 @@ def _check_common_spec(inputs: Sequence[GridFunction]):
     n = inputs[0].n_components
     for f in inputs[1:]:
         if f.spec != spec:
-            raise SpecMismatchError("inputs must share one grid spec")
+            raise DomainError("inputs must share one grid spec")
         if f.n_components != n:
-            raise SpecMismatchError("inputs must share the component count")
+            raise DomainError("inputs must share the component count")
     return spec, n
 
 
 def _check_ps(ps: Sequence[float]):
     for p in ps:
         if not (1.0 <= p < np.inf):
-            raise ExponentDomainError(
+            raise DomainError(
                 f"integrability exponents must lie in [1, inf), got {p}")
 
 
@@ -83,7 +78,7 @@ def cube_averages(spec: GridSpec, g: np.ndarray, p: float) -> np.ndarray:
     supported (negative ones require g > 0).
     """
     if p == 0:
-        raise ExponentDomainError("exponent 0 is not supported")
+        raise DomainError("exponent 0 is not supported")
     d, side = spec.d, spec.side
     starts = np.cumsum([0] + [(side >> j) ** d
                               for j in range(1, spec.levels + 1)])
@@ -91,7 +86,8 @@ def cube_averages(spec: GridSpec, g: np.ndarray, p: float) -> np.ndarray:
     finite = p not in (np.inf, -np.inf)
     if finite:
         if p < 0 and np.any(a == 0.0):
-            raise ValueError("negative-exponent averages need positive values")
+            raise NonpositiveValueError(
+                "negative-exponent averages need positive values")
         scale = float(a.max())
         if scale == 0.0:
             return np.zeros(starts[-1])
@@ -121,10 +117,10 @@ def _window_levels(spec: GridSpec, window) -> list:
         return list(range(spec.levels + 1))
     s, t = window
     if not (s < t):
-        raise ExponentDomainError("truncation window needs s < t")
+        raise DomainError("truncation window needs s < t")
     out = [j for j in range(spec.levels + 1) if s < (1 << j) <= t]
     if not out:
-        raise EmptyCubeFamilyError(
+        raise DomainError(
             f"window ({s}, {t}] admits no cube level on a K={spec.levels} grid")
     return out
 
@@ -156,7 +152,7 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
     spec, n_comp = _check_common_spec(inputs)
     _check_ps(ps)
     if len(ps) != len(inputs):
-        raise SpecMismatchError("one exponent per input slot required")
+        raise DomainError("one exponent per input slot required")
     levels = _window_levels(spec, window)
     lo, hi = levels[0], levels[-1] + 1
     stacked, counts, starts, rows = stacked_cube_map(spec, shifts)

@@ -23,14 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import maximal, sparse, weights as weights_mod
-from .errors import (
-    ExponentOrderError,
-    NoCertificateError,
-    RequiresPeriodicError,
-    SizeMismatchError,
-    SpecMismatchError,
-    TruncationTooLargeError,
-)
+from .errors import DomainError
 from .lattice import GridFunction, GridSpec, holder_aggregate
 
 
@@ -56,19 +49,19 @@ class FormOperator:
 
     def evaluate(self, gs: Sequence[GridFunction]) -> float:
         if len(gs) != self.arity + 1:
-            raise SizeMismatchError(
+            raise DomainError(
                 f"{self.name} takes {self.arity + 1} slots, got {len(gs)}")
         for g in gs:
             if g.spec != self.spec:
-                raise SpecMismatchError("input grid does not match the operator")
+                raise DomainError("input grid does not match the operator")
             if g.n_components != 1:
-                raise SpecMismatchError("form slots take scalar inputs")
+                raise DomainError("form slots take scalar inputs")
         return float(self.evaluator(list(gs)))
 
     def output(self, gs: Sequence[GridFunction]) -> np.ndarray:
         """Materialized T(g^1..g^n) as a cell array."""
         if len(gs) != self.arity:
-            raise SizeMismatchError(
+            raise DomainError(
                 f"{self.name} applies to {self.arity} inputs, got {len(gs)}")
         return np.asarray(self.apply(list(gs)), dtype=np.float64)
 
@@ -81,12 +74,11 @@ class OperatorFamily:
 
     def __post_init__(self):
         if not self.members:
-            raise SizeMismatchError("an operator family needs at least one member")
+            raise DomainError("an operator family needs at least one member")
         first = self.members[0]
         for t in self.members:
             if t.arity != first.arity or t.spec != first.spec:
-                raise SpecMismatchError(
-                    "family members must share arity and grid")
+                raise DomainError("family members must share arity and grid")
 
     @property
     def size(self) -> int:
@@ -104,7 +96,7 @@ class OperatorFamily:
         certs = []
         for t in self.members:
             if t.certificate is None:
-                raise NoCertificateError(
+                raise DomainError(
                     f"{t.name} carries no exact sparse-norm certificate")
             certs.append(t.certificate)
         return max(certs)
@@ -116,12 +108,12 @@ def model_sparse_operator(collection: sparse.SparseCollection,
 
     The sparse norm of this operator is at most 1 by construction, so the
     certificate is exact.  Averages are taken of absolute values, making the
-    form sublinear (additive only when every p_j = 1).  Each cube's cells
-    are built once, here (a valid collection has no empty cube).
+    form sublinear (additive only when every p_j = 1).  The forms read
+    the collection's cell sets (a valid collection has no empty cube).
     """
     spec = collection.spec
-    cell_sets = [sparse.cube_cells(spec, cube) for cube in collection.cubes]
-    collection.validate(cell_sets)
+    cell_sets = collection.cell_sets
+    collection.validate()
     ps = tuple(float(p) for p in ps)
     n = len(ps) - 1
 
@@ -152,7 +144,7 @@ def _bht_coefficients(truncation: int, variant: str) -> np.ndarray:
     if variant == "smooth":
         u = t / (truncation + 1.0)
         return np.exp(-u * u / (1.0 - u * u)) / t
-    raise ValueError("variant must be 'sign' or 'smooth'")
+    raise DomainError("variant must be 'sign' or 'smooth'")
 
 
 def _support_arc(a: np.ndarray) -> tuple:
@@ -274,9 +266,9 @@ def discrete_bht(spec: GridSpec, truncation: int,
     bits of the dense loop.
     """
     if spec.d != 1 or not spec.periodic:
-        raise RequiresPeriodicError("the model needs a periodic 1D grid")
+        raise DomainError("the model needs a periodic 1D grid")
     if not 1 <= truncation < spec.side // 2:
-        raise TruncationTooLargeError(
+        raise DomainError(
             f"truncation must satisfy 1 <= T < {spec.side // 2}, got {truncation}")
     coef = _bht_coefficients(truncation, variant)
     n = spec.ncells
@@ -314,7 +306,7 @@ def discrete_bht_reference(fs: Sequence[GridFunction], truncation: int,
     """Direct triple-loop evaluation of the discrete singular sum."""
     spec = fs[0].spec
     if spec.d != 1 or not spec.periodic:
-        raise RequiresPeriodicError("the model needs a periodic 1D grid")
+        raise DomainError("the model needs a periodic 1D grid")
     coef = _bht_coefficients(truncation, variant)
     n = spec.ncells
     f, g, h = (x.values[:, 0] for x in fs)
@@ -334,7 +326,7 @@ def admissible_sparse_tuple(ps: Sequence[float]) -> bool:
     """
     ps = [float(p) for p in ps]
     if len(ps) != 3:
-        raise SizeMismatchError("admissibility is defined for 3-tuples")
+        raise DomainError("admissibility is defined for 3-tuples")
     if not all(1.0 < p < np.inf for p in ps):
         return False
     return sum(1.0 / min(p, 2.0) for p in ps) < 2.0
@@ -344,11 +336,11 @@ def vector_form(family: OperatorFamily,
                 inputs: Sequence[GridFunction]) -> float:
     """sum_k <T_k(f^1_k, ..., f^n_k), f^{n+1}_k> over family members."""
     if len(inputs) != family.arity + 1:
-        raise SizeMismatchError(
+        raise DomainError(
             f"family of arity {family.arity} takes {family.arity + 1} slots")
     for f in inputs:
         if f.n_components != family.size:
-            raise SizeMismatchError(
+            raise DomainError(
                 f"inputs need {family.size} components, got {f.n_components}")
     total = 0.0
     for k, op in enumerate(family.members):
@@ -384,12 +376,12 @@ def theorem11_check(family: OperatorFamily, inputs: Sequence[GridFunction],
     """
     for p, r in zip(ps, rs):
         if not r > p:
-            raise ExponentOrderError(f"need r > p in every slot, got r={r} p={p}")
+            raise DomainError(f"need r > p in every slot, got r={r} p={p}")
     cert = family.sup_certificate()
     lhs = abs(vector_form(family, inputs))
     report = sparse.build_sparse_collection(list(inputs), list(ps), list(rs),
                                             variant=2)
-    report.collection.validate(cell_sets=report.cell_sets)
+    report.collection.validate()
     c_emp = None if report.rhs == 0.0 else lhs / (cert * report.rhs)
     return {"lhs": lhs, "sparse_form": report.rhs, "certificate": cert,
             "c_emp": c_emp, "construction": report}
@@ -434,9 +426,9 @@ def weighted_quotient(family: OperatorFamily,
     """
     n = family.arity
     if len(inputs) != n:
-        raise SizeMismatchError(f"expected {n} input slots")
+        raise DomainError(f"expected {n} input slots")
     if len(wv.qs) != n or len(rs) < n:
-        raise SizeMismatchError("need one q and one r per input slot")
+        raise DomainError("need one q and one r per input slot")
     denom = 1.0
     for f, qj, rj, w in zip(inputs, wv.qs, rs, wv.components):
         norm = maximal.mixed_norm(f, qj, rj, weight=w.values)

@@ -38,10 +38,9 @@ import numpy as np
 
 from . import maximal
 from .errors import (
-    InfeasibleCollectionError,
-    InstanceTooLargeError,
     CalibrationFailureError,
-    SpecMismatchError,
+    DomainError,
+    InfeasibleCollectionError,
 )
 from .lattice import (
     DyadicCube,
@@ -63,7 +62,7 @@ def _scalar_profiles(inputs: Sequence[GridFunction], rs=None) -> list:
         out = []
         for f in inputs:
             if f.n_components != 1:
-                raise SpecMismatchError("scalar sparse form needs N = 1 inputs")
+                raise DomainError("scalar sparse form needs N = 1 inputs")
             out.append(np.abs(f.values[:, 0]))
         return out
     return [lr_norm_rows(f.values, r) for f, r in zip(inputs, rs)]
@@ -71,27 +70,31 @@ def _scalar_profiles(inputs: Sequence[GridFunction], rs=None) -> list:
 
 @dataclass
 class SparseCollection:
-    """Cubes paired with explicit major subsets (flat cell index arrays)."""
+    """Cubes paired with explicit major subsets (flat cell index arrays).
+
+    cell_sets are the cubes' cell arrays in order: a maker that already
+    holds them passes them in, and they are built once here otherwise.
+    """
 
     spec: GridSpec
     cubes: list
     major_sets: list
+    cell_sets: list | None = None
 
     def __post_init__(self):
         self.major_sets = [np.asarray(m, dtype=np.int64) for m in self.major_sets]
+        if self.cell_sets is None:
+            self.cell_sets = [cube_cells(self.spec, c) for c in self.cubes]
 
     def __len__(self):
         return len(self.cubes)
 
-    def validate(self, cell_sets=None) -> None:
+    def validate(self) -> None:
         """Exact integer check of the sparsity invariants: each major set
         holds distinct cells of its cube, more than half of them, and meets
-        no other major set.  cell_sets, when given, are the cubes' cell
-        arrays in order, which are then not built again."""
-        if cell_sets is None:
-            cell_sets = (cube_cells(self.spec, cube) for cube in self.cubes)
+        no other major set."""
         seen = np.zeros(self.spec.ncells, dtype=bool)
-        for cells, major in zip(cell_sets, self.major_sets):
+        for cells, major in zip(self.cell_sets, self.major_sets):
             size = len(cells)
             if not np.all(np.isin(major, cells)):
                 raise InfeasibleCollectionError("major set not inside its cube")
@@ -218,14 +221,15 @@ def verify_sparsity(spec: GridSpec,
     of their union, so that subfamily's union is smaller than its total
     demand and is returned as the certificate.
     """
-    cubes = list(cubes)
+    cubes, cell_sets = list(cubes), []
     assignment = _Assignment(spec.ncells)
     for cube in cubes:
-        violating = assignment.add(cube_cells(spec, cube))
+        cell_sets.append(cube_cells(spec, cube))
+        violating = assignment.add(cell_sets[-1])
         if violating is not None:
             return SparsityVerdict(False, None, violating)
-    return SparsityVerdict(True, SparseCollection(spec, cubes,
-                                                  assignment.majors()), None)
+    return SparsityVerdict(True, SparseCollection(
+        spec, cubes, assignment.majors(), cell_sets), None)
 
 
 def _cube_terms(profiles, cell_sets, ps, sized: bool = True) -> list:
@@ -289,8 +293,7 @@ def lower_direction_check(collection: SparseCollection,
     """
     profiles = _scalar_profiles(inputs, rs)
     scalars = [GridFunction(collection.spec, g) for g in profiles]
-    form = _form_of_cells((cube_cells(collection.spec, c)
-                           for c in collection.cubes), profiles, ps)
+    form = _form_of_cells(collection.cell_sets, profiles, ps)
     integral = integral_of_form(scalars, ps)
     ratio = 0.0 if integral == 0.0 else form / integral
     return {"sparse_form": form, "integral": integral, "ratio": ratio,
@@ -322,7 +325,6 @@ class ConstructionReport:
     nodes: list
     lhs: float
     rhs: float
-    cell_sets: list     # each cube's cell array, for validate(cell_sets=...)
 
     @property
     def depth(self) -> int:
@@ -349,7 +351,7 @@ def _stopping_children(spec: GridSpec, root: DyadicCube,
     """Maximal proper dyadic subcubes L of root with cells(9L) inside the mask.
 
     Works one dyadic level at a time on the shift-0 lattice (a root of
-    another shift raises ValueError), where level j is the grid cut into
+    another shift raises DomainError), where level j is the grid cut into
     blocks of side 2^j.  Each block is any-reduced to "holds a cell off the
     mask", then ORed over the +-4 neighbouring blocks along each axis
     (indices wrapped on periodic grids, so an axis of at most 9 blocks is
@@ -364,8 +366,8 @@ def _stopping_children(spec: GridSpec, root: DyadicCube,
     recursion order and so the summation order of sparse_form.
     """
     if root.shift != 0:
-        raise ValueError("stopping children are selected on the shift-0 "
-                         "lattice")
+        raise DomainError("stopping children are selected on the shift-0 "
+                          "lattice")
     d = spec.d
     blocks = ~mask.reshape((spec.side,) * d)  # level 0: cells off the mask
     clear = []      # per level from 0 up: subcubes L of root, 9L inside mask
@@ -423,16 +425,16 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
     """
     if variant == 1:
         if eps is None or eps <= 0:
-            raise ValueError("variant 1 needs eps > 0")
+            raise DomainError("variant 1 needs eps > 0")
     elif variant == 2:
         eps = None
     else:
-        raise ValueError("variant must be 1 or 2")
+        raise DomainError("variant must be 1 or 2")
     if not (0.0 < child_budget < 0.5):
-        raise ValueError("child budget must lie in (0, 1/2)")
+        raise DomainError("child budget must lie in (0, 1/2)")
     for p, r in zip(ps, rs):
         if not p < r:
-            raise ValueError("the construction requires p_j < r_j")
+            raise DomainError("the construction requires p_j < r_j")
 
     spec = inputs[0].spec
     exc_budget = child_budget * (9 ** spec.d) / 2.0
@@ -526,9 +528,9 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
                                   ratios[0], ratios[1], ratios[2], len(kids)))
         stack.extend(reversed(list(zip(kids, child_cells, child_threes))))
 
-    collection = SparseCollection(spec, cubes, majors)
+    collection = SparseCollection(spec, cubes, majors, cell_sets)
     rhs = _form_of_cells(cell_sets, profiles, form_exps)
-    return ConstructionReport(collection, nodes, lhs, rhs, cell_sets)
+    return ConstructionReport(collection, nodes, lhs, rhs)
 
 
 def _node_property_ratios(q, cells_q, cells_3q, mask, kids, child_cells,
@@ -606,10 +608,9 @@ def sup_sparse_form(inputs: Sequence[GridFunction], ps: Sequence[float],
 
     if mode == "bruteforce":
         if spec.ncells > 16:
-            raise InstanceTooLargeError(
-                "brute-force mode is limited to 16 cells")
+            raise DomainError("brute-force mode is limited to 16 cells")
         if shifts != "canonical":
-            raise InstanceTooLargeError(
+            raise DomainError(
                 "brute-force mode enumerates the canonical lattice only")
         root = DyadicCube(0, spec.levels, (0,) * spec.d)
         value, chosen = _laminar_optimum(spec, root, weight)
@@ -630,16 +631,18 @@ def sup_sparse_form(inputs: Sequence[GridFunction], ps: Sequence[float],
                         key=lambda t: (-t[0], -t[1].side, t[1].corner,
                                        t[1].shift))
         assignment = _Assignment(spec.ncells)
-        family, value = [], 0.0
+        family, family_cells, value = [], [], 0.0
         for w, cube, cells in scored:
             if w <= 0.0:
                 break
             if assignment.add(cells) is None:
                 family.append(cube)
+                family_cells.append(cells)
                 value += w
-        return value, SparseCollection(spec, family, assignment.majors())
+        return value, SparseCollection(spec, family, assignment.majors(),
+                                       family_cells)
 
-    raise ValueError("mode must be 'bruteforce' or 'greedy'")
+    raise DomainError("mode must be 'bruteforce' or 'greedy'")
 
 
 def _laminar_optimum(spec: GridSpec, root: DyadicCube, weight):

@@ -33,12 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import maximal
-from .errors import (
-    ExponentDomainError,
-    ExponentOrderError,
-    NonpositiveValueError,
-    SpecMismatchError,
-)
+from .errors import DomainError, NonpositiveValueError
 from .lattice import GridSpec, holder_aggregate
 
 
@@ -50,7 +45,7 @@ class Weight:
         # their positivity check or the memoized means
         values = np.array(values, dtype=np.float64).reshape(-1)
         if values.shape[0] != spec.ncells:
-            raise SpecMismatchError("weight size does not match the grid")
+            raise DomainError("weight size does not match the grid")
         if not np.all(np.isfinite(values)) or values.min() <= 0.0:
             raise NonpositiveValueError("weights must be finite and positive")
         self.spec = spec
@@ -95,11 +90,11 @@ class WeightVector:
 
     def __post_init__(self):
         if len(self.components) != len(self.qs):
-            raise SpecMismatchError("one exponent per weight component")
+            raise DomainError("one exponent per weight component")
         spec = self.components[0].spec
         for w in self.components:
             if w.spec != spec:
-                raise SpecMismatchError("weight components on different grids")
+                raise DomainError("weight components on different grids")
         self.qs = tuple(float(q) for q in self.qs)
         self.q = holder_aggregate(self.qs)
         if len(self.components) == 1:   # v_1^{q/q_1} = v_1, bit for bit
@@ -123,16 +118,16 @@ def rc_characteristic(w: Weight, alpha: float, beta: float) -> float:
     alpha = -inf and beta = inf mean the min and max over the cube.
     """
     if not alpha < beta:
-        raise ExponentOrderError(f"need alpha < beta, got {alpha} >= {beta}")
+        raise DomainError(f"need alpha < beta, got {alpha} >= {beta}")
     if alpha == 0 or beta == 0:
-        raise ExponentDomainError("exponent 0 is not supported")
+        raise DomainError("exponent 0 is not supported")
     return _ratio_sweep(w, beta, alpha)
 
 
 def muckenhoupt_characteristic(w: Weight, t: float) -> float:
     """A_t characteristic: RC(1/(1-t), 1), with alpha = -inf when t = 1."""
     if t < 1:
-        raise ExponentDomainError(f"Muckenhoupt parameter must be >= 1, got {t}")
+        raise DomainError(f"Muckenhoupt parameter must be >= 1, got {t}")
     alpha = -np.inf if t == 1 else 1.0 / (1.0 - t)
     return rc_characteristic(w, alpha, 1.0)
 
@@ -140,7 +135,7 @@ def muckenhoupt_characteristic(w: Weight, t: float) -> float:
 def reverse_holder_characteristic(w: Weight, t: float) -> float:
     """RH_t characteristic: RC(1, t)."""
     if t <= 1:
-        raise ExponentDomainError(f"reverse Hoelder parameter must exceed 1, got {t}")
+        raise DomainError(f"reverse Hoelder parameter must exceed 1, got {t}")
     return rc_characteristic(w, 1.0, t)
 
 
@@ -148,24 +143,24 @@ def multilinear_exponents(qs: Sequence[float], ts: Sequence[float]):
     """Inner power-mean exponents of the multilinear characteristic.
 
     Returns (component exponents s_j = t_j/(q_j - t_j), product exponent
-    s = t_{n+1}/(q - (q-1) t_{n+1}), q).  Raises ExponentDomainError whenever
+    s = t_{n+1}/(q - (q-1) t_{n+1}), q).  Raises DomainError whenever
     a denominator is nonpositive, without guessing an extension.
     """
     qs = [float(q) for q in qs]
     ts = [float(t) for t in ts]
     if len(ts) != len(qs) + 1:
-        raise SpecMismatchError("need one t per component plus one for the product")
+        raise DomainError("need one t per component plus one for the product")
     q = holder_aggregate(qs)
     inner = []
     for qj, tj in zip(qs, ts):
         if not 0 < tj < qj:
-            raise ExponentDomainError(
+            raise DomainError(
                 f"component parameter needs 0 < t={tj} < q_j={qj}")
         inner.append(tj / (qj - tj))
     t_last = ts[-1]
     den = q - (q - 1.0) * t_last
     if t_last <= 0 or den <= 0:
-        raise ExponentDomainError(
+        raise DomainError(
             f"product exponent denominator q-(q-1)t = {den} must be positive")
     return inner, t_last / den, q
 
@@ -192,7 +187,7 @@ def make_power_weight(spec: GridSpec, a: float, center="center") -> Weight:
     else:
         point = np.asarray(center, dtype=np.float64)
         if point.shape != (spec.d,):
-            raise SpecMismatchError("center must have one coordinate per axis")
+            raise DomainError("center must have one coordinate per axis")
     sq = (np.arange(spec.side) + 0.5 - point[0]) ** 2
     for x in point[1:]:
         sq = np.add.outer(sq, (np.arange(spec.side) + 0.5 - x) ** 2)
@@ -214,7 +209,7 @@ def classify_growth(values: Sequence[float]) -> str:
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
-        raise SpecMismatchError("need characteristics at two or more resolutions")
+        raise DomainError("need characteristics at two or more resolutions")
     if not all(np.isfinite(v) and v > 0 for v in vals):
         return INCONCLUSIVE
     ratios = [b / a for a, b in zip(vals, vals[1:])]

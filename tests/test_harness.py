@@ -450,6 +450,27 @@ def test_weighted_rows_fail_on_planted_fault(plant, flipped, monkeypatch,
                       flipped: False}
 
 
+def test_theorem11_fails_when_a_family_size_measures_nothing(monkeypatch,
+                                                             tmp_path):
+    """A family size whose checks all give c_emp = None is a zero rung:
+    c-emp-stable-in-family-size fails, since one measured size shows no
+    stability, and the CLI exits 1."""
+    real = operators.theorem11_check
+
+    def planted(family, inputs, ps, rs):
+        result = real(family, inputs, ps, rs)
+        return {**result, "c_emp": None} if family.size > 1 else result
+
+    monkeypatch.setattr(operators, "theorem11_check", planted)
+    out = tmp_path / "out"
+    assert main(["theorem11", "--config", str(CONFIG_DIR / "theorem11.json"),
+                 "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    row = [r for r in report["rows"]
+           if r["id"] == "c-emp-stable-in-family-size"][0]
+    assert row["pass"] is False
+
+
 def test_reports_deterministic_across_runs(tmp_path):
     cfg = small_config("maximal")
     run_experiment(cfg, tmp_path / "a")

@@ -28,14 +28,7 @@ from sparsedom import (
     verify_sparsity,
     weighted_quotient,
 )
-from sparsedom.errors import (
-    ExponentOrderError,
-    InfeasibleCollectionError,
-    NoCertificateError,
-    RequiresPeriodicError,
-    SizeMismatchError,
-    TruncationTooLargeError,
-)
+from sparsedom.errors import DomainError, InfeasibleCollectionError
 from sparsedom.lattice import DyadicCube, enumerate_cubes
 from sparsedom.harness import run_weighted
 from sparsedom.operators import _bht_coefficients
@@ -329,12 +322,12 @@ def test_bht_kills_constants():
 
 
 def test_bht_validation():
-    with pytest.raises(RequiresPeriodicError):
+    with pytest.raises(DomainError):
         discrete_bht(GridSpec(1, 4, periodic=False), 3)
-    with pytest.raises(RequiresPeriodicError):
+    with pytest.raises(DomainError):
         discrete_bht(GridSpec(2, 4, periodic=True), 3)
     spec = GridSpec(1, 4, periodic=True)
-    with pytest.raises(TruncationTooLargeError):
+    with pytest.raises(DomainError):
         discrete_bht(spec, 8)  # needs T < side/2 = 8
     with pytest.raises(ValueError):
         discrete_bht(spec, 3, variant="bogus")
@@ -352,7 +345,7 @@ def test_admissibility_grid():
     assert admissible_sparse_tuple((2.0, 2.0, 2.0))
     assert not admissible_sparse_tuple((1.0, 2.0, 2.0))  # endpoint p = 1
     assert not admissible_sparse_tuple((2.0, 2.0, np.inf))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError):
         admissible_sparse_tuple((2.0, 2.0))
     # the parametrized diagonal tuple (2/s, 2/s, 1/(2-s)+delta)
     for s in (1.0, 1.2, 1.4, 1.49):
@@ -383,12 +376,12 @@ def test_model_operator_form_and_output_agree():
 
 
 def test_model_operator_builds_each_cube_once(monkeypatch):
-    """The operator validates its collection on the cell sets it keeps, so
-    each cube's cells are built once; an invalid collection still raises."""
+    """The operator validates its collection on the cell sets the
+    collection carries, so each cube's cells are built once, by
+    verify_sparsity; an invalid collection still raises."""
     spec = GridSpec(1, 5)
     cubes = [DyadicCube(0, 5, (0,)), DyadicCube(0, 1, (0,)),
              DyadicCube(0, 1, (4,)), DyadicCube(0, 2, (8,))]
-    coll = verify_sparsity(spec, cubes).collection
     calls = []
 
     def cube_cells(spec, cube):
@@ -396,6 +389,7 @@ def test_model_operator_builds_each_cube_once(monkeypatch):
         return lattice.cube_cells(spec, cube)
 
     monkeypatch.setattr(sparse, "cube_cells", cube_cells)
+    coll = verify_sparsity(spec, cubes).collection
     model_sparse_operator(coll, (1.0, 1.0, 1.0))
     assert calls == cubes
     short = SparseCollection(spec, cubes[1:2], [np.array([0])])
@@ -423,10 +417,10 @@ def test_vector_form_single_member_reduces_to_scalar():
     family = OperatorFamily([op])
     gs = random_scalars(spec, 3, rng)
     assert vector_form(family, gs) == pytest.approx(op.evaluate(gs))
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError):
         vector_form(family, gs[:2])
     two = [GridFunction(spec, np.repeat(g.values, 2, axis=1)) for g in gs]
-    with pytest.raises(SizeMismatchError):
+    with pytest.raises(DomainError):
         vector_form(family, two)
 
 
@@ -460,7 +454,7 @@ def test_lemma1_requires_exact_certificates():
     spec = GridSpec(1, 4, periodic=True)
     op = discrete_bht(spec, 3)  # empirical certificate only
     f = GridFunction.constant(spec, 1.0)
-    with pytest.raises(NoCertificateError):
+    with pytest.raises(DomainError):
         lemma1_check(OperatorFamily([op]), [f, f, f], (1.0, 1.0, 1.0))
 
 
@@ -470,7 +464,7 @@ def test_theorem11_requires_strict_exponent_gap():
     coll = feasible_collection(spec, rng)
     family = OperatorFamily([model_sparse_operator(coll, (1.0, 1.0, 1.0))])
     gs = random_scalars(spec, 3, rng, signed=False)
-    with pytest.raises(ExponentOrderError):
+    with pytest.raises(DomainError):
         theorem11_check(family, gs, (1.0, 1.0, 1.0), (1.0, 2.0, 2.0))
 
 
@@ -491,27 +485,38 @@ def test_theorem11_records_constant():
 
 def test_theorem11_validates_on_the_constructor_cell_sets(monkeypatch,
                                                          tmp_path):
-    """On the shipped theorem11 config, each check builds every cube's
-    cells once, in the constructor, and validates on those: one cube_cells
-    call per cube (a second build per cube in validate doubled it)."""
-    calls, cubes = [0], [0]
+    """On the shipped theorem11 config every collection carries the cells
+    its constructor built: validate(), in theorem11_check and in
+    model_sparse_operator, builds none, and each check builds one
+    cube_cells per cube of its construction."""
+    calls, validated, checked = [0], [], []
+    validate = sparse.SparseCollection.validate
     check = operators.theorem11_check
 
     def cube_cells(spec, cube):
         calls[0] += 1
         return lattice.cube_cells(spec, cube)
 
+    def counted_validate(self):
+        before = calls[0]
+        validate(self)
+        validated.append(calls[0] - before)
+
     def counted_check(*args):
-        with monkeypatch.context() as patch:
-            patch.setattr(sparse, "cube_cells", cube_cells)
-            result = check(*args)
-        cubes[0] += len(result["construction"].collection)
+        before = calls[0]
+        result = check(*args)
+        checked.append((calls[0] - before,
+                        len(result["construction"].collection)))
         return result
 
+    monkeypatch.setattr(sparse, "cube_cells", cube_cells)
+    monkeypatch.setattr(sparse.SparseCollection, "validate", counted_validate)
     monkeypatch.setattr(operators, "theorem11_check", counted_check)
     config = Path(__file__).resolve().parents[1] / "configs" / "theorem11.json"
     run_experiment(ExperimentConfig.from_file(config), tmp_path)
-    assert (calls[0], cubes[0]) == (90, 90)
+    assert len(validated) > len(checked) > 0 and set(validated) == {0}
+    assert [c for c, _ in checked] == [n for _, n in checked]
+    assert sum(n for _, n in checked) == 90
 
 
 def test_sparse_norm_lower_bound_respects_factor_two():

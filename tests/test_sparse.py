@@ -26,10 +26,7 @@ from sparsedom import (
     vector_maximal,
     verify_sparsity,
 )
-from sparsedom.errors import (
-    InfeasibleCollectionError,
-    InstanceTooLargeError,
-)
+from sparsedom.errors import DomainError, InfeasibleCollectionError
 from sparsedom.lattice import (
     DyadicCube,
     _cells_of_box,
@@ -546,7 +543,7 @@ def test_greedy_matches_per_cube_oracle(d, levels, periodic):
 def test_bruteforce_rejects_large_instances():
     spec = GridSpec(1, 5)
     f = GridFunction.constant(spec, 1.0)
-    with pytest.raises(InstanceTooLargeError):
+    with pytest.raises(DomainError):
         sup_sparse_form([f], (1.0,), mode="bruteforce")
 
 
@@ -936,6 +933,31 @@ def test_domination_holds_on_constructions():
                         spec, rep.collection.cubes, fs, exps, rs=(2.0, 2.0))
                     recursed |= len(rep.collection) > 1
     assert recursed
+
+
+def test_construction_builds_each_cube_cells_once(monkeypatch):
+    """The constructor builds each node's cells once and its collection
+    carries them, so lower_direction_check and validate build none."""
+    calls = [0]
+    real = sparsedom.sparse.cube_cells
+
+    def counted(spec, cube):
+        calls[0] += 1
+        return real(spec, cube)
+
+    monkeypatch.setattr(sparsedom.sparse, "cube_cells", counted)
+    spec = GridSpec(1, 6, periodic=True)
+    rng, nodes = np.random.default_rng(162), 0
+    for _ in range(3):
+        fs = spiky_inputs(spec, 2, rng)
+        calls[0] = 0
+        rep = build_sparse_collection(fs, (1.0, 1.0), (2.0, 2.0), variant=2,
+                                      c0=1.0, child_budget=0.25)
+        lower_direction_check(rep.collection, fs, (1.0, 1.0), rs=(2.0, 2.0))
+        rep.collection.validate()
+        assert calls[0] == len(rep.nodes) == len(rep.collection)
+        nodes = max(nodes, len(rep.nodes))
+    assert nodes > 1
 
 
 def test_lower_direction_on_adversarial_collections():

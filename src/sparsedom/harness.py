@@ -118,11 +118,10 @@ def _sided_inverse_pair(spec: GridSpec, rng: np.random.Generator,
     n = spec.ncells
     inv = 1.0 / weight.values
     c = n // 2
-    x = np.arange(n)
     j = int(rng.integers(max(1, spec.levels - 3), spec.levels))
     radius = min(1 << j, n // 2 - 1)
-    left = (x >= c - radius) & (x < c)
-    right = (x >= c) & (x < c + radius)
+    left = slice(c - radius, c)
+    right = slice(c, c + radius)
     fv = np.zeros((n, n_components))
     gv = np.zeros((n, n_components))
     for comp in range(n_components):

@@ -341,19 +341,56 @@ def power_mean(vals: np.ndarray, p: float) -> float | np.ndarray:
     return np.array(means) if vals.ndim == 2 else means[0]
 
 
+def _column_sums(t: np.ndarray) -> np.ndarray:
+    """The m column sums of a C-contiguous (n, m) array t, each with the bits
+    of `np.sum(t.T, axis=1)`, by whole-row numpy calls.
+
+    numpy sums each row of t.T in its own inner-loop call, in a fixed
+    pairwise order (numpy 2.4): under 8 terms a plain loop from the first;
+    up to 128, eight accumulators over blocks of 8, folded as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in order;
+    above 128, the sum of two halves split at n//2 rounded down to a
+    multiple of 8.  Here each step adds whole rows of t, so the m sums
+    cost a few numpy calls, not m of them.  A reduction down the rows of a
+    C-contiguous t adds them one after another, which is the plain loop.
+    """
+    n = t.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _column_sums(t[:half]) + _column_sums(t[half:])
+    if n < 8:
+        return np.add.reduce(t, axis=0)
+    blocks = n - n % 8
+    acc = np.add.reduce(t[:blocks].reshape(blocks // 8, 8, -1), axis=0)
+    while len(acc) > 1:
+        acc = acc[0::2] + acc[1::2]
+    acc = acc[0]
+    for row in t[blocks:]:
+        acc = acc + row
+    return acc
+
+
 def lr_norm_rows(values: np.ndarray, r: float) -> np.ndarray:
-    """Row-wise l^r (quasi-)norms of a 2-d array; r = inf is the sup norm."""
-    a = np.abs(values)
+    """Row-wise l^r (quasi-)norms of a 2-d array; r = inf is the sup norm.
+
+    Each row has the bits of `scale * np.sum((a / scale) ** r, axis=1) **
+    (1 / r)`, with a = |values| and scale the row max; an all-zero row gives
+    0.0.  The work runs on the transposed array, one row per component, so
+    the max and the `_column_sums` sum are whole-row calls over the cells
+    rather than one numpy call per cell.
+    """
+    t = np.abs(values.T, order="C")
+    scale = np.maximum.reduce(t, axis=0)
     if r == np.inf:
-        return a.max(axis=1)
+        return scale
     if r <= 0:
         raise DomainError("l^r exponent must be positive")
-    scale = a.max(axis=1)
-    out = np.zeros(a.shape[0])
+    out = np.zeros(t.shape[1])
     nz = scale > 0
     if np.any(nz):
-        out[nz] = scale[nz] * np.sum(
-            (a[nz] / scale[nz, None]) ** r, axis=1) ** (1.0 / r)
+        s = scale[nz]
+        out[nz] = s * _column_sums(
+            (t.compress(nz, axis=1) / s) ** r) ** (1.0 / r)
     return out
 
 

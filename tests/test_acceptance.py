@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from sparsedom import ExperimentConfig, run_experiment
+from test_golden import GOLDEN, digest
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 ACCEPTANCE = CONFIG_DIR / "acceptance"
@@ -168,3 +169,6 @@ def test_criterion_10_weighted_contrast(run):
     print(f"  sup quotients by weight and K: {sups}")
     verdict(10, "weighted quotients: stable in class, growing out of class",
             passed(code, rows, "good-weights-stable", "bad-weight-grows"))
+    # tests/test_golden.py skips this slow part; its bits are pinned here
+    assert digest.run_digest(code, out) == GOLDEN["config/weighted"], (
+        "config/weighted moved from tests/golden.txt")

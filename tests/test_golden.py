@@ -25,10 +25,11 @@ PARTS = dict(digest.PARTS)
 
 
 def pinned(name: str) -> bool:
-    """The parts recomputed here: every config but the slow weighted one and
-    the construction acceptance corpora; constructions on 1-d K <= 10 and
-    2-d K = 4; sparsity on 1-d K <= 7 (up to the 128-cell root of K = 7)
-    and 2-d K <= 3."""
+    """The parts recomputed here: every config but the construction
+    acceptance corpora and the slow weighted one, which
+    tests/test_acceptance.py's criterion 10 checks on the run it already
+    makes; constructions on 1-d K <= 10 and 2-d K = 4; sparsity on 1-d
+    K <= 7 (up to the 128-cell root of K = 7) and 2-d K <= 3."""
     panel, part = name.split("/", 1)
     if panel == "config":
         return part != "weighted" and \

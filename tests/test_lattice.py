@@ -23,6 +23,7 @@ from sparsedom.lattice import (
     _axis_cube_ids,
     _build_cube_map,
     _cells_of_box,
+    _column_sums,
     children,
     lr_norm_rows,
     shift_list,
@@ -437,6 +438,52 @@ def test_lr_norm():
     for r in (0.0, -1.0):
         with pytest.raises(DomainError):
             lr_norm_rows(values, r)
+
+
+def lr_norm_rows_oracle(values, r):
+    """The row formula scale * sum((a / scale) ** r) ** (1 / r), a = |values|
+    and scale its row max, with numpy reducing each row in one call."""
+    a = np.abs(values)
+    scale = a.max(axis=1)
+    if r == np.inf:
+        return scale
+    out = np.zeros(a.shape[0])
+    nz = scale > 0
+    out[nz] = scale[nz] * np.sum(
+        (a[nz] / scale[nz, None]) ** r, axis=1) ** (1.0 / r)
+    return out
+
+
+LR_WIDTHS = [*range(1, 18), 63, 64, 65, 128, 129, 130, 200]
+
+
+@pytest.mark.parametrize("n", LR_WIDTHS)
+def test_lr_norm_rows_match_row_formula_bit_for_bit(n):
+    """Signed entries over several decades, all-zero rows among them, one
+    row and 40 rows: every row keeps the bits of the row formula."""
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((40, n)) * rng.choice(
+        [1.0, 1e-4, 1e4], size=(40, n))
+    values[::7] = 0.0
+    values[3, : n // 2] = 0.0
+    for rows in (values, values[5:6], values[:1]):
+        for r in (0.5, 1.0, 1.5, 2.0, 4.0, np.inf):
+            got, want = lr_norm_rows(rows, r), lr_norm_rows_oracle(rows, r)
+            assert got.shape == want.shape == (len(rows),)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), r
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 40])
+def test_column_sums_follow_numpy_row_sum_order(m):
+    """The helper against np.sum(x, axis=1) itself, across every branch of
+    numpy's pairwise order, so a change in that order fails here first."""
+    rng = np.random.default_rng(m)
+    for n in [*range(1, 140), 200, 255, 256, 257, 1000, 1025]:
+        x = rng.standard_normal((m, n)) * rng.choice([1.0, 1e-8, 1e8],
+                                                     size=(m, n))
+        got = _column_sums(np.ascontiguousarray(x.T))
+        want = np.sum(x, axis=1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
 
 
 def test_holder_aggregate():

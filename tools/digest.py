@@ -43,20 +43,26 @@ def versions() -> str:
     return f"python {platform.python_version()} numpy {np.__version__}"
 
 
-def config_part(path: Path, sd):
+def run_digest(code, out) -> str:
+    """The hash of one run: its exit code (or error repr) and the name and
+    bytes of every file under its output directory out."""
     digest = hashlib.sha256()
+    digest.update(f"exit {code}\n".encode())
+    for file in sorted(Path(out).rglob("*")):
+        if file.is_file():
+            data = file.read_bytes()
+            name = file.relative_to(out).as_posix()
+            digest.update(repr((name, len(data))).encode() + data)
+    return digest.hexdigest()
+
+
+def config_part(path: Path, sd):
     with tempfile.TemporaryDirectory() as out:
         try:
             code = sd.run_experiment(sd.ExperimentConfig.from_file(path), out)
         except sd.SparsedomError as err:
             code = repr(err)
-        digest.update(f"exit {code}\n".encode())
-        for file in sorted(Path(out).rglob("*")):
-            if file.is_file():
-                data = file.read_bytes()
-                name = file.relative_to(out).as_posix()
-                digest.update(repr((name, len(data))).encode() + data)
-    return digest.hexdigest(), ()
+        return run_digest(code, out), ()
 
 
 def power_items(sd, spec):

@@ -9,14 +9,18 @@ so a window is one contiguous slice of the stack.  Each slot and component is
 normalized by its maximum and raised to the power p once; one bincount of
 that power, tiled over the slice, gives every cube sum, the means of all
 slots multiply into one product per cube, and a single gather and max over
-the lattices scatters the products back to cells.  Optional sorted cell
-arrays narrow the sums (support) and the gather (at) to the cells near a
-cube, as the stopping-time constructor's nodes need; the scales stay those
-of the whole inputs, so every cube whose nonzero input cells all lie in
-support keeps the bits of the full-grid sum.  The l^r aggregate over
-components is applied at the end.  Truncation windows are half-open
-side-length intervals (s, t]: a cube of side 2^j participates iff
-s < 2^j <= t, so (0, 2^K] is the full untruncated operator and the
+the lattices scatters the products back to cells.  level_sups is its
+per-level form: the same products, gathered and maxed one level at a time,
+so that a running max over its rows gives many windows from one pass
+(the stopping-time constructor reads all its nodes' localized functions
+from one such pass over the whole grid).
+Optional sorted cell arrays narrow the sums (support) and the gather (at)
+to the cells near a cube, as the constructor's restricted inputs need; the
+scales stay those of the whole inputs, so every cube whose nonzero input
+cells all lie in support keeps the bits of the full-grid sum.  The l^r
+aggregate over components is applied at the end.  Truncation windows are
+half-open side-length intervals (s, t]: a cube of side 2^j participates
+iff s < 2^j <= t, so (0, 2^K] is the full untruncated operator and the
 one-cell truncation floor corresponds to any s < 1.  cube_averages, the
 power means over every canonical cube of levels 1..K (side >= 2) in the
 order of their stacked ids, serves the weight characteristics; it reads no
@@ -125,6 +129,43 @@ def _window_levels(spec: GridSpec, window) -> list:
     return out
 
 
+def _cube_products(inputs, ps, shifts, window, support, at):
+    """The arithmetic component_sup and level_sups share.
+
+    Returns (prod, gathered, bounds).  prod[k] holds, per stacked cube id
+    below the window's end, component k's product over slots of the power
+    means (ids below the window's first level are never gathered and stay
+    1); gathered holds the window's rows of the stacked map at the cells of
+    at, and bounds[i]:bounds[i + 1] are the rows of the window's i-th level.
+    A support or at covering the grid keeps the stacked map as it is.
+    """
+    spec, n_comp = _check_common_spec(inputs)
+    _check_ps(ps)
+    if len(ps) != len(inputs):
+        raise DomainError("one exponent per input slot required")
+    levels = _window_levels(spec, window)
+    lo, hi = levels[0], levels[-1] + 1
+    stacked, counts, starts, rows = stacked_cube_map(spec, shifts)
+    ids = stacked[rows[lo]:rows[hi]]
+    support, at = (None if c is None or len(c) == spec.ncells else c
+                   for c in (support, at))
+    summed = ids if support is None else ids[:, support]
+    gathered = ids if at is None else ids[:, at]
+    first, end = starts[lo], starts[hi]
+    counts = counts[first:end]
+    prod = np.ones((n_comp, end))
+    for f, p in zip(inputs, ps):
+        a = np.abs(f.values)
+        for k in range(n_comp):
+            scale = float(a[:, k].max()) or 1.0
+            col = a[:, k] if support is None else a[support, k]
+            powered = np.tile((col / scale) ** p, len(ids))
+            sums = np.bincount(summed.ravel(), weights=powered,
+                               minlength=end)[first:]
+            prod[k, first:] *= scale * (sums / counts) ** (1.0 / p)
+    return prod, gathered, [rows[j] - rows[lo] for j in range(lo, hi + 1)]
+
+
 def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
                   shifts: str = "all", window=None, support=None,
                   at=None) -> np.ndarray:
@@ -139,6 +180,8 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
     means multiply into one product per stacked cube, slot by slot, and one
     gather back to cells with a max over the lattices finishes the
     supremum.  An all-zero component keeps scale 1, giving +0.0 means.
+    With every shift, the result is the max of level_sups' rows, which
+    share these products; max is exact, so both give the same bits.
 
     support and at are sorted arrays of distinct cells, or None for every
     cell: the bincounts sum only the cells of support, and the gather reads
@@ -149,34 +192,34 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
     equals the full-grid call's rows at at whenever every cube that meets
     at is such a cube.
     """
-    spec, n_comp = _check_common_spec(inputs)
-    _check_ps(ps)
-    if len(ps) != len(inputs):
-        raise DomainError("one exponent per input slot required")
-    levels = _window_levels(spec, window)
-    lo, hi = levels[0], levels[-1] + 1
-    stacked, counts, starts, rows = stacked_cube_map(spec, shifts)
-    ids = stacked[rows[lo]:rows[hi]]
-    # a cell array covering the grid keeps the stacked map as it is
-    support, at = (None if c is None or len(c) == spec.ncells else c
-                   for c in (support, at))
-    summed = ids if support is None else ids[:, support]
-    gathered = ids if at is None else ids[:, at]
-    first, end = starts[lo], starts[hi]
-    counts = counts[first:end]
-    prod = np.ones((n_comp, end))    # entries below first are never gathered
-    for f, p in zip(inputs, ps):
-        a = np.abs(f.values)
-        for k in range(n_comp):
-            scale = float(a[:, k].max()) or 1.0
-            col = a[:, k] if support is None else a[support, k]
-            powered = np.tile((col / scale) ** p, len(ids))
-            sums = np.bincount(summed.ravel(), weights=powered,
-                               minlength=end)[first:]
-            prod[k, first:] *= scale * (sums / counts) ** (1.0 / p)
-    out = np.empty((gathered.shape[1], n_comp))
-    for k in range(n_comp):
+    prod, gathered, _ = _cube_products(inputs, ps, shifts, window, support,
+                                       at)
+    out = np.empty((gathered.shape[1], len(prod)))
+    for k in range(len(prod)):
         out[:, k] = prod[k].take(gathered).max(axis=0)
+    return out
+
+
+def level_sups(inputs: Sequence[GridFunction], ps: Sequence[float],
+               window=None, support=None, at=None) -> np.ndarray:
+    """component_sup one level at a time: shape (levels, len(at), N).
+
+    Row i is the supremum over the cubes of the window's i-th level alone,
+    its lattices of every shift, with the bits of component_sup's products
+    (support and at mean what they mean there).  A running max of the rows
+    from the first up gives, bit for bit, every window that starts where
+    this one does, and one from the last down every window that ends where
+    it does: the stopping-time constructor takes its localized functions
+    (windows (0, side Q]) from one pass over the whole grid, and its
+    coarse-truncated ones (windows (side L, side Q]) from one pass per node.
+    """
+    prod, gathered, bounds = _cube_products(inputs, ps, "all", window,
+                                            support, at)
+    out = np.empty((len(bounds) - 1, gathered.shape[1], len(prod)))
+    for i in range(len(bounds) - 1):
+        rows = gathered[bounds[i]:bounds[i + 1]]
+        for k in range(len(prod)):
+            out[i, :, k] = prod[k].take(rows).max(axis=0)
     return out
 
 

@@ -353,10 +353,12 @@ def _stopping_children(spec: GridSpec, root: DyadicCube,
     Works one dyadic level at a time on the shift-0 lattice (a root of
     another shift raises DomainError), where level j is the grid cut into
     blocks of side 2^j.  Each block is any-reduced to "holds a cell off the
-    mask", then ORed over the +-4 neighbouring blocks along each axis
-    (indices wrapped on periodic grids, so an axis of at most 9 blocks is
-    covered whole; clipped at the edges otherwise): the result says whether
-    9L meets a cell off the mask, with 9L the clipped or wrapped dilate.
+    mask" (from the level below, one strided OR of block pairs per axis,
+    so whole rows go through each numpy call), then ORed over the +-4
+    neighbouring blocks along each axis (indices wrapped on periodic grids,
+    so an axis of at most 9 blocks is covered whole; clipped at the edges
+    otherwise): the result says whether 9L meets a cell off the mask, with
+    9L the clipped or wrapped dilate.
     Since 9L' lies in 9L for a child L' of L, qualifying is inherited
     downwards, so the maximal qualifying cubes are those whose parent does
     not qualify or is the root, and no cube qualifies above a level with
@@ -373,9 +375,11 @@ def _stopping_children(spec: GridSpec, root: DyadicCube,
     clear = []      # per level from 0 up: subcubes L of root, 9L inside mask
     for level in range(root.level):
         m = spec.side >> level            # blocks per axis
-        if level:
-            blocks = blocks.reshape((m, 2) * d).any(axis=tuple(
-                range(1, 2 * d, 2)))
+        if level:   # OR the pairs of blocks of the level below, per axis
+            for axis in range(d):
+                keep = (slice(None),) * axis
+                blocks = blocks[keep + (slice(0, None, 2),)] | \
+                    blocks[keep + (slice(1, None, 2),)]
         near = blocks
         for axis in range(d):
             idx = (root.corner[axis] >> level) + _NINE + \
@@ -470,13 +474,19 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
                                       0))
             continue
 
-        # 1_Q times the maximal function truncated to sides <= side(Q):
-        # every cube of such a side that meets Q lies in 3Q
+        if q is root:
+            # per slot group, row j: the sup over the cubes of levels <= j,
+            # from one per-level pass over the whole grid, maxed upwards
+            running = [np.maximum.accumulate(maximal.level_sups(fs, es),
+                                             axis=0) for fs, es, _ in groups]
+        # 1_Q times the maximal function truncated to sides <= side(Q), its
+        # inputs restricted to 3Q: row level(Q) of running at Q.  Every cube
+        # of such a side that meets Q lies in 3Q, so its full-grid sum adds
+        # the same cells in the same order as one narrowed to 3Q.
         a_loc = []
-        for fs, es, r in groups:
+        for sups, (_, _, r) in zip(running, groups):
             a = np.zeros(spec.ncells)
-            a[cells_q] = lr_norm_rows(maximal.component_sup(
-                fs, es, window=(0, q.side), support=cells_3q, at=cells_q), r)
+            a[cells_q] = lr_norm_rows(sups[q.level][cells_q], r)
             a_loc.append(a)
         if q is root:
             # the root's localized maximal functions are the full ones, so
@@ -543,10 +553,12 @@ def _node_property_ratios(q, cells_q, cells_3q, mask, kids, child_cells,
     All are 0 when vacuous (no off-set cells, no children).  a_loc and
     thresholds hold each slot group's localized maximal function on Q and
     its threshold, child_cells and child_threes each child's cells and 3L.
-    Children of one side share the window (side(L), side(Q)]
-    of (iii), so it is evaluated once per side and maximized over the union
-    of their cells; max and division by a positive threshold commute, so the
-    ratio equals the per-child one.
+    (iii) takes one level_sups pass per slot group over the levels of
+    (side(L_min), side(Q)], L_min a smallest child, at the union of the
+    children's cells; its running max from the top level down has in row
+    level(L) - level(L_min) the window (side(L), side(Q)] of a child L, and
+    each cell reads its own child's row.  max and division by a positive
+    threshold commute, so the ratio equals the per-child one.
     """
     per_group = list(zip(a_loc, thresholds))
     off = cells_q[~mask[cells_q]]
@@ -563,16 +575,20 @@ def _node_property_ratios(q, cells_q, cells_3q, mask, kids, child_cells,
                 prop2 = max(prop2, float(np.mean(a[three])) / th)
 
     restricted = [[f.restrict(cells_3q) for f in fs] for fs, _, _ in groups]
-    by_side = {}
-    for kid, cells in zip(kids, child_cells):
-        by_side.setdefault(kid.side, []).append(cells)
+    cells = np.concatenate(child_cells)
+    low = min(kid.level for kid in kids)
+    # each cell's row of the suffix max below: its child's level - low
+    rank = np.repeat([kid.level - low for kid in kids],
+                     [len(c) for c in child_cells])
+    order = np.argsort(cells)
+    cells, rank, index = cells[order], rank[order], np.arange(len(cells))
     prop3 = 0.0
-    for side, cell_sets in by_side.items():
-        cells = np.sort(np.concatenate(cell_sets))
-        for fs, (_, es, r), th in zip(restricted, groups, thresholds):
-            trunc = lr_norm_rows(maximal.component_sup(
-                fs, es, window=(side, q.side), support=cells_3q, at=cells), r)
-            prop3 = max(prop3, float(trunc.max()) / th)
+    for fs, (_, es, r), th in zip(restricted, groups, thresholds):
+        sups = maximal.level_sups(fs, es, window=(1 << low, q.side),
+                                  support=cells_3q, at=cells)
+        suffix = np.maximum.accumulate(sups[::-1], axis=0)[::-1]
+        trunc = lr_norm_rows(suffix[rank, index], r)
+        prop3 = max(prop3, float(trunc.max()) / th)
     return prop1, prop2, prop3
 
 

@@ -20,6 +20,7 @@ from sparsedom import (
     build_sparse_collection,
     generate_corpus,
     lower_direction_check,
+    maximal,
     partitioned_maximal,
     sparse_form,
     sup_sparse_form,
@@ -38,7 +39,9 @@ from sparsedom.lattice import (
     lr_norm_rows,
     power_mean,
 )
+from sparsedom.maximal import component_sup
 from sparsedom.sparse import _Assignment, _stopping_children
+from test_golden import digest
 from test_lattice import power_mean_1d
 from test_maximal import localized_maximal
 
@@ -778,6 +781,162 @@ def test_node_ratios_match_per_child_oracle():
             parents += node.n_children > 0
             mixed_sides |= len(sides) >= 2
     assert parents >= 4 and mixed_sides
+
+
+def slot_groups(fs, ps, rs, variant):
+    """The constructor's slot groups: (inputs, exponents, l^r exponent)."""
+    if variant == 1:
+        return [([f], (p,), r) for f, p, r in zip(fs, ps, rs)]
+    return [(list(fs), ps, holder_aggregate(rs))]
+
+
+def stopping_kids(cubes, q):
+    """The maximal proper subcubes of q among a build's shift-0 cubes: the
+    stopping children q's node selected."""
+    def inside(small, big):
+        return small.level < big.level and all(
+            a >> big.level == b >> big.level
+            for a, b in zip(small.corner, big.corner))
+    below = [c for c in cubes if inside(c, q)]
+    return [c for c in below if not any(inside(c, o) for o in below)]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64),
+        np.ascontiguousarray(b).view(np.int64))
+
+
+def per_level_builds():
+    """(spec, inputs) for the per-level read oracle: the power input at
+    periodic 1-d K = 10, a `mixed` item at clipped 2-d K = 5 whose
+    variant-2 build has children of two sides, and a clipped 3-d K = 3
+    item with one component of one slot set to zero."""
+    spec = GridSpec(1, 10, periodic=True)
+    yield spec, list(next(digest.power_items(sparsedom, spec)))
+    spec = GridSpec(2, 5, periodic=False)
+    yield spec, list(generate_corpus("mixed", 0, 1, spec, n_slots=2,
+                                     n_components=2)[0])
+    spec = GridSpec(3, 3, periodic=False)
+    f, g = generate_corpus("mixed", 0, 2, spec, n_slots=2,
+                           n_components=2)[1]
+    zeroed = g.values.copy()
+    zeroed[:, 1] = 0.0
+    yield spec, [f, GridFunction(spec, zeroed)]
+
+
+@pytest.mark.parametrize("build", range(3))
+def test_per_level_reads_match_node_calls(build):
+    """The constructor reads each node's localized function from one
+    per-level pass over the whole grid, maxed from level 0 up, at row
+    level(Q) on Q's cells; that read has the bits of component_sup with
+    window (0, side Q], support 3Q and at Q.  Property (iii) reads one pass
+    over (side L_min, side Q] on the inputs restricted to 3Q, maxed from
+    the top level down; each child side's row has the bits of the
+    per-side call with window (side L, side Q] at that side's children.
+    Every row of a pass equals component_sup on its one-level window, also
+    for a window starting above level 0 and an all-zero component.
+    Compared by int64 views, on the nodes of builds in both variants."""
+    ps, rs = (1.0, 1.0), (2.0, 2.0)
+    spec, fs = list(per_level_builds())[build]
+    nodes = parents = 0
+    sides = set()
+    for variant, eps in ((1, 0.5), (2, None)):
+        rep = build_sparse_collection(fs, ps, rs, eps=eps, variant=variant,
+                                      child_budget=0.25, c0=1.0)
+        groups = slot_groups(fs, ps, rs, variant)
+        running = []
+        for gs, es, _ in groups:
+            sups = maximal.level_sups(gs, es)
+            for j in range(spec.levels + 1):
+                window = (1 << j) / 2, 1 << j
+                assert same_bits(sups[j], component_sup(gs, es,
+                                                        window=window))
+            running.append(np.maximum.accumulate(sups, axis=0))
+        cubes = rep.collection.cubes
+        for q, node in zip(cubes, rep.nodes):
+            if node.threshold is None:
+                continue
+            nodes += 1
+            cells_q, cells_3q = cube_cells(spec, q), dilate(spec, q, 3)
+            for rows, (gs, es, _) in zip(running, groups):
+                assert same_bits(rows[q.level][cells_q], component_sup(
+                    gs, es, window=(0, q.side), support=cells_3q,
+                    at=cells_q))
+            kids = stopping_kids(cubes, q)
+            assert len(kids) == node.n_children
+            if not kids:
+                continue
+            parents += 1
+            union = np.sort(np.concatenate([cube_cells(spec, k)
+                                            for k in kids]))
+            low = min(k.level for k in kids)
+            for gs, es, _ in groups:
+                restricted = [f.restrict(cells_3q) for f in gs]
+                sups = maximal.level_sups(restricted, es,
+                                          window=(1 << low, q.side),
+                                          support=cells_3q, at=union)
+                for i, level in enumerate(range(low + 1, q.level + 1)):
+                    assert same_bits(sups[i], component_sup(
+                        restricted, es, window=(1 << level - 1, 1 << level),
+                        support=cells_3q, at=union))
+                suffix = np.maximum.accumulate(sups[::-1], axis=0)[::-1]
+                for level in {k.level for k in kids}:
+                    at = np.sort(np.concatenate([
+                        cube_cells(spec, k) for k in kids
+                        if k.level == level]))
+                    sides.add(1 << level)
+                    assert same_bits(
+                        suffix[level - low][np.isin(union, at)],
+                        component_sup(restricted, es,
+                                      window=(1 << level, q.side),
+                                      support=cells_3q, at=at))
+    assert nodes >= 70 and parents >= 2
+    assert len(sides) >= (1 if spec.d == 3 else 2)
+
+
+def test_localized_functions_come_from_one_pass_per_slot_group(monkeypatch):
+    """A build makes one full-grid level_sups pass per slot group and
+    reads every node's localized function from it: no component_sup call
+    computes one.  The only component_sup calls left are variant 1's
+    exceedance functions, one per slot and node with data, each on a
+    single input with exponent 1; variant 2 makes none.  The other passes
+    are property (iii)'s, one per slot group and node with children, each
+    narrowed to the node's 3Q."""
+    calls = []
+
+    def counted(name, real):
+        def call(inputs, ps, **kwargs):
+            calls.append((name, len(inputs), tuple(ps), kwargs))
+            return real(inputs, ps, **kwargs)
+        return call
+
+    for name in ("component_sup", "level_sups"):
+        monkeypatch.setattr(maximal, name,
+                            counted(name, getattr(maximal, name)))
+    ps, rs = (1.0, 1.0), (2.0, 2.0)
+    spec, fs = next(per_level_builds())
+    for variant, eps in ((1, 0.5), (2, None)):
+        calls.clear()
+        rep = build_sparse_collection(list(fs), ps, rs, eps=eps,
+                                      variant=variant, child_budget=0.25,
+                                      c0=1.0)
+        groups = slot_groups(fs, ps, rs, variant)
+        with_data = sum(n.threshold is not None for n in rep.nodes)
+        parents = sum(n.n_children > 0 for n in rep.nodes)
+        assert with_data > 30 and parents >= 2
+        full = [c for c in calls if c[0] == "level_sups" and not c[3]]
+        narrowed = [c for c in calls if c[0] == "level_sups" and c[3]]
+        sups = [c for c in calls if c[0] == "component_sup"]
+        assert [c[1:3] for c in full] == [(len(gs), tuple(es))
+                                          for gs, es, _ in groups]
+        assert len(narrowed) == len(groups) * parents
+        assert all(c[3]["window"][1] > c[3]["window"][0] >= 1
+                   and "support" in c[3] for c in narrowed)
+        assert len(sups) == (len(groups) * with_data if variant == 1
+                             else 0)
+        assert all(c[1:3] == (1, (1.0,)) and "window" not in c[3]
+                   for c in sups)
 
 
 def test_construction_builds_each_cube_once(monkeypatch):

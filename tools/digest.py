@@ -1,10 +1,12 @@
 """One SHA-256 per part of everything a change must keep bit for bit.
 
-    python3 tools/digest.py SRC_DIR
+    python3 tools/digest.py SRC_DIR [PREFIX ...]
 
 Imports sparsedom from SRC_DIR and runs the parts of PARTS in order, in this
 process.  Prints `python X numpy Y`, one `name sha256` line per part and a
-totals line after each panel.  A call that raises feeds its error.
+totals line after each panel.  A call that raises feeds its error.  Given
+prefixes, only the parts whose names start with one of them run (for
+example `construction/` or `config/maximal`), and the totals count those.
 
 - config/*: run_experiment on one file of configs/ (beside tools/): the
   exit code and every output file's name and bytes.
@@ -160,17 +162,23 @@ PARTS = [
 
 
 def main(argv: list) -> int:
-    src = Path(argv[0]).resolve() if len(argv) == 1 else None
+    src = Path(argv[0]).resolve() if argv else None
     if src is None or not (src / "sparsedom" / "__init__.py").is_file():
-        print("usage: python3 tools/digest.py SRC_DIR, where SRC_DIR holds "
-              "the sparsedom package", file=sys.stderr)
+        print("usage: python3 tools/digest.py SRC_DIR [PREFIX ...], where "
+              "SRC_DIR holds the sparsedom package", file=sys.stderr)
+        return 2
+    prefixes = tuple(argv[1:]) or ("",)
+    chosen = [part for part in PARTS if part[0].startswith(prefixes)]
+    if not chosen:
+        print(f"no part starts with any of {list(prefixes)}",
+              file=sys.stderr)
         return 2
     sys.path.insert(0, str(src))
     import sparsedom as sd
 
     print(versions())
     for panel, parts in itertools.groupby(
-            PARTS, key=lambda part: part[0].split("/")[0]):
+            chosen, key=lambda part: part[0].split("/")[0]):
         total = 0
         for name, part in parts:
             value, counts = part(sd)

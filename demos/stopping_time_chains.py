@@ -30,7 +30,8 @@ for budget, label in ((2.0 ** -16, "exact 2^-16 budget"),
                                      eps=0.5, variant=1,
                                      child_budget=budget, c0=1.0)
     print(f"--- {label} ---")
-    print(f"cubes: {len(report.collection)}   depth: {report.depth}   "
+    steps = sum(node.n_children > 0 for node in report.nodes)
+    print(f"cubes: {len(report.collection)}   recursion steps: {steps}   "
           f"theta_emp: {report.theta_emp:.3f}")
     for node in report.nodes[:8]:
         print(f"  side={node.size:>4}  C={node.threshold:<10g} "

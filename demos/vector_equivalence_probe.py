@@ -9,7 +9,7 @@ No assertion is made.
 Run:  python3 demos/vector_equivalence_probe.py
 """
 
-from sparsedom import ExperimentConfig, GridSpec, OperatorFamily, generate_corpus
+from sparsedom import GridSpec, OperatorFamily, generate_corpus
 from sparsedom.harness import _model_family_pool
 from sparsedom.operators import theorem11_check
 

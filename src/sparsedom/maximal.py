@@ -10,18 +10,19 @@ normalized by its maximum and raised to the power p once; one bincount of
 that power, tiled over the slice, gives every cube sum, the means of all
 slots multiply into one product per cube, and a single gather and max over
 the lattices scatters the products back to cells.  level_sups is its
-per-level form: the same products, gathered and maxed one level at a time,
-so that a running max over its rows gives many windows from one pass
-(the stopping-time constructor reads all its nodes' localized functions
-from one such pass over the whole grid).
-Optional sorted cell arrays narrow the sums (support) and the gather (at)
-to the cells near a cube, as the constructor's restricted inputs need; the
-scales stay those of the whole inputs, so every cube whose nonzero input
-cells all lie in support keeps the bits of the full-grid sum.  The l^r
-aggregate over components is applied at the end.  Truncation windows are
-half-open side-length intervals (s, t]: a cube of side 2^j participates
-iff s < 2^j <= t, so (0, 2^K] is the full untruncated operator and the
-one-cell truncation floor corresponds to any s < 1.  cube_averages, the
+per-level form on the whole grid: the same products, gathered and maxed one
+level at a time, so that a max over a range of its rows gives any window
+from one pass (the stopping-time constructor reads every node's localized
+function and coarse-truncated function from one such pass).
+Optional sorted cell arrays narrow component_sup's sums (support) and
+gather (at) to the cells near a cube, as the constructor's exceedance
+functions need; the scales stay those of the whole inputs, so every cube
+whose nonzero input cells all lie in support keeps the bits of the
+full-grid sum.  The l^r aggregate over components is applied at the end.
+Truncation windows are half-open side-length intervals (s, t]: a cube of
+side 2^j participates iff s < 2^j <= t, so (0, 2^K] is the full
+untruncated operator and the one-cell truncation floor corresponds to any
+s < 1.  cube_averages, the
 power means over every canonical cube of levels 1..K (side >= 2) in the
 order of their stacked ids, serves the weight characteristics; it reads no
 map, since the canonical lattices form a full 2^d-ary tree whose level sums
@@ -200,21 +201,20 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
     return out
 
 
-def level_sups(inputs: Sequence[GridFunction], ps: Sequence[float],
-               window=None, support=None, at=None) -> np.ndarray:
-    """component_sup one level at a time: shape (levels, len(at), N).
+def level_sups(inputs: Sequence[GridFunction],
+               ps: Sequence[float]) -> np.ndarray:
+    """component_sup one level at a time: shape (levels + 1, ncells, N).
 
-    Row i is the supremum over the cubes of the window's i-th level alone,
-    its lattices of every shift, with the bits of component_sup's products
-    (support and at mean what they mean there).  A running max of the rows
-    from the first up gives, bit for bit, every window that starts where
-    this one does, and one from the last down every window that ends where
-    it does: the stopping-time constructor takes its localized functions
-    (windows (0, side Q]) from one pass over the whole grid, and its
-    coarse-truncated ones (windows (side L, side Q]) from one pass per node.
+    Row j is the supremum over the cubes of level j alone, its lattices of
+    every shift, on the whole grid, with the bits of component_sup's
+    products.  max is exact, so the max of rows s..t gives, bit for bit,
+    the window (2^(s-1), 2^t]: the stopping-time constructor takes every
+    node's localized function (rows 0..level(Q), a running max from row 0
+    up) and coarse-truncated function (rows level(L)+1..level(Q) for a
+    child L) from this one pass per slot group.
     """
-    prod, gathered, bounds = _cube_products(inputs, ps, "all", window,
-                                            support, at)
+    prod, gathered, bounds = _cube_products(inputs, ps, "all", None, None,
+                                            None)
     out = np.empty((len(bounds) - 1, gathered.shape[1], len(prod)))
     for i in range(len(bounds) - 1):
         rows = gathered[bounds[i]:bounds[i + 1]]

@@ -362,8 +362,8 @@ def lemma1_check(family: OperatorFamily, inputs: Sequence[GridFunction],
     bound = 2.0 * cert * integral
     ratio = np.inf if bound == 0.0 and lhs > 0.0 else \
         (0.0 if bound == 0.0 else lhs / bound)
-    return {"lhs": lhs, "integral": integral, "certificate": cert,
-            "ratio": ratio, "holds": lhs <= bound * (1.0 + 1e-9) + 1e-12}
+    return {"lhs": lhs, "integral": integral, "ratio": ratio,
+            "holds": lhs <= bound * (1.0 + 1e-9) + 1e-12}
 
 
 def theorem11_check(family: OperatorFamily, inputs: Sequence[GridFunction],
@@ -372,19 +372,17 @@ def theorem11_check(family: OperatorFamily, inputs: Sequence[GridFunction],
 
     Builds the multilinear stopping-time collection on the (n+1) vector
     inputs and records C_emp = |vector form| / (sup certificate * sparse
-    form).  The strictness r_j > p_j is required.
+    form).  The strictness r_j > p_j is required: the constructor raises
+    DomainError without it.
     """
-    for p, r in zip(ps, rs):
-        if not r > p:
-            raise DomainError(f"need r > p in every slot, got r={r} p={p}")
     cert = family.sup_certificate()
     lhs = abs(vector_form(family, inputs))
     report = sparse.build_sparse_collection(list(inputs), list(ps), list(rs),
                                             variant=2)
     report.collection.validate()
     c_emp = None if report.rhs == 0.0 else lhs / (cert * report.rhs)
-    return {"lhs": lhs, "sparse_form": report.rhs, "certificate": cert,
-            "c_emp": c_emp, "construction": report}
+    return {"lhs": lhs, "sparse_form": report.rhs, "c_emp": c_emp,
+            "construction": report}
 
 
 def estimate_sparse_norm_lower_bound(
@@ -396,18 +394,14 @@ def estimate_sparse_norm_lower_bound(
     factor 2 of the lower direction.  Corpus items with vanishing
     denominator are skipped.
     """
-    best, best_index = 0.0, None
-    skipped = 0
-    for i, gs in enumerate(corpus):
+    best, skipped = 0.0, 0
+    for gs in corpus:
         denom = sparse.integral_of_form(list(gs), list(ps))
         if denom == 0.0:
             skipped += 1
             continue
-        val = abs(op.evaluate(list(gs))) / denom
-        if val > best:
-            best, best_index = val, i
-    return {"value": best, "maximizer": best_index, "skipped": skipped,
-            "trials": len(corpus)}
+        best = max(best, abs(op.evaluate(list(gs))) / denom)
+    return {"value": best, "skipped": skipped}
 
 
 # ---------------------------------------------------------------------------

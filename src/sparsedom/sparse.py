@@ -475,10 +475,11 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
             continue
 
         if q is root:
-            # per slot group, row j: the sup over the cubes of levels <= j,
-            # from one per-level pass over the whole grid, maxed upwards
-            running = [np.maximum.accumulate(maximal.level_sups(fs, es),
-                                             axis=0) for fs, es, _ in groups]
+            # per slot group, row j of raw: the sup over the cubes of level
+            # j alone, from one pass over the whole grid; row j of running,
+            # its max upwards: the sup over the cubes of levels <= j
+            raw = [maximal.level_sups(fs, es) for fs, es, _ in groups]
+            running = [np.maximum.accumulate(sups, axis=0) for sups in raw]
         # 1_Q times the maximal function truncated to sides <= side(Q), its
         # inputs restricted to 3Q: row level(Q) of running at Q.  Every cube
         # of such a side that meets Q lies in 3Q, so its full-grid sum adds
@@ -529,9 +530,9 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
 
         child_cells = [cube_cells(spec, L) for L in kids]
         child_threes = [dilate(spec, L, 3) for L in kids]
-        ratios = _node_property_ratios(q, cells_q, cells_3q, mask, kids,
-                                       child_cells, child_threes, groups,
-                                       a_loc, thresholds, variant)
+        ratios = _node_property_ratios(q, cells_q, mask, kids, child_cells,
+                                       child_threes, groups, raw, a_loc,
+                                       thresholds, variant)
         majors.append(cells_q if not kids else np.setdiff1d(
             cells_q, np.concatenate(child_cells), assume_unique=False))
         nodes.append(StoppingNode(q, c, doublings, kid_measure, size_q,
@@ -543,22 +544,22 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
     return ConstructionReport(collection, nodes, lhs, rhs)
 
 
-def _node_property_ratios(q, cells_q, cells_3q, mask, kids, child_cells,
-                          child_threes, groups, a_loc, thresholds, variant):
+def _node_property_ratios(q, cells_q, mask, kids, child_cells, child_threes,
+                          groups, raw, a_loc, thresholds, variant):
     """Scale-free ratios behind the three stopping-node properties.
 
     (i) localized operator off the exceedance set / threshold;
     (ii) averages of the localized operators over 3L (variant 1);
-    (iii) coarse-truncated operator on L, inputs restricted to 3Q.
+    (iii) coarse-truncated operator, window (side L, side Q], on L.
     All are 0 when vacuous (no off-set cells, no children).  a_loc and
     thresholds hold each slot group's localized maximal function on Q and
-    its threshold, child_cells and child_threes each child's cells and 3L.
-    (iii) takes one level_sups pass per slot group over the levels of
-    (side(L_min), side(Q)], L_min a smallest child, at the union of the
-    children's cells; its running max from the top level down has in row
-    level(L) - level(L_min) the window (side(L), side(Q)] of a child L, and
-    each cell reads its own child's row.  max and division by a positive
-    threshold commute, so the ratio equals the per-child one.
+    its threshold, child_cells and child_threes each child's cells and 3L,
+    raw each group's per-level rows of the root's level_sups pass.  (iii)
+    is the max of raw's rows level(L)+1..level(Q) at L's cells: every cube
+    it reads has side <= side(Q) and meets Q, so lies in 3Q.  The rows are
+    maxed from level(Q) down once per node, and each cell reads its own
+    child's row; max and division by a positive threshold commute, so the
+    ratio equals the per-child one.
     """
     per_group = list(zip(a_loc, thresholds))
     off = cells_q[~mask[cells_q]]
@@ -574,20 +575,17 @@ def _node_property_ratios(q, cells_q, cells_3q, mask, kids, child_cells,
             for a, th in per_group:
                 prop2 = max(prop2, float(np.mean(a[three])) / th)
 
-    restricted = [[f.restrict(cells_3q) for f in fs] for fs, _, _ in groups]
     cells = np.concatenate(child_cells)
     low = min(kid.level for kid in kids)
-    # each cell's row of the suffix max below: its child's level - low
-    rank = np.repeat([kid.level - low for kid in kids],
-                     [len(c) for c in child_cells])
-    order = np.argsort(cells)
-    cells, rank, index = cells[order], rank[order], np.arange(len(cells))
+    # row i of the max below covers levels level(Q) - i .. level(Q), so a
+    # child L reads row level(Q) - level(L) - 1
+    row = np.repeat([q.level - kid.level - 1 for kid in kids],
+                    [len(c) for c in child_cells])
+    index = np.arange(len(cells))
     prop3 = 0.0
-    for fs, (_, es, r), th in zip(restricted, groups, thresholds):
-        sups = maximal.level_sups(fs, es, window=(1 << low, q.side),
-                                  support=cells_3q, at=cells)
-        suffix = np.maximum.accumulate(sups[::-1], axis=0)[::-1]
-        trunc = lr_norm_rows(suffix[rank, index], r)
+    for sups, (_, _, r), th in zip(raw, groups, thresholds):
+        down = np.maximum.accumulate(sups[q.level:low:-1, cells], axis=0)
+        trunc = lr_norm_rows(down[row, index], r)
         prop3 = max(prop3, float(trunc.max()) / th)
     return prop1, prop2, prop3
 

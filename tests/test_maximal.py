@@ -332,13 +332,13 @@ def shift0_cubes(spec, level, rng, n):
 @pytest.mark.parametrize("shifts", ["all", "canonical"])
 def test_component_sup_local_matches_full_grid_rows(d, levels, periodic,
                                                     shifts):
-    """support and at give the full-grid call's rows at at, bit for bit, in
-    the three uses of the stopping-time constructor on a node Q of every
-    level: the localized functions (window (0, side Q], support 3Q, at Q),
-    the exceedance function of an input vanishing off Q (support Q, any
-    at), and the coarse-truncated functions of inputs restricted to 3Q
-    (window (side L, side Q], support 3Q, at subcubes L of Q).  A support
-    missing a cell of Q changes the rows."""
+    """support and at give the full-grid call's rows at at, bit for bit,
+    on a node Q of every level: the localized functions (window
+    (0, side Q], support 3Q, at Q), the exceedance function of an input
+    vanishing off Q (support Q, any at: the stopping-time constructor's one
+    narrowed call), and the coarse-truncated functions of inputs
+    restricted to 3Q (window (side L, side Q], support 3Q, at subcubes L
+    of Q).  A support missing a cell of Q changes the rows."""
     spec = GridSpec(d, levels, periodic)
     rng = np.random.default_rng(7 + 100 * d + levels + 1000 * periodic)
     ps = (1.5, 2.0)

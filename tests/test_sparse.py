@@ -701,9 +701,11 @@ def test_relaxed_budget_recursion_and_properties():
 def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node):
     """The three node ratios recomputed from the node's cube and constant:
     localized maximal functions evaluated afresh, and one windowed maximal
-    function per stopping child and slot."""
+    function per stopping child and slot group on the whole inputs.  Also
+    returns property (iii) by its definition on the inputs restricted to
+    3Q, and the children's sides."""
     if node.threshold is None:  # an input vanishes on 3Q: nothing to compare
-        return (0.0, 0.0, 0.0), set()
+        return (0.0, 0.0, 0.0), 0.0, set()
     q = node.cube
     cells_q = cube_cells(spec, q)
     cells_3q = dilate(spec, q, 3)
@@ -718,19 +720,20 @@ def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node):
         ths = [node.threshold * s for s in scales]
         exceed = [vector_maximal([GridFunction(spec, a)], (1.0,)).values[:, 0]
                   for a in a_loc]
-        truncs = [([f], (p,), r) for f, p, r in zip(restricted, ps, rs)]
+        truncs = [([f], [g], (p,), r)
+                  for f, g, p, r in zip(fs, restricted, ps, rs)]
     else:
         a_loc = [localized_maximal(fs, ps, r_agg, q).values[:, 0]]
         ths = [node.threshold * float(np.prod(scales))]
         exceed = a_loc
-        truncs = [(restricted, ps, r_agg)]
+        truncs = [(list(fs), restricted, ps, r_agg)]
     mask = np.zeros(spec.ncells, dtype=bool)
     for arr, th in zip(exceed, ths):
         mask |= arr >= th
     kids = _stopping_children_walk(spec, q, mask)
     assert len(kids) == node.n_children
     off = cells_q[~mask[cells_q]]
-    prop1 = prop2 = prop3 = 0.0
+    prop1 = prop2 = prop3 = prop3_3q = 0.0
     if len(off) > 0:
         prop1 = max(float(a[off].max()) / th for a, th in zip(a_loc, ths))
     for kid in kids:
@@ -739,22 +742,28 @@ def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node):
             for a, th in zip(a_loc, ths):
                 prop2 = max(prop2, float(np.mean(a[three])) / th)
         kid_cells = cube_cells(spec, kid)
-        for (gs, es, r), th in zip(truncs, ths):
-            trunc = vector_maximal(gs, es, r,
-                                   window=(kid.side, q.side)).values[:, 0]
+        window = (kid.side, q.side)
+        for (gs, hs, es, r), th in zip(truncs, ths):
+            trunc = vector_maximal(gs, es, r, window=window).values[:, 0]
             prop3 = max(prop3, float(trunc[kid_cells].max()) / th)
-    return (prop1, prop2, prop3), {kid.side for kid in kids}
+            trunc = vector_maximal(hs, es, r, window=window).values[:, 0]
+            prop3_3q = max(prop3_3q, float(trunc[kid_cells].max()) / th)
+    return (prop1, prop2, prop3), prop3_3q, {kid.side for kid in kids}
 
 
 def test_node_ratios_match_per_child_oracle():
     """Each node's property ratios equal, bit for bit, their per-child
-    evaluation, which the constructor does in one pass per child side,
-    and the children agree with a mask filled on the whole grid.  At these
-    sizes only the root has children (on the 2-d K = 4 grid only unit
-    cubes can stop), so each grid runs four corpus items.  The last build
+    evaluation, (iii) from windowed maximal functions on the whole inputs,
+    and the children agree with a mask filled on the whole grid.  On the
+    first two grids only the root has children (on the 2-d K = 4 grid only
+    unit cubes can stop), so each runs four corpus items.  The next build
     has side-2 nodes whose candidate children see exceedance cells outside
     3Q, so a mask filled on 3Q alone gives one of them the wrong
-    threshold."""
+    threshold.  Then per_level_builds and the power input at periodic 1-d
+    K = 11, whose nodes below the root have children: there (iii) by its
+    definition on the inputs restricted to 3Q differs only by the rounding
+    of the 3Q-local scale, within 1e-12 relative, and in its bits on some
+    K = 11 nodes."""
     ps, rs = (1.0, 1.0), (2.0, 2.0)
     builds = []    # (spec, inputs, variant, eps, child budget, c0)
     for d, levels, seed in ((1, 8, 1), (2, 4, 2)):
@@ -766,21 +775,29 @@ def test_node_ratios_match_per_child_oracle():
     spec = GridSpec(2, 5, periodic=True)
     fs = generate_corpus("mixed", 1, 2, spec, n_slots=2, n_components=1)[1]
     builds.append((spec, fs, 1, 0.5, 0.45, 0.25))
-    parents = 0
+    spec = GridSpec(1, 11, periodic=True)
+    for spec, fs in list(per_level_builds()) + [
+            (spec, list(next(digest.power_items(sparsedom, spec))))]:
+        builds += [(spec, fs, variant, eps, 0.25, 1.0)
+                   for variant, eps in ((1, 0.5), (2, None))]
+    parents = below = rounded = 0
     mixed_sides = False
     for spec, fs, variant, eps, budget, c0 in builds:
         rep = build_sparse_collection(list(fs), ps, rs, eps=eps,
                                       variant=variant, child_budget=budget,
                                       c0=c0)
         for node in rep.nodes:
-            want, sides = node_ratios_oracle(spec, fs, ps, rs, eps, variant,
-                                             node)
+            want, prop3_3q, sides = node_ratios_oracle(spec, fs, ps, rs, eps,
+                                                       variant, node)
             got = (node.off_exceptional_ratio, node.child_average_ratio,
                    node.child_truncated_ratio)
             assert got == want
+            assert got[2] == pytest.approx(prop3_3q, rel=1e-12, abs=0.0)
             parents += node.n_children > 0
+            below += node.n_children > 0 and node is not rep.nodes[0]
+            rounded += got[2] != prop3_3q
             mixed_sides |= len(sides) >= 2
-    assert parents >= 4 and mixed_sides
+    assert parents >= 4 and mixed_sides and below >= 10 and rounded >= 1
 
 
 def slot_groups(fs, ps, rs, variant):
@@ -830,13 +847,13 @@ def test_per_level_reads_match_node_calls(build):
     """The constructor reads each node's localized function from one
     per-level pass over the whole grid, maxed from level 0 up, at row
     level(Q) on Q's cells; that read has the bits of component_sup with
-    window (0, side Q], support 3Q and at Q.  Property (iii) reads one pass
-    over (side L_min, side Q] on the inputs restricted to 3Q, maxed from
-    the top level down; each child side's row has the bits of the
-    per-side call with window (side L, side Q] at that side's children.
-    Every row of a pass equals component_sup on its one-level window, also
-    for a window starting above level 0 and an all-zero component.
-    Compared by int64 views, on the nodes of builds in both variants."""
+    window (0, side Q], support 3Q and at Q.  Property (iii) reads the
+    same pass's rows level(L)+1..level(Q) at a child L's cells, maxed from
+    level(Q) down; that read has the bits of component_sup with window
+    (side L, side Q] on the whole inputs, at L.  Every row of the pass
+    equals component_sup on its one-level window, also for an all-zero
+    component.  Compared by int64 views, on the nodes of builds in both
+    variants."""
     ps, rs = (1.0, 1.0), (2.0, 2.0)
     spec, fs = list(per_level_builds())[build]
     nodes = parents = 0
@@ -845,14 +862,15 @@ def test_per_level_reads_match_node_calls(build):
         rep = build_sparse_collection(fs, ps, rs, eps=eps, variant=variant,
                                       child_budget=0.25, c0=1.0)
         groups = slot_groups(fs, ps, rs, variant)
-        running = []
+        raw = []
         for gs, es, _ in groups:
             sups = maximal.level_sups(gs, es)
             for j in range(spec.levels + 1):
                 window = (1 << j) / 2, 1 << j
                 assert same_bits(sups[j], component_sup(gs, es,
                                                         window=window))
-            running.append(np.maximum.accumulate(sups, axis=0))
+            raw.append(sups)
+        running = [np.maximum.accumulate(sups, axis=0) for sups in raw]
         cubes = rep.collection.cubes
         for q, node in zip(cubes, rep.nodes):
             if node.threshold is None:
@@ -865,44 +883,25 @@ def test_per_level_reads_match_node_calls(build):
                     at=cells_q))
             kids = stopping_kids(cubes, q)
             assert len(kids) == node.n_children
-            if not kids:
-                continue
-            parents += 1
-            union = np.sort(np.concatenate([cube_cells(spec, k)
-                                            for k in kids]))
-            low = min(k.level for k in kids)
-            for gs, es, _ in groups:
-                restricted = [f.restrict(cells_3q) for f in gs]
-                sups = maximal.level_sups(restricted, es,
-                                          window=(1 << low, q.side),
-                                          support=cells_3q, at=union)
-                for i, level in enumerate(range(low + 1, q.level + 1)):
-                    assert same_bits(sups[i], component_sup(
-                        restricted, es, window=(1 << level - 1, 1 << level),
-                        support=cells_3q, at=union))
-                suffix = np.maximum.accumulate(sups[::-1], axis=0)[::-1]
-                for level in {k.level for k in kids}:
-                    at = np.sort(np.concatenate([
-                        cube_cells(spec, k) for k in kids
-                        if k.level == level]))
-                    sides.add(1 << level)
-                    assert same_bits(
-                        suffix[level - low][np.isin(union, at)],
-                        component_sup(restricted, es,
-                                      window=(1 << level, q.side),
-                                      support=cells_3q, at=at))
+            parents += len(kids) > 0
+            for kid in kids:
+                sides.add(kid.side)
+                at = cube_cells(spec, kid)
+                for sups, (gs, es, _) in zip(raw, groups):
+                    read = sups[kid.level + 1:q.level + 1, at].max(axis=0)
+                    assert same_bits(read, component_sup(
+                        gs, es, window=(kid.side, q.side), at=at))
     assert nodes >= 70 and parents >= 2
     assert len(sides) >= (1 if spec.d == 3 else 2)
 
 
 def test_localized_functions_come_from_one_pass_per_slot_group(monkeypatch):
-    """A build makes one full-grid level_sups pass per slot group and
-    reads every node's localized function from it: no component_sup call
-    computes one.  The only component_sup calls left are variant 1's
-    exceedance functions, one per slot and node with data, each on a
-    single input with exponent 1; variant 2 makes none.  The other passes
-    are property (iii)'s, one per slot group and node with children, each
-    narrowed to the node's 3Q."""
+    """A build makes one level_sups pass per slot group, over the whole
+    grid, and reads every node's localized function and property (iii)
+    from it: no other level_sups call, and no component_sup call computes
+    either.  The only component_sup calls left are variant 1's exceedance
+    functions, one per slot and node with data, each on a single input with
+    exponent 1; variant 2 makes none."""
     calls = []
 
     def counted(name, real):
@@ -925,14 +924,10 @@ def test_localized_functions_come_from_one_pass_per_slot_group(monkeypatch):
         with_data = sum(n.threshold is not None for n in rep.nodes)
         parents = sum(n.n_children > 0 for n in rep.nodes)
         assert with_data > 30 and parents >= 2
-        full = [c for c in calls if c[0] == "level_sups" and not c[3]]
-        narrowed = [c for c in calls if c[0] == "level_sups" and c[3]]
+        passes = [c for c in calls if c[0] == "level_sups"]
         sups = [c for c in calls if c[0] == "component_sup"]
-        assert [c[1:3] for c in full] == [(len(gs), tuple(es))
-                                          for gs, es, _ in groups]
-        assert len(narrowed) == len(groups) * parents
-        assert all(c[3]["window"][1] > c[3]["window"][0] >= 1
-                   and "support" in c[3] for c in narrowed)
+        assert [c[1:] for c in passes] == [(len(gs), tuple(es), {})
+                                           for gs, es, _ in groups]
         assert len(sups) == (len(groups) * with_data if variant == 1
                              else 0)
         assert all(c[1:3] == (1, (1.0,)) and "window" not in c[3]

@@ -3,8 +3,10 @@
 At the default budget of 2^-16 the recursion stops immediately on desk-scale
 grids (no union of dyadic children can be smaller than one cell), so every
 collection is the single root cube.  Relaxing the budget exposes the actual
-recursion: chains of stopping cubes clustering around the spikes of the
-input, each node reporting its calibrated threshold and property ratios.
+recursion: stopping cubes clustering around the spikes of the input, each
+node reporting its calibrated threshold and property ratios.  The closing
+lines say, from the relaxed build itself, how deep it went and where its
+cubes lie relative to the spike at cell 0.
 
 Run:  python3 demos/stopping_time_chains.py
 """
@@ -12,6 +14,7 @@ Run:  python3 demos/stopping_time_chains.py
 import numpy as np
 
 from sparsedom import GridFunction, GridSpec, build_sparse_collection
+from sparsedom.lattice import cube_cells
 
 spec = GridSpec(1, 8, periodic=True)
 rng = np.random.default_rng(2024)
@@ -34,7 +37,8 @@ for budget, label in ((2.0 ** -16, "exact 2^-16 budget"),
     print(f"cubes: {len(report.collection)}   recursion steps: {steps}   "
           f"theta_emp: {report.theta_emp:.3f}")
     for node in report.nodes[:8]:
-        print(f"  side={node.size:>4}  C={node.threshold:<10g} "
+        print(f"  corner={node.cube.corner[0]:>3}  side={node.cube.side:>3}  "
+              f"C={node.threshold:<10g} "
               f"children={node.n_children}  "
               f"child measure={node.child_measure}/{node.size}  "
               f"off-set ratio={node.off_exceptional_ratio:.3f}")
@@ -43,5 +47,11 @@ for budget, label in ((2.0 ** -16, "exact 2^-16 budget"),
     report.collection.validate()
     print("collection passes the exact sparsity check\n")
 
-print("the relaxed chain hugs the spike cluster: every deeper cube contains")
-print("cell 0, matching the hand picture of a chain of stopping cubes.")
+# report and steps are those of the relaxed build, the loop's last
+below = [cube_cells(spec, c) for c in report.collection.cubes[1:]]
+holding = sum(0 in cells for cells in below)
+reach = max(int(np.minimum(cells, spec.ncells - cells).min())
+            for cells in below)
+print(f"the relaxed build makes {steps} recursion step(s): its {len(below)} "
+      f"cubes below the root lie within {reach} cells of the spike")
+print(f"at cell 0 on the torus, and cell 0 lies in {holding} of them.")

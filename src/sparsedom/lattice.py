@@ -186,12 +186,11 @@ def _build_cube_map(d: int, levels: int, periodic: bool, shift: int,
 def stacked_cube_map(spec: GridSpec, shifts: str):
     """Every distinct (level, shift) map of one grid and shift policy, stacked.
 
-    Returns (ids, counts, starts, rows).  ids has one row per lattice,
-    level-major and shifts in shift_list order, each row the cell -> cube id
-    map of that lattice with its ids moved past those of all earlier rows;
-    counts holds the cells per stacked id.  The levels lo..hi are the rows
-    rows[lo]:rows[hi + 1] of ids, and their cube ids the contiguous range
-    starts[lo]:starts[hi + 1].  A shift whose per-axis maps repeat those of
+    Returns (ids, counts, rows).  ids has one row per lattice, level-major
+    and shifts in shift_list order, each row the cell -> cube id map of that
+    lattice with its ids moved past those of all earlier rows; counts holds
+    the cells per stacked id.  The lattices of level j are the rows
+    rows[j]:rows[j + 1] of ids.  A shift whose per-axis maps repeat those of
     one already listed at its level is skipped: at level 0 every shift is the
     unit-cell lattice, and on periodic grids every shift of the top level is
     the whole torus.  The distinct lattices are listed first, so ids is
@@ -212,17 +211,17 @@ def stacked_cube_map(spec: GridSpec, shifts: str):
             lattices.append((level, shift))
     rows.append(len(lattices))
     ids = np.empty((len(lattices), spec.ncells), dtype=np.int64)
-    counts, offsets = [], [0]
+    counts, offset = [], 0
     for row, (level, shift) in zip(ids, lattices):
         cell_ids, cube_counts, n_cubes = _build_cube_map(
             spec.d, spec.levels, spec.periodic, shift, level)
-        np.add(cell_ids, offsets[-1], out=row)
+        np.add(cell_ids, offset, out=row)
         counts.append(cube_counts)
-        offsets.append(offsets[-1] + n_cubes)
+        offset += n_cubes
     counts = np.concatenate(counts)
     for a in (ids, counts):
         a.setflags(write=False)
-    return ids, counts, tuple(offsets[r] for r in rows), tuple(rows)
+    return ids, counts, tuple(rows)
 
 
 def enumerate_cubes(spec: GridSpec,

@@ -3,30 +3,27 @@
 Everything here reduces to one primitive, component_sup: the supremum, per
 cell and component, of the product over input slots of per-cube power
 means, taken over every cube of the 3^d shifted lattices (or the canonical
-one) inside a truncation window.  The cell -> cube maps of every distinct
-(level, shift) lattice of a grid are stacked into one id space, level-major,
-so a window is one contiguous slice of the stack.  Each slot and component is
-normalized by its maximum and raised to the power p once; one bincount of
-that power, tiled over the slice, gives every cube sum, the means of all
+one).  The cell -> cube maps of every distinct (level, shift) lattice of a
+grid are stacked into one id space, level-major.  Each slot and component
+is normalized by its maximum and raised to the power p once; one bincount
+of that power, tiled over the stack, gives every cube sum, the means of all
 slots multiply into one product per cube, and a single gather and max over
 the lattices scatters the products back to cells.  level_sups is its
 per-level form on the whole grid: the same products, gathered and maxed one
-level at a time, so that a max over a range of its rows gives any window
-from one pass (the stopping-time constructor reads every node's localized
-function and coarse-truncated function from one such pass).
+level at a time.  Truncation is a range of its rows: a cube of side 2^j
+lies in the half-open side-length window (s, t] iff s < 2^j <= t, so the
+max of rows s'..t' is the window (2^(s'-1), 2^t'] and rows 0..K give the
+untruncated operator.  The stopping-time constructor reads every node's
+localized function and coarse-truncated function from one such pass.
 Optional sorted cell arrays narrow component_sup's sums (support) and
 gather (at) to the cells near a cube, as the constructor's exceedance
 functions need; the scales stay those of the whole inputs, so every cube
 whose nonzero input cells all lie in support keeps the bits of the
 full-grid sum.  The l^r aggregate over components is applied at the end.
-Truncation windows are half-open side-length intervals (s, t]: a cube of
-side 2^j participates iff s < 2^j <= t, so (0, 2^K] is the full
-untruncated operator and the one-cell truncation floor corresponds to any
-s < 1.  cube_averages, the
-power means over every canonical cube of levels 1..K (side >= 2) in the
-order of their stacked ids, serves the weight characteristics; it reads no
-map, since the canonical lattices form a full 2^d-ary tree whose level sums
-it adds up pairwise from the level below.
+cube_averages, the power means over every canonical cube of levels 1..K
+(side >= 2) in the order of their stacked ids, serves the weight
+characteristics; it reads no map, since the canonical lattices form a full
+2^d-ary tree whose level sums it adds up pairwise from the level below.
 """
 
 from __future__ import annotations
@@ -116,45 +113,25 @@ def cube_averages(spec: GridSpec, g: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _window_levels(spec: GridSpec, window) -> list:
-    """Levels whose side length falls in the half-open interval (s, t]."""
-    if window is None:
-        return list(range(spec.levels + 1))
-    s, t = window
-    if not (s < t):
-        raise DomainError("truncation window needs s < t")
-    out = [j for j in range(spec.levels + 1) if s < (1 << j) <= t]
-    if not out:
-        raise DomainError(
-            f"window ({s}, {t}] admits no cube level on a K={spec.levels} grid")
-    return out
-
-
-def _cube_products(inputs, ps, shifts, window, support, at):
+def _cube_products(inputs, ps, shifts, support, at):
     """The arithmetic component_sup and level_sups share.
 
-    Returns (prod, gathered, bounds).  prod[k] holds, per stacked cube id
-    below the window's end, component k's product over slots of the power
-    means (ids below the window's first level are never gathered and stay
-    1); gathered holds the window's rows of the stacked map at the cells of
-    at, and bounds[i]:bounds[i + 1] are the rows of the window's i-th level.
-    A support or at covering the grid keeps the stacked map as it is.
+    Returns (prod, gathered, rows).  prod[k] holds, per stacked cube id,
+    component k's product over slots of the power means; gathered holds the
+    rows of the stacked map at the cells of at, and rows[j]:rows[j + 1] are
+    the rows of level j.  A support or at covering the grid keeps the
+    stacked map as it is.
     """
     spec, n_comp = _check_common_spec(inputs)
     _check_ps(ps)
     if len(ps) != len(inputs):
         raise DomainError("one exponent per input slot required")
-    levels = _window_levels(spec, window)
-    lo, hi = levels[0], levels[-1] + 1
-    stacked, counts, starts, rows = stacked_cube_map(spec, shifts)
-    ids = stacked[rows[lo]:rows[hi]]
+    ids, counts, rows = stacked_cube_map(spec, shifts)
     support, at = (None if c is None or len(c) == spec.ncells else c
                    for c in (support, at))
     summed = ids if support is None else ids[:, support]
     gathered = ids if at is None else ids[:, at]
-    first, end = starts[lo], starts[hi]
-    counts = counts[first:end]
-    prod = np.ones((n_comp, end))
+    prod = np.ones((n_comp, len(counts)))
     for f, p in zip(inputs, ps):
         a = np.abs(f.values)
         for k in range(n_comp):
@@ -162,23 +139,22 @@ def _cube_products(inputs, ps, shifts, window, support, at):
             col = a[:, k] if support is None else a[support, k]
             powered = np.tile((col / scale) ** p, len(ids))
             sums = np.bincount(summed.ravel(), weights=powered,
-                               minlength=end)[first:]
-            prod[k, first:] *= scale * (sums / counts) ** (1.0 / p)
-    return prod, gathered, [rows[j] - rows[lo] for j in range(lo, hi + 1)]
+                               minlength=len(counts))
+            prod[k] *= scale * (sums / counts) ** (1.0 / p)
+    return prod, gathered, rows
 
 
 def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
-                  shifts: str = "all", window=None, support=None,
-                  at=None) -> np.ndarray:
+                  shifts: str = "all", support=None, at=None) -> np.ndarray:
     """sup over admissible cubes of prod_j <f^j_k>_{p_j,Q}, per cell and component.
 
     Shape (ncells, N), C-contiguous.  This is the inner supremum of the
     vector-valued multilinear maximal function before the l^r aggregation.
     One bincount per slot and component sums |f^j_k / max f^j_k|^p_j over
-    every cube of the window's (level, shift) lattices at once, on the
-    stacked cell -> cube map; each bin adds its cells in increasing cell
-    order, so every mean has the bits of a one-lattice computation.  The
-    means multiply into one product per stacked cube, slot by slot, and one
+    every cube of the (level, shift) lattices at once, on the stacked
+    cell -> cube map; each bin adds its cells in increasing cell order, so
+    every mean has the bits of a one-lattice computation.  The means
+    multiply into one product per stacked cube, slot by slot, and one
     gather back to cells with a max over the lattices finishes the
     supremum.  An all-zero component keeps scale 1, giving +0.0 means.
     With every shift, the result is the max of level_sups' rows, which
@@ -193,8 +169,7 @@ def component_sup(inputs: Sequence[GridFunction], ps: Sequence[float],
     equals the full-grid call's rows at at whenever every cube that meets
     at is such a cube.
     """
-    prod, gathered, _ = _cube_products(inputs, ps, shifts, window, support,
-                                       at)
+    prod, gathered, _ = _cube_products(inputs, ps, shifts, support, at)
     out = np.empty((gathered.shape[1], len(prod)))
     for k in range(len(prod)):
         out[:, k] = prod[k].take(gathered).max(axis=0)
@@ -207,33 +182,32 @@ def level_sups(inputs: Sequence[GridFunction],
 
     Row j is the supremum over the cubes of level j alone, its lattices of
     every shift, on the whole grid, with the bits of component_sup's
-    products.  max is exact, so the max of rows s..t gives, bit for bit,
-    the window (2^(s-1), 2^t]: the stopping-time constructor takes every
-    node's localized function (rows 0..level(Q), a running max from row 0
-    up) and coarse-truncated function (rows level(L)+1..level(Q) for a
-    child L) from this one pass per slot group.
+    products.  max is exact, so the max of rows s..t is, bit for bit, the
+    supremum truncated to the window (2^(s-1), 2^t]: this is how the
+    package truncates.  The stopping-time constructor takes every node's
+    localized function (rows 0..level(Q), a running max from row 0 up) and
+    coarse-truncated function (rows level(L)+1..level(Q) for a child L)
+    from this one pass per slot group.
     """
-    prod, gathered, bounds = _cube_products(inputs, ps, "all", None, None,
-                                            None)
-    out = np.empty((len(bounds) - 1, gathered.shape[1], len(prod)))
-    for i in range(len(bounds) - 1):
-        rows = gathered[bounds[i]:bounds[i + 1]]
+    prod, gathered, rows = _cube_products(inputs, ps, "all", None, None)
+    out = np.empty((len(rows) - 1, gathered.shape[1], len(prod)))
+    for j in range(len(rows) - 1):
+        level = gathered[rows[j]:rows[j + 1]]
         for k in range(len(prod)):
-            out[i, :, k] = prod[k].take(rows).max(axis=0)
+            out[j, :, k] = prod[k].take(level).max(axis=0)
     return out
 
 
 def vector_maximal(inputs: Sequence[GridFunction], ps: Sequence[float],
-                   r: float = 1.0, shifts: str = "all",
-                   window=None) -> GridFunction:
+                   r: float = 1.0, shifts: str = "all") -> GridFunction:
     """The vector-valued multilinear maximal function, one scalar per cell.
 
     At each cell x this is || sup_Q prod_j <f^j_k>_{p_j,Q} ||_{l^r(k)} with the
-    supremum over cubes containing x that are admissible for the window and
-    shift policy.  A window (s, t] gives the truncated operator; None gives
-    the full one.
+    supremum over the cubes of the shift policy that contain x.  The
+    truncated operator is the l^r norm of a max over a range of
+    level_sups' rows.
     """
-    sup = component_sup(inputs, ps, shifts=shifts, window=window)
+    sup = component_sup(inputs, ps, shifts=shifts)
     spec = inputs[0].spec
     return GridFunction(spec, lr_norm_rows(sup, r))
 

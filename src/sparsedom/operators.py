@@ -438,7 +438,7 @@ def weighted_quotient(family: OperatorFamily,
     return numer / denom
 
 
-def bht_corner_hypotheses(q: float = 1.0, rh: float = 2.0) -> list:
+def bht_corner_hypotheses(q: float) -> list:
     """Named weight characteristics of the diagonal corner (s=3/2, t=1).
 
     Each entry is (name, callable WeightVector -> characteristic value); the
@@ -454,7 +454,7 @@ def bht_corner_hypotheses(q: float = 1.0, rh: float = 2.0) -> list:
     entries = [(f"v_{j + 1} in A_{t:g}", comp(j)) for j in range(2)]
     entries.append((f"v in A_{t:g}",
                     lambda wv: weights_mod.muckenhoupt_characteristic(wv.v, t)))
-    entries.append((f"v in RH_{rh:g}",
+    entries.append(("v in RH_2",
                     lambda wv: weights_mod.reverse_holder_characteristic(
-                        wv.v, rh)))
+                        wv.v, 2.0)))
     return entries

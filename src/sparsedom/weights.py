@@ -66,12 +66,9 @@ class Weight:
         self._means[p] = out
         return out
 
-    def power(self, e: float) -> "Weight":
-        return Weight(self.spec, self.values ** e)
-
     def inverse(self) -> "Weight":
         if self._inverse is None:
-            self._inverse = self.power(-1.0)
+            self._inverse = Weight(self.spec, self.values ** -1.0)
         return self._inverse
 
     def __repr__(self):

@@ -112,10 +112,9 @@ def stacked_maps_by_rows(spec, shifts):
     """Reference stack: every (level, shift) map built in turn, one equal to
     a map already kept at its level skipped, the kept rows stacked at the
     end."""
-    stacked, counts, starts, rows = [], [], [], []
+    stacked, counts, rows = [], [], []
     offset = 0
     for level in range(spec.levels + 1):
-        starts.append(offset)
         rows.append(len(stacked))
         seen = []
         for shift in shift_list(spec, shifts):
@@ -127,10 +126,8 @@ def stacked_maps_by_rows(spec, shifts):
             stacked.append(cell_ids + offset)
             counts.append(cube_counts)
             offset += n_cubes
-    starts.append(offset)
     rows.append(len(stacked))
-    return (np.stack(stacked), np.concatenate(counts), tuple(starts),
-            tuple(rows))
+    return np.stack(stacked), np.concatenate(counts), tuple(rows)
 
 
 @pytest.mark.parametrize("d,max_levels", [(1, 12), (2, 8)])

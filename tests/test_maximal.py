@@ -61,20 +61,23 @@ def brute_maximal(inputs, ps, r, shifts="all", window=None):
     return lr_norm_rows(best, r)
 
 
-def localized_maximal(inputs, ps, r, cube):
+def localized_maximal(inputs, ps, r, cube, table=None):
     """1_Q times the maximal function truncated to sides <= side(Q),
     evaluated on the full grid and masked: the oracle for the stopping-time
-    constructor, which evaluates it on Q's cells only.
+    constructor, which evaluates it on Q's cells only.  table is
+    component_sup_per_level(inputs, ps), built here when not given.
 
     By support considerations this only sees input values on the 3-fold
     dilate of Q, so restricting the inputs to 3Q first gives the identical
     result (asserted below).
     """
     spec = inputs[0].spec
-    out = vector_maximal(inputs, ps, r, window=(0, cube.side))
+    if table is None:
+        table = component_sup_per_level(inputs, ps)
+    out = lr_norm_rows(window_max(table, (0, cube.side)), r)
     mask = np.zeros(spec.ncells)
     mask[cube_cells(spec, cube)] = 1.0
-    return GridFunction(spec, out.values[:, 0] * mask)
+    return GridFunction(spec, out * mask)
 
 
 def random_inputs(spec, n_slots, n_comp, rng, nonneg=True):
@@ -179,7 +182,8 @@ def test_cube_averages_match_single_level_oracle(d, levels, periodic):
                            rng.uniform(0.1, 3.0, spec.ncells)),
                   np.eye(1, spec.ncells, spec.ncells - 1)[0] * 7.5,
                   np.zeros(spec.ncells)]
-    starts = stacked_cube_map(spec, "canonical")[2]
+    ids, counts, rows = stacked_cube_map(spec, "canonical")
+    starts = [int(ids[r].min()) for r in rows[:-1]] + [len(counts)]
     for p in AVERAGE_EXPONENTS:
         arrays = positive + (with_zeros if p > 0 else [])
         for g in arrays:
@@ -271,17 +275,18 @@ def test_cube_averages_exponent_errors():
                 cube_averages(spec, zeros, p)
 
 
-def component_sup_per_level(inputs, ps, shifts="all", window=None):
-    """Reference inner supremum: the one-level means per shift, level, slot
-    and component, and a gather of the slot product per level into a
-    running maximum."""
+def component_sup_per_level(inputs, ps, shifts="all"):
+    """Reference inner suprema, one row per level: shape
+    (levels + 1, ncells, N).  The one-level means per shift, level, slot
+    and component, and a gather of the slot product of each level into
+    that level's running maximum over the shifts; it shares no code with
+    maximal._cube_products.  The max of all rows is component_sup, and
+    window_max of the rows any truncation of it."""
     spec = inputs[0].spec
     n_comp = inputs[0].n_components
-    s, t = (0, spec.side) if window is None else window
-    levels = [j for j in range(spec.levels + 1) if s < 2 ** j <= t]
-    best = np.zeros((spec.ncells, n_comp))
+    table = np.zeros((spec.levels + 1, spec.ncells, n_comp))
     for shift in shift_list(spec, shifts):
-        for level in levels:
+        for level in range(spec.levels + 1):
             ids, _, n_cubes = _build_cube_map(spec.d, spec.levels,
                                               spec.periodic, shift, level)
             prod = np.ones((n_cubes, n_comp))
@@ -289,8 +294,17 @@ def component_sup_per_level(inputs, ps, shifts="all", window=None):
                 for k in range(n_comp):
                     prod[:, k] *= cube_averages_one_level(
                         spec, f.values[:, k], p, shift, level)
-            np.maximum(best, prod[ids, :], out=best)
-    return best
+            np.maximum(table[level], prod[ids, :], out=table[level])
+    return table
+
+
+def window_max(table, window):
+    """The max of per-level rows (component_sup_per_level's, or
+    level_sups') over the levels whose side 2^j lies in the window (s, t]:
+    the supremum truncated to that window."""
+    s, t = window
+    return table[[j for j in range(len(table)) if s < 2 ** j <= t]].max(
+        axis=0)
 
 
 @pytest.mark.parametrize("d,levels,periodic", [(1, 5, False), (1, 5, True),
@@ -298,7 +312,7 @@ def component_sup_per_level(inputs, ps, shifts="all", window=None):
 def test_component_sup_matches_per_level_oracle(d, levels, periodic):
     """One bincount per slot and component over the stacked lattices gives
     the bits of the per-shift, per-level computation, also for an all-zero
-    component."""
+    component; level_sups gives the bits of its per-level table."""
     spec = GridSpec(d, levels, periodic)
     rng = np.random.default_rng(41 + 10 * d + periodic)
     ps = (1.0, 2.5)
@@ -309,14 +323,20 @@ def test_component_sup_matches_per_level_oracle(d, levels, periodic):
         cases = [[f, g]] + ([[f, GridFunction(spec, zeroed)]]
                             if n_comp > 1 else [])
         for fs in cases:
-            for shifts in ("all", "canonical"):
-                for window in (None, (0, 2), (1, 4), (2, spec.side)):
-                    got = component_sup(fs, ps, shifts=shifts, window=window)
-                    want = component_sup_per_level(fs, ps, shifts, window)
-                    assert got.flags.c_contiguous
-                    assert got.shape == want.shape
-                    assert np.array_equal(got, want)
-                    assert np.array_equal(np.signbit(got), np.signbit(want))
+            tables = {shifts: component_sup_per_level(fs, ps, shifts)
+                      for shifts in ("all", "canonical")}
+            for shifts, table in tables.items():
+                got = component_sup(fs, ps, shifts=shifts)
+                want = table.max(axis=0)
+                assert got.flags.c_contiguous
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            got = maximal.level_sups(fs, ps)
+            want = tables["all"]
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def shift0_cubes(spec, level, rng, n):
@@ -333,29 +353,23 @@ def shift0_cubes(spec, level, rng, n):
 def test_component_sup_local_matches_full_grid_rows(d, levels, periodic,
                                                     shifts):
     """support and at give the full-grid call's rows at at, bit for bit,
-    on a node Q of every level: the localized functions (window
-    (0, side Q], support 3Q, at Q), the exceedance function of an input
-    vanishing off Q (support Q, any at: the stopping-time constructor's one
-    narrowed call), and the coarse-truncated functions of inputs
-    restricted to 3Q (window (side L, side Q], support 3Q, at subcubes L
-    of Q).  A support missing a cell of Q changes the rows."""
+    for the exceedance function of an input vanishing off a node Q of
+    every level (support Q, any at: the stopping-time constructor's one
+    narrowed call).  A support missing a cell of Q where the input is
+    nonzero changes the rows."""
     spec = GridSpec(d, levels, periodic)
     rng = np.random.default_rng(7 + 100 * d + levels + 1000 * periodic)
-    ps = (1.5, 2.0)
     every = np.arange(spec.ncells)
+
+    def vanishing_off(cells):
+        a = np.zeros(spec.ncells)
+        a[cells] = rng.uniform(0.1, 3.0, size=len(cells))
+        return [GridFunction(spec, a)]
+
     for level in range(levels + 1):
         for q in shift0_cubes(spec, level, rng, 2):
-            cells_q, cells_3q = cube_cells(spec, q), dilate(spec, q, 3)
-            fs = random_inputs(spec, 2, 2, rng)
-            window = (0, q.side)
-            full = component_sup(fs, ps, shifts=shifts, window=window)
-            local = component_sup(fs, ps, shifts=shifts, window=window,
-                                  support=cells_3q, at=cells_q)
-            assert np.array_equal(local, full[cells_q])
-
-            a = np.zeros(spec.ncells)
-            a[cells_q] = rng.uniform(0.0, 3.0, size=len(cells_q))
-            g = [GridFunction(spec, a)]
+            cells_q = cube_cells(spec, q)
+            g = vanishing_off(cells_q)
             full = component_sup(g, (1.0,), shifts=shifts)
             for at in (dilate(spec, q, 5), every,
                        np.flatnonzero(rng.random(spec.ncells) < 0.3)):
@@ -363,43 +377,31 @@ def test_component_sup_local_matches_full_grid_rows(d, levels, periodic,
                                       support=cells_q, at=at)
                 assert np.array_equal(local, full[at])
 
-            restricted = [f.restrict(cells_3q) for f in fs]
-            for kid_level in range(level):
-                window = (1 << kid_level, q.side)
-                full = component_sup(restricted, ps, shifts=shifts,
-                                     window=window)
-                kids = [DyadicCube(0, kid_level, tuple(
-                    c + (int(o) << kid_level) for c, o in
-                    zip(q.corner, rng.integers(1 << (level - kid_level),
-                                               size=d))))
-                        for _ in range(2)]
-                at = np.unique(np.concatenate([cube_cells(spec, k)
-                                               for k in kids]))
-                local = component_sup(restricted, ps, shifts=shifts,
-                                      window=window, support=cells_3q, at=at)
-                assert np.array_equal(local, full[at])
-
     # a support that misses one cell of Q changes the rows
     q = shift0_cubes(spec, 2, rng, 1)[0]
-    cells_q, cells_3q = cube_cells(spec, q), dilate(spec, q, 3)
-    fs = random_inputs(spec, 2, 2, rng)
-    full = component_sup(fs, ps, shifts=shifts, window=(0, q.side))
-    short = component_sup(fs, ps, shifts=shifts, window=(0, q.side),
-                          support=np.setdiff1d(cells_3q, cells_q[:1]),
-                          at=cells_q)
-    assert not np.array_equal(short, full[cells_q])
+    cells_q, at = cube_cells(spec, q), dilate(spec, q, 5)
+    g = vanishing_off(cells_q)
+    full = component_sup(g, (1.0,), shifts=shifts)
+    short = component_sup(g, (1.0,), shifts=shifts, support=cells_q[1:],
+                          at=at)
+    assert not np.array_equal(short, full[at])
 
 
-def test_component_sup_windows_share_one_stacked_map():
-    """Every window of one grid and shift policy slices the same cached
-    stacked map, and the weight characteristics build no cell -> cube map
-    at all; a cache entry per window or per caller would raise the peak
-    memory of every construction."""
+def test_component_sup_calls_share_one_stacked_map():
+    """Full and narrowed component_sup calls and level_sups passes of one
+    grid and shift policy all read the same cached stacked map, and the
+    weight characteristics build no cell -> cube map at all; a cache entry
+    per caller would raise the peak memory of every construction."""
     spec = GridSpec(1, 6, periodic=True)
     fs = random_inputs(spec, 2, 2, np.random.default_rng(12))
+    q = DyadicCube(0, 2, (8,))
     stacked_cube_map.cache_clear()
-    for window in (None, (0, 2), (1, 4), (2, 8), (4, spec.side)):
-        component_sup(fs, (1.0, 2.0), window=window)
+    component_sup(fs, (1.0, 2.0))
+    component_sup(fs[:1], (1.0,), support=cube_cells(spec, q),
+                  at=dilate(spec, q, 5))
+    component_sup(fs, (1.0, 2.0), at=cube_cells(spec, q))
+    maximal.level_sups(fs, (1.0, 2.0))
+    maximal.level_sups(fs[1:], (2.0,))
     info = stacked_cube_map.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
     stacked_cube_map.cache_clear()
@@ -438,19 +440,15 @@ def test_vector_maximal_matches_bruteforce(d, levels, periodic):
 
 
 def test_truncated_matches_bruteforce_on_window():
+    """The max of level_sups' rows 2..3 is the operator truncated to the
+    window (2, 8]."""
     spec = GridSpec(1, 4, periodic=True)
     rng = np.random.default_rng(33)
     fs = random_inputs(spec, 2, 1, rng)
-    got = vector_maximal(fs, (1.0, 1.0), 1.0, window=(2, 8))
+    got = lr_norm_rows(maximal.level_sups(fs, (1.0, 1.0))[2:4].max(axis=0),
+                       1.0)
     want = brute_maximal(fs, (1.0, 1.0), 1.0, window=(2, 8))
-    assert np.allclose(got.values[:, 0], want, rtol=1e-12)
-
-
-def test_empty_window_rejected():
-    spec = GridSpec(1, 3)
-    f = GridFunction.constant(spec, 1.0)
-    with pytest.raises(DomainError):
-        vector_maximal([f], (1.0,), 1.0, window=(8, 16))
+    assert np.allclose(got, want, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +475,15 @@ def test_partition_sandwich():
 
 
 def test_window_splitting_is_exact():
-    """sup over (s, u] is the max of the sups over (s, t] and (t, u]."""
+    """sup over (s, u] is the max of the sups over (s, t] and (t, u], for
+    the cube-loop oracle whose windows the row ranges of level_sups are
+    checked against."""
     spec = GridSpec(1, 5, periodic=True)
     rng = np.random.default_rng(55)
     fs = random_inputs(spec, 2, 1, rng)
-    full = vector_maximal(fs, (1.0, 2.0), 1.0, window=(1, 16)).values[:, 0]
-    lo = vector_maximal(fs, (1.0, 2.0), 1.0, window=(1, 4)).values[:, 0]
-    hi = vector_maximal(fs, (1.0, 2.0), 1.0, window=(4, 16)).values[:, 0]
+    full = brute_maximal(fs, (1.0, 2.0), 1.0, window=(1, 16))
+    lo = brute_maximal(fs, (1.0, 2.0), 1.0, window=(1, 4))
+    hi = brute_maximal(fs, (1.0, 2.0), 1.0, window=(4, 16))
     assert np.allclose(full, np.maximum(lo, hi), rtol=1e-13)
 
 
@@ -556,7 +556,7 @@ def test_lower_semicontinuity_across_nearby_points():
     cube of side <= s then the (s, t]-truncated value at x is at most
     8^(d * sum 1/p_j) times the (s, 8t]-truncated value at x0 (periodic
     grids, all shifts; the constant comes from the one-third trick with a
-    factor-8 enlargement)."""
+    factor-8 enlargement).  Both windows are ranges of level_sups' rows."""
     spec = GridSpec(1, 6, periodic=True)
     rng = np.random.default_rng(111)
     ps = (1.0, 2.0)
@@ -564,8 +564,9 @@ def test_lower_semicontinuity_across_nearby_points():
     const = 8.0 ** (spec.d * sum(1.0 / p for p in ps))
     for _ in range(3):
         fs = random_inputs(spec, 2, 1, rng)
-        narrow = vector_maximal(fs, ps, 1.0, window=(s, t)).values[:, 0]
-        wide = vector_maximal(fs, ps, 1.0, window=(s, 8 * t)).values[:, 0]
+        sups = maximal.level_sups(fs, ps)
+        narrow = lr_norm_rows(window_max(sups, (s, t)), 1.0)
+        wide = lr_norm_rows(window_max(sups, (s, 8 * t)), 1.0)
         for base in range(0, spec.ncells, s):
             block = np.arange(base, base + s)
             assert narrow[block].max() <= const * wide[block].min() * (1 + 1e-9)

@@ -39,11 +39,14 @@ from sparsedom.lattice import (
     lr_norm_rows,
     power_mean,
 )
-from sparsedom.maximal import component_sup
 from sparsedom.sparse import _Assignment, _stopping_children
 from test_golden import digest
 from test_lattice import power_mean_1d
-from test_maximal import localized_maximal
+from test_maximal import (
+    component_sup_per_level,
+    localized_maximal,
+    window_max,
+)
 
 
 def canonical_cube(level, corner):
@@ -698,12 +701,14 @@ def test_relaxed_budget_recursion_and_properties():
     assert saw_children
 
 
-def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node):
+def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node, tables):
     """The three node ratios recomputed from the node's cube and constant:
-    localized maximal functions evaluated afresh, and one windowed maximal
-    function per stopping child and slot group on the whole inputs.  Also
-    returns property (iii) by its definition on the inputs restricted to
-    3Q, and the children's sides."""
+    localized maximal functions evaluated afresh, and one truncated maximal
+    function per stopping child and slot group on the whole inputs, both
+    from the per-level oracle's tables of the whole inputs (tables, one
+    per slot group of slot_groups).  Also returns property (iii) by its
+    definition on the inputs restricted to 3Q, from one table per slot
+    group built for this node, and the children's sides."""
     if node.threshold is None:  # an input vanishes on 3Q: nothing to compare
         return (0.0, 0.0, 0.0), 0.0, set()
     q = node.cube
@@ -712,21 +717,16 @@ def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node):
     exps = [p + eps for p in ps] if variant == 1 else list(ps)
     scales = [power_mean(lr_norm_rows(f.values, r)[cells_3q], e)
               for f, r, e in zip(fs, rs, exps)]
-    r_agg = holder_aggregate(rs)
-    restricted = [f.restrict(cells_3q) for f in fs]
+    groups = slot_groups(fs, ps, rs, variant)
+    a_loc = [localized_maximal(gs, es, r, q, table).values[:, 0]
+             for (gs, es, r), table in zip(groups, tables)]
     if variant == 1:
-        a_loc = [localized_maximal([f], (p,), r, q).values[:, 0]
-                 for f, p, r in zip(fs, ps, rs)]
         ths = [node.threshold * s for s in scales]
         exceed = [vector_maximal([GridFunction(spec, a)], (1.0,)).values[:, 0]
                   for a in a_loc]
-        truncs = [([f], [g], (p,), r)
-                  for f, g, p, r in zip(fs, restricted, ps, rs)]
     else:
-        a_loc = [localized_maximal(fs, ps, r_agg, q).values[:, 0]]
         ths = [node.threshold * float(np.prod(scales))]
         exceed = a_loc
-        truncs = [(list(fs), restricted, ps, r_agg)]
     mask = np.zeros(spec.ncells, dtype=bool)
     for arr, th in zip(exceed, ths):
         mask |= arr >= th
@@ -736,6 +736,9 @@ def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node):
     prop1 = prop2 = prop3 = prop3_3q = 0.0
     if len(off) > 0:
         prop1 = max(float(a[off].max()) / th for a, th in zip(a_loc, ths))
+    restricted = [component_sup_per_level([f.restrict(cells_3q) for f in gs],
+                                          es)
+                  for gs, es, _ in groups] if kids else []
     for kid in kids:
         if variant == 1:
             three = dilate(spec, kid, 3)
@@ -743,17 +746,19 @@ def node_ratios_oracle(spec, fs, ps, rs, eps, variant, node):
                 prop2 = max(prop2, float(np.mean(a[three])) / th)
         kid_cells = cube_cells(spec, kid)
         window = (kid.side, q.side)
-        for (gs, hs, es, r), th in zip(truncs, ths):
-            trunc = vector_maximal(gs, es, r, window=window).values[:, 0]
-            prop3 = max(prop3, float(trunc[kid_cells].max()) / th)
-            trunc = vector_maximal(hs, es, r, window=window).values[:, 0]
-            prop3_3q = max(prop3_3q, float(trunc[kid_cells].max()) / th)
+        for (_, _, r), whole, local, th in zip(groups, tables, restricted,
+                                               ths):
+            trunc = lr_norm_rows(window_max(whole, window)[kid_cells], r)
+            prop3 = max(prop3, float(trunc.max()) / th)
+            trunc = lr_norm_rows(window_max(local, window)[kid_cells], r)
+            prop3_3q = max(prop3_3q, float(trunc.max()) / th)
     return (prop1, prop2, prop3), prop3_3q, {kid.side for kid in kids}
 
 
 def test_node_ratios_match_per_child_oracle():
     """Each node's property ratios equal, bit for bit, their per-child
-    evaluation, (iii) from windowed maximal functions on the whole inputs,
+    evaluation, (iii) from truncated maximal functions of the per-level
+    oracle on the whole inputs,
     and the children agree with a mask filled on the whole grid.  On the
     first two grids only the root has children (on the 2-d K = 4 grid only
     unit cubes can stop), so each runs four corpus items.  The next build
@@ -786,9 +791,11 @@ def test_node_ratios_match_per_child_oracle():
         rep = build_sparse_collection(list(fs), ps, rs, eps=eps,
                                       variant=variant, child_budget=budget,
                                       c0=c0)
+        tables = [component_sup_per_level(gs, es)
+                  for gs, es, _ in slot_groups(fs, ps, rs, variant)]
         for node in rep.nodes:
-            want, prop3_3q, sides = node_ratios_oracle(spec, fs, ps, rs, eps,
-                                                       variant, node)
+            want, prop3_3q, sides = node_ratios_oracle(
+                spec, fs, ps, rs, eps, variant, node, tables)
             got = (node.off_exceptional_ratio, node.child_average_ratio,
                    node.child_truncated_ratio)
             assert got == want
@@ -846,13 +853,14 @@ def per_level_builds():
 def test_per_level_reads_match_node_calls(build):
     """The constructor reads each node's localized function from one
     per-level pass over the whole grid, maxed from level 0 up, at row
-    level(Q) on Q's cells; that read has the bits of component_sup with
-    window (0, side Q], support 3Q and at Q.  Property (iii) reads the
-    same pass's rows level(L)+1..level(Q) at a child L's cells, maxed from
-    level(Q) down; that read has the bits of component_sup with window
-    (side L, side Q] on the whole inputs, at L.  Every row of the pass
-    equals component_sup on its one-level window, also for an all-zero
-    component.  Compared by int64 views, on the nodes of builds in both
+    level(Q) on Q's cells; that read has the bits of the per-level
+    oracle's supremum truncated to the window (0, side Q], at Q.  Property
+    (iii) reads the same pass's rows level(L)+1..level(Q) at a child L's
+    cells, maxed from level(Q) down; that read has the bits of the
+    oracle's window (side L, side Q] on the whole inputs, at L.  Every row
+    of the pass equals the oracle's one-level row, also for an all-zero
+    component.  The oracle's table is built once per slot group and
+    variant.  Compared by int64 views, on the nodes of builds in both
     variants."""
     ps, rs = (1.0, 1.0), (2.0, 2.0)
     spec, fs = list(per_level_builds())[build]
@@ -862,35 +870,32 @@ def test_per_level_reads_match_node_calls(build):
         rep = build_sparse_collection(fs, ps, rs, eps=eps, variant=variant,
                                       child_budget=0.25, c0=1.0)
         groups = slot_groups(fs, ps, rs, variant)
-        raw = []
-        for gs, es, _ in groups:
-            sups = maximal.level_sups(gs, es)
+        raw = [maximal.level_sups(gs, es) for gs, es, _ in groups]
+        tables = [component_sup_per_level(gs, es)
+                  for gs, es, _ in groups]
+        for sups, table in zip(raw, tables):
             for j in range(spec.levels + 1):
-                window = (1 << j) / 2, 1 << j
-                assert same_bits(sups[j], component_sup(gs, es,
-                                                        window=window))
-            raw.append(sups)
+                assert same_bits(sups[j], table[j])
         running = [np.maximum.accumulate(sups, axis=0) for sups in raw]
         cubes = rep.collection.cubes
         for q, node in zip(cubes, rep.nodes):
             if node.threshold is None:
                 continue
             nodes += 1
-            cells_q, cells_3q = cube_cells(spec, q), dilate(spec, q, 3)
-            for rows, (gs, es, _) in zip(running, groups):
-                assert same_bits(rows[q.level][cells_q], component_sup(
-                    gs, es, window=(0, q.side), support=cells_3q,
-                    at=cells_q))
+            cells_q = cube_cells(spec, q)
+            for rows, table in zip(running, tables):
+                assert same_bits(rows[q.level][cells_q],
+                                 window_max(table, (0, q.side))[cells_q])
             kids = stopping_kids(cubes, q)
             assert len(kids) == node.n_children
             parents += len(kids) > 0
             for kid in kids:
                 sides.add(kid.side)
                 at = cube_cells(spec, kid)
-                for sups, (gs, es, _) in zip(raw, groups):
+                for sups, table in zip(raw, tables):
                     read = sups[kid.level + 1:q.level + 1, at].max(axis=0)
-                    assert same_bits(read, component_sup(
-                        gs, es, window=(kid.side, q.side), at=at))
+                    assert same_bits(read, window_max(
+                        table, (kid.side, q.side))[at])
     assert nodes >= 70 and parents >= 2
     assert len(sides) >= (1 if spec.d == 3 else 2)
 
@@ -930,7 +935,7 @@ def test_localized_functions_come_from_one_pass_per_slot_group(monkeypatch):
                                            for gs, es, _ in groups]
         assert len(sups) == (len(groups) * with_data if variant == 1
                              else 0)
-        assert all(c[1:3] == (1, (1.0,)) and "window" not in c[3]
+        assert all(c[1:3] == (1, (1.0,)) and set(c[3]) == {"support", "at"}
                    for c in sups)
 
 

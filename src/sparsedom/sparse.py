@@ -21,7 +21,11 @@ found by array reductions, one dyadic level at a time: the grid cut into
 blocks of that level's side, each block any-reduced to "holds a cell off the
 set", ORed over its 9-block neighbourhood per axis.  They come back in the
 order of a last-in-first-out subcube walk, which fixes the recursion order
-and with it the summation order of the sparse form.
+and with it the summation order of the sparse form.  A node's children are
+set up as one batch of siblings (the root is a batch of one): their scales
+over 3L and the node's property-(ii) averages take one numpy call per slot
+and 3L size, their localized functions one per slot group, all row by row
+with the bits of the call on one child.
 
 The child-measure budget (default 2^-16 of |Q|) is enforced exactly; with
 unit cells and desk-scale grids this budget is below one cell, so
@@ -232,6 +236,16 @@ def verify_sparsity(spec: GridSpec,
         spec, cubes, assignment.majors(), cell_sets), None)
 
 
+def _size_stacks(cell_sets):
+    """(size, indices, stacked rows) for each size among the cell sets, in
+    order of first appearance: the sets of one size, one row each."""
+    by_size = {}
+    for i, cells in enumerate(cell_sets):
+        by_size.setdefault(len(cells), []).append(i)
+    for size, where in by_size.items():
+        yield size, where, np.array([cell_sets[i] for i in where])
+
+
 def _cube_terms(profiles, cell_sets, ps, sized: bool = True) -> list:
     """t_Q prod_j <g_j>_{p_j,Q} for each nonempty cell set Q, in order, with
     t_Q = |Q| (the sparse forms) or 1 (the model operator's cube value).
@@ -243,11 +257,7 @@ def _cube_terms(profiles, cell_sets, ps, sized: bool = True) -> list:
     same cube.
     """
     terms = [0.0] * len(cell_sets)
-    by_size = {}
-    for i, cells in enumerate(cell_sets):
-        by_size.setdefault(len(cells), []).append(i)
-    for size, where in by_size.items():
-        stack = np.array([cell_sets[i] for i in where])
+    for size, where, stack in _size_stacks(cell_sets):
         group = np.full(len(where), float(size) if sized else 1.0)
         for g, p in zip(profiles, ps):
             group *= power_mean(g[stack], p)
@@ -370,6 +380,8 @@ def _stopping_children(spec: GridSpec, root: DyadicCube,
     if root.shift != 0:
         raise DomainError("stopping children are selected on the shift-0 "
                           "lattice")
+    if root.level == 0:     # a unit cube has no proper subcubes
+        return []
     d = spec.d
     blocks = ~mask.reshape((spec.side,) * d)  # level 0: cells off the mask
     clear = []      # per level from 0 up: subcubes L of root, 9L inside mask
@@ -452,20 +464,26 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
     else:
         groups = [(list(inputs), ps, r_agg)]
 
+    # per slot group, row j of raw: the sup over the cubes of level j alone,
+    # from one pass over the whole grid; row j of running, its max upwards:
+    # the sup over the cubes of levels <= j
+    raw = [maximal.level_sups(fs, es) for fs, es, _ in groups]
+    running = [np.maximum.accumulate(sups, axis=0) for sups in raw]
     cubes, majors, nodes, cell_sets = [], [], [], []
     lhs = 0.0        # also when an input vanishes on the whole grid
     root = DyadicCube(shift=0, level=spec.levels, corner=(0,) * spec.d)
-    # (cube, its cells, its 3-fold dilate), last in first out with the
-    # children pushed in reverse: a pre-order walk, which fixes the
-    # summation order of rhs
-    stack = [(root, cube_cells(spec, root), dilate(spec, root, 3))]
+    # (cube, its cells, its per-slot scales over 3Q, each slot group's
+    # localized function on its cells), set up per batch of siblings (the
+    # root is a batch of one) and taken last in first out with the children
+    # pushed in reverse: a pre-order walk, which fixes the summation order
+    # of rhs
+    stack, _ = _set_up_siblings(spec, [root], profiles, form_exps, groups,
+                                running, [])
     while stack:
-        q, cells_q, cells_3q = stack.pop()
+        q, cells_q, scales, locs = stack.pop()
         size_q = len(cells_q)
         cubes.append(q)
         cell_sets.append(cells_q)
-        scales = [power_mean(g[cells_3q], e) if np.any(g[cells_3q]) else 0.0
-                  for g, e in zip(profiles, form_exps)]
         if any(s == 0.0 for s in scales):
             # some input vanishes on 3Q, so the localized operators vanish
             # on Q
@@ -474,20 +492,12 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
                                       0))
             continue
 
-        if q is root:
-            # per slot group, row j of raw: the sup over the cubes of level
-            # j alone, from one pass over the whole grid; row j of running,
-            # its max upwards: the sup over the cubes of levels <= j
-            raw = [maximal.level_sups(fs, es) for fs, es, _ in groups]
-            running = [np.maximum.accumulate(sups, axis=0) for sups in raw]
         # 1_Q times the maximal function truncated to sides <= side(Q), its
-        # inputs restricted to 3Q: row level(Q) of running at Q.  Every cube
-        # of such a side that meets Q lies in 3Q, so its full-grid sum adds
-        # the same cells in the same order as one narrowed to 3Q.
+        # inputs restricted to 3Q
         a_loc = []
-        for sups, (_, _, r) in zip(running, groups):
+        for loc in locs:
             a = np.zeros(spec.ncells)
-            a[cells_q] = lr_norm_rows(sups[q.level][cells_q], r)
+            a[cells_q] = loc
             a_loc.append(a)
         if q is root:
             # the root's localized maximal functions are the full ones, so
@@ -528,24 +538,64 @@ def build_sparse_collection(inputs: Sequence[GridFunction],
             raise CalibrationFailureError(
                 f"no threshold below c0 * 2^{_MAX_DOUBLINGS} met the budget")
 
-        child_cells = [cube_cells(spec, L) for L in kids]
-        child_threes = [dilate(spec, L, 3) for L in kids]
+        entries, averages = _set_up_siblings(
+            spec, kids, profiles, form_exps, groups, running,
+            a_loc if variant == 1 else [])
+        child_cells = [entry[1] for entry in entries]
         ratios = _node_property_ratios(q, cells_q, mask, kids, child_cells,
-                                       child_threes, groups, raw, a_loc,
-                                       thresholds, variant)
+                                       averages, groups, raw, a_loc,
+                                       thresholds)
         majors.append(cells_q if not kids else np.setdiff1d(
             cells_q, np.concatenate(child_cells), assume_unique=False))
         nodes.append(StoppingNode(q, c, doublings, kid_measure, size_q,
                                   ratios[0], ratios[1], ratios[2], len(kids)))
-        stack.extend(reversed(list(zip(kids, child_cells, child_threes))))
+        stack.extend(reversed(entries))
 
     collection = SparseCollection(spec, cubes, majors, cell_sets)
     rhs = _form_of_cells(cell_sets, profiles, form_exps)
     return ConstructionReport(collection, nodes, lhs, rhs)
 
 
-def _node_property_ratios(q, cells_q, mask, kids, child_cells, child_threes,
-                          groups, raw, a_loc, thresholds, variant):
+def _set_up_siblings(spec, kids, profiles, form_exps, groups, running,
+                     parent_locs):
+    """Stack entries for a batch of sibling nodes, the stopping children of
+    one node in order (the root is a batch of one), and that node's
+    property-(ii) averages over their 3-fold dilates.
+
+    A child L's entry is (L, its cells, its per-slot scales <g_j>_{e_j,3L},
+    each slot group's localized function on L's cells).  The 3L of one size
+    are stacked, as in _cube_terms: each slot's scales are one power_mean
+    call per size, an all-zero row giving 0.0 (the input vanishes on 3L),
+    and column k of the averages, the mean of parent_locs[k] over each 3L,
+    one row-wise sum per size.  A group's localized values are row level(L)
+    of its running max at L's cells (every cube of side <= side(L) that
+    meets L lies in 3L, so its full-grid sum is the one narrowed to 3L): one
+    gather at every child's cells and one lr_norm_rows call.  Power means,
+    sums and l^r norms are taken row by row, so every value has the bits of
+    the call on one child.
+    """
+    averages = np.zeros((len(kids), len(parent_locs)))
+    if not kids:
+        return [], averages
+    cells = [cube_cells(spec, L) for L in kids]
+    scales = np.zeros((len(kids), len(profiles)))
+    for size, where, threes in _size_stacks([dilate(spec, L, 3)
+                                             for L in kids]):
+        for j, (g, e) in enumerate(zip(profiles, form_exps)):
+            scales[where, j] = power_mean(g[threes], e)
+        for k, a in enumerate(parent_locs):
+            averages[where, k] = np.add.reduce(a[threes], axis=1) / size
+    counts = [len(c) for c in cells]
+    at = np.concatenate(cells)
+    rows = np.repeat([L.level for L in kids], counts)
+    ends = np.cumsum(counts)[:-1]
+    locs = [np.split(lr_norm_rows(sups[rows, at], r), ends)
+            for sups, (_, _, r) in zip(running, groups)]
+    return list(zip(kids, cells, scales.tolist(), zip(*locs))), averages
+
+
+def _node_property_ratios(q, cells_q, mask, kids, child_cells, averages,
+                          groups, raw, a_loc, thresholds):
     """Scale-free ratios behind the three stopping-node properties.
 
     (i) localized operator off the exceedance set / threshold;
@@ -553,13 +603,15 @@ def _node_property_ratios(q, cells_q, mask, kids, child_cells, child_threes,
     (iii) coarse-truncated operator, window (side L, side Q], on L.
     All are 0 when vacuous (no off-set cells, no children).  a_loc and
     thresholds hold each slot group's localized maximal function on Q and
-    its threshold, child_cells and child_threes each child's cells and 3L,
-    raw each group's per-level rows of the root's level_sups pass.  (iii)
-    is the max of raw's rows level(L)+1..level(Q) at L's cells: every cube
-    it reads has side <= side(Q) and meets Q, so lies in 3Q.  The rows are
-    maxed from level(Q) down once per node, and each cell reads its own
-    child's row; max and division by a positive threshold commute, so the
-    ratio equals the per-child one.
+    its threshold, child_cells each child's cells, raw each group's
+    per-level rows of the root's level_sups pass.  (ii) reads the averages
+    _set_up_siblings took of a_loc over the children's 3L: one column per
+    group in variant 1, none in variant 2.  (iii) is the max of raw's rows
+    level(L)+1..level(Q) at L's cells: every cube it reads has side <=
+    side(Q) and meets Q, so lies in 3Q.  The rows are maxed from level(Q)
+    down once per node, and each cell reads its own child's row.  max and
+    division by a positive threshold commute, so (ii) and (iii) equal the
+    per-child ratios.
     """
     per_group = list(zip(a_loc, thresholds))
     off = cells_q[~mask[cells_q]]
@@ -570,10 +622,8 @@ def _node_property_ratios(q, cells_q, mask, kids, child_cells, child_threes,
         return prop1, 0.0, 0.0
 
     prop2 = 0.0
-    if variant == 1:
-        for three in child_threes:
-            for a, th in per_group:
-                prop2 = max(prop2, float(np.mean(a[three])) / th)
+    for column, th in zip(averages.T, thresholds):
+        prop2 = max(prop2, float(column.max()) / th)
 
     cells = np.concatenate(child_cells)
     low = min(kid.level for kid in kids)

@@ -900,13 +900,103 @@ def test_per_level_reads_match_node_calls(build):
     assert len(sides) >= (1 if spec.d == 3 else 2)
 
 
+def sibling_builds():
+    """(spec, inputs) for the sibling set-up oracle: per_level_builds, whose
+    clipped 2-d and 3-d items have children whose 3L clip at the edge and
+    children with zero data, and the power input at periodic 1-d K = 11,
+    whose nodes below the root have children."""
+    yield from per_level_builds()
+    spec = GridSpec(1, 11, periodic=True)
+    yield spec, list(next(digest.power_items(sparsedom, spec)))
+
+
+@pytest.mark.parametrize("build", range(4))
+def test_sibling_set_up_matches_per_node_calls(build, monkeypatch):
+    """Each batch of siblings (the root is a batch of one) is set up with
+    one call per slot and 3L size and per slot group; every value it hands
+    a child, and every property-(ii) average it takes for the parent, has
+    the bits of the per-node call: power_mean(g[3L], e),
+    lr_norm_rows(running[level(L)][cells(L)], r) and np.mean(a[3L]), with a
+    the parent's localized function.  Compared by int64 views on every node
+    of builds in both variants."""
+    batches = []
+    real = sparsedom.sparse._set_up_siblings
+
+    def recorded(spec, kids, *args):
+        entries, averages = real(spec, kids, *args)
+        # the root's entries are the build's stack, which it pops
+        batches.append((list(kids), (list(entries), averages)))
+        return entries, averages
+
+    monkeypatch.setattr(sparsedom.sparse, "_set_up_siblings", recorded)
+    ps, rs = (1.0, 1.0), (2.0, 2.0)
+    spec, fs = list(sibling_builds())[build]
+    profiles = [lr_norm_rows(f.values, r) for f, r in zip(fs, rs)]
+    kids_seen = zero_data = below = clipped = 0
+    for variant, eps in ((1, 0.5), (2, None)):
+        batches.clear()
+        rep = build_sparse_collection(fs, ps, rs, eps=eps, variant=variant,
+                                      child_budget=0.25, c0=1.0)
+        exps = [p + eps for p in ps] if variant == 1 else list(ps)
+        groups = slot_groups(fs, ps, rs, variant)
+        running = [np.maximum.accumulate(maximal.level_sups(gs, es), axis=0)
+                   for gs, es, _ in groups]
+        cubes = rep.collection.cubes
+        # the root's batch, then one per node with data, in node order
+        with_data = [(q, node) for q, node in zip(cubes, rep.nodes)
+                     if node.threshold is not None]
+        assert len(batches) == 1 + len(with_data)
+        parents = [(None, None)] + with_data
+        for (q, node), (kids, (entries, averages)) in zip(parents, batches):
+            locs = []     # the parent's localized functions, variant 1
+            if q is None:
+                assert kids == [cubes[0]]
+            else:
+                assert kids == stopping_kids(cubes, q)
+                assert len(kids) == node.n_children
+                below += len(kids) > 0 and q is not cubes[0]
+                cells_q = cube_cells(spec, q)
+                if variant == 1:
+                    for rows, (_, _, r) in zip(running, groups):
+                        a = np.zeros(spec.ncells)
+                        a[cells_q] = lr_norm_rows(rows[q.level][cells_q], r)
+                        locs.append(a)
+            assert averages.shape == (len(kids), len(locs))
+            assert [e[0] for e in entries] == kids
+            sizes = {}
+            for i, (kid, cells, scales, kid_locs) in enumerate(entries):
+                three = dilate(spec, kid, 3)
+                sizes.setdefault(kid.level, set()).add(len(three))
+                assert same_bits(cells, cube_cells(spec, kid))
+                want = [power_mean(g[three], e)
+                        for g, e in zip(profiles, exps)]
+                assert same_bits(np.array(scales), np.array(want))
+                zero_data += 0.0 in want
+                for loc, rows, (_, _, r) in zip(kid_locs, running, groups):
+                    assert same_bits(loc, lr_norm_rows(
+                        rows[kid.level][cells], r))
+                for k, a in enumerate(locs):
+                    assert same_bits(averages[i, k:k + 1],
+                                     np.array([np.mean(a[three])]))
+                kids_seen += 1
+            clipped += any(len(s) >= 2 for s in sizes.values())
+    assert kids_seen >= 60
+    if spec.d == 1:
+        assert below >= (10 if spec.levels == 11 else 2)
+    else:
+        assert zero_data >= 10 and clipped >= 2
+
+
 def test_localized_functions_come_from_one_pass_per_slot_group(monkeypatch):
     """A build makes one level_sups pass per slot group, over the whole
     grid, and reads every node's localized function and property (iii)
     from it: no other level_sups call, and no component_sup call computes
     either.  The only component_sup calls left are variant 1's exceedance
     functions, one per slot and node with data, each on a single input with
-    exponent 1; variant 2 makes none."""
+    exponent 1; variant 2 makes none.  Each batch of sibling nodes (the
+    root is a batch of one) is set up with one power_mean call per slot and
+    distinct 3L size and one lr_norm_rows call per slot group, not one per
+    node."""
     calls = []
 
     def counted(name, real):
@@ -918,6 +1008,16 @@ def test_localized_functions_come_from_one_pass_per_slot_group(monkeypatch):
     for name in ("component_sup", "level_sups"):
         monkeypatch.setattr(maximal, name,
                             counted(name, getattr(maximal, name)))
+
+    def tallied(name, real):
+        def call(*args):
+            calls.append((name,))
+            return real(*args)
+        return call
+
+    for name in ("power_mean", "lr_norm_rows"):
+        monkeypatch.setattr(sparsedom.sparse, name,
+                            tallied(name, getattr(sparsedom.sparse, name)))
     ps, rs = (1.0, 1.0), (2.0, 2.0)
     spec, fs = next(per_level_builds())
     for variant, eps in ((1, 0.5), (2, None)):
@@ -937,6 +1037,21 @@ def test_localized_functions_come_from_one_pass_per_slot_group(monkeypatch):
                              else 0)
         assert all(c[1:3] == (1, (1.0,)) and set(c[3]) == {"support", "at"}
                    for c in sups)
+        cubes = rep.collection.cubes
+        batches = [[cubes[0]]] + [stopping_kids(cubes, q)
+                                  for q, n in zip(cubes, rep.nodes)
+                                  if n.n_children > 0]
+        three_sizes = sum(len({len(dilate(spec, L, 3)) for L in kids})
+                          for kids in batches)
+        # plus the rhs terms, one call per slot and cube size
+        cube_sizes = len({len(c) for c in rep.collection.cell_sets})
+        assert sum(c[0] == "power_mean" for c in calls) == \
+            len(fs) * (three_sizes + cube_sizes)
+        assert three_sizes < with_data
+        # plus the profiles, one call per slot group and parent for
+        # property (iii), and variant 1's exceedance functions
+        assert sum(c[0] == "lr_norm_rows" for c in calls) == len(fs) + \
+            len(groups) * (len(batches) + parents) + len(sups)
 
 
 def test_construction_builds_each_cube_once(monkeypatch):
